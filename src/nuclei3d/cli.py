@@ -23,7 +23,10 @@ __all__ = ["main"]
 
 
 def _cmd_phantom(args):
-    cfg = PhantomConfig.from_mapping(io.read_report(args.config))
+    try:
+        cfg = PhantomConfig.from_mapping(io.read_report(args.config))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{args.config}: {exc}") from None
     labels, raw = generate_phantom(cfg)
     io.write_volume(args.out_prefix + "labels.v3dr", labels)
     io.write_volume(args.out_prefix + "raw.v3dr", raw)

@@ -22,6 +22,7 @@ __all__ = [
     "Point3",
     "Volume",
     "LabelVolume",
+    "instance_centers",
     "center_of_mass",
     "erode_instances",
     "dilate_instances",
@@ -160,6 +161,26 @@ class LabelVolume:
     __hash__ = None
 
 
+def instance_centers(labels):
+    """Sorted positive IDs, their voxel counts and ``(n, 3)`` centers of mass.
+
+    One pass over the volume. Each center is the mean of the instance's voxel
+    coordinates in raster order, bit-identical to
+    ``np.nonzero(labels.labels == i)[k].mean()``.
+    """
+    lab = labels.labels
+    coords = np.nonzero(lab)
+    ids = lab[coords]
+    # a stable sort keeps each instance's voxels in raster order
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    coords = [c[order] for c in coords]
+    starts = np.flatnonzero(np.diff(ids, prepend=0))
+    counts = np.diff(starts, append=ids.size)
+    centers = [[c[a:a + n].mean() for c in coords] for a, n in zip(starts, counts)]
+    return ids[starts], counts, np.array(centers, dtype=np.float64).reshape(-1, 3)
+
+
 def center_of_mass(labels, instance_id):
     """Unweighted mean of the voxel-center coordinates carrying ``instance_id``.
 
@@ -174,25 +195,34 @@ def center_of_mass(labels, instance_id):
     Point3
         Center of mass in voxel units.
     """
-    coords = np.nonzero(labels.labels == instance_id)
-    if coords[0].size == 0:
+    ids, _, centers = instance_centers(labels)
+    row = np.searchsorted(ids, instance_id)
+    if row == ids.size or ids[row] != instance_id:
         raise UnknownIdError(f"instance id {instance_id} not present")
-    return Point3(*(float(c.mean()) for c in coords))
+    return Point3(*(float(c) for c in centers[row]))
 
 
-def _face_neighbor(lab, axis, step):
-    """Neighbor labels along one face direction; out-of-bounds reads as 0."""
-    out = np.zeros_like(lab)
-    src = [slice(None)] * 3
-    dst = [slice(None)] * 3
-    if step > 0:
-        src[axis] = slice(1, None)
-        dst[axis] = slice(0, -1)
-    else:
-        src[axis] = slice(0, -1)
-        dst[axis] = slice(1, None)
-    out[tuple(dst)] = lab[tuple(src)]
-    return out
+def face_slices(axis):
+    """Index pair ``(lo, hi)`` of every voxel and its +1 face neighbor along ``axis``."""
+    lo = [slice(None)] * 3
+    hi = [slice(None)] * 3
+    lo[axis], hi[axis] = slice(0, -1), slice(1, None)
+    return tuple(lo), tuple(hi)
+
+
+def round_half_away(v):
+    """Round to the nearest integer, halves away from zero; the result stays float."""
+    return np.copysign(np.floor(np.abs(v) + 0.5), v)
+
+
+def _face_neighbors(lab):
+    """Neighbor labels along each of the six face directions; out-of-bounds reads as 0."""
+    for axis in range(3):
+        lo, hi = face_slices(axis)
+        for dst, src in ((hi, lo), (lo, hi)):
+            out = np.zeros_like(lab)
+            out[dst] = lab[src]
+            yield out
 
 
 def erode_instances(labels, iterations):
@@ -209,9 +239,8 @@ def erode_instances(labels, iterations):
         if not lab.any():
             break
         keep = lab > 0
-        for axis in range(3):
-            for step in (-1, 1):
-                keep &= _face_neighbor(lab, axis, step) == lab
+        for neighbor in _face_neighbors(lab):
+            keep &= neighbor == lab
         lab = np.where(keep, lab, 0)
     return LabelVolume(lab, labels.voxel_size)
 
@@ -228,14 +257,12 @@ def dilate_instances(labels, iterations):
     sentinel = np.iinfo(np.int64).max
     for _ in range(iterations):
         candidate = np.full(lab.shape, sentinel, dtype=np.int64)
-        for axis in range(3):
-            for step in (-1, 1):
-                neighbor = _face_neighbor(lab, axis, step)
-                np.minimum(
-                    candidate,
-                    np.where(neighbor > 0, neighbor.astype(np.int64), sentinel),
-                    out=candidate,
-                )
+        for neighbor in _face_neighbors(lab):
+            np.minimum(
+                candidate,
+                np.where(neighbor > 0, neighbor.astype(np.int64), sentinel),
+                out=candidate,
+            )
         claim = (lab == 0) & (candidate != sentinel)
         lab[claim] = candidate[claim].astype(lab.dtype)
     return LabelVolume(lab, labels.voxel_size)

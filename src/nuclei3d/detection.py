@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage as ndi
 
-from .core import center_of_mass
+from .core import instance_centers
 from .errors import ShapeMismatchError
 from .io import Detection
 
@@ -63,9 +63,8 @@ def centroids_from_labels(seg):
     centroid of a non-convex instance may fall outside its own voxels; it is
     emitted unmoved and may then count as a false positive.
     """
-    detections = []
-    counts = np.bincount(seg.labels.ravel())
-    for i in seg.ids():
-        c = center_of_mass(seg, int(i))
-        detections.append(Detection(c.z, c.y, c.x, float(counts[int(i)])))
-    return detections
+    _, counts, centers = instance_centers(seg)
+    return [
+        Detection(float(z), float(y), float(x), float(n))
+        for (z, y, x), n in zip(centers, counts)
+    ]

@@ -181,4 +181,7 @@ def write_report(path, mapping):
 def read_report(path):
     """Read a YAML report or config file into plain Python objects."""
     with open(path, "r", encoding="utf-8") as fh:
-        return yaml.safe_load(fh)
+        try:
+            return yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise FormatError(f"{path}: malformed YAML: {' '.join(str(exc).split())}") from None

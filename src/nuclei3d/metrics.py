@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import round_half_away
 from .errors import ShapeMismatchError
 
 __all__ = [
@@ -55,12 +56,6 @@ class EvalReport:
         return out
 
 
-def _instance_sizes(lab):
-    counts = np.bincount(lab.ravel())
-    counts[0] = 0
-    return counts
-
-
 def iou_matrix(gt, pred):
     """IoU per overlapping (gt_id, pred_id) pair, as a sparse dict."""
     if gt.shape != pred.shape:
@@ -68,8 +63,8 @@ def iou_matrix(gt, pred):
     g = gt.labels
     p = pred.labels
     both = (g > 0) & (p > 0)
-    gsz = _instance_sizes(g)
-    psz = _instance_sizes(p)
+    gsz = np.bincount(g.ravel())
+    psz = np.bincount(p.ravel())
     out = {}
     if both.any():
         stride = int(p.max()) + 1
@@ -94,32 +89,29 @@ def segmentation_ap(gt, pred, iou_threshold):
     """
     if not 0 < iou_threshold < 1:
         raise ValueError("iou_threshold must be in (0, 1)")
-    ious = iou_matrix(gt, pred)
+    return _match(iou_matrix(gt, pred), len(gt.ids()), len(pred.ids()), iou_threshold)
+
+
+def _match(ious, n_gt, n_pred, iou_threshold):
+    """Greedy matching of ``iou_matrix`` pairs; returns (ap, tp, fp, fn)."""
     pairs = sorted(
         ((iou, g, p) for (g, p), iou in ious.items() if iou > iou_threshold),
         key=lambda t: (-t[0], t[1], t[2]),
     )
-    matched_gt = set()
-    matched_pred = set()
-    tp = 0
+    matched_gt, matched_pred = set(), set()
     for _, g, p in pairs:
-        if g in matched_gt or p in matched_pred:
-            continue
-        matched_gt.add(g)
-        matched_pred.add(p)
-        tp += 1
-    fp = len(pred.ids()) - tp
-    fn = len(gt.ids()) - tp
+        if g not in matched_gt and p not in matched_pred:
+            matched_gt.add(g)
+            matched_pred.add(p)
+    tp = len(matched_gt)
+    fp = n_pred - tp
+    fn = n_gt - tp
     return _ap(tp, fp, fn), tp, fp, fn
 
 
 def _ap(tp, fp, fn):
     denom = tp + fp + fn
     return float(tp) / denom if denom else 1.0
-
-
-def _round_half_away(v):
-    return int(np.copysign(np.floor(abs(v) + 0.5), v))
 
 
 def detection_ap(gt, detections):
@@ -140,7 +132,7 @@ def detection_ap(gt, detections):
     hits = {}
     n_background = 0
     for det in detections:
-        z, y, x = (_round_half_away(v) for v in (det.z, det.y, det.x))
+        z, y, x = (int(round_half_away(v)) for v in (det.z, det.y, det.x))
         if 0 <= z < nz and 0 <= y < ny and 0 <= x < nx and lab[z, y, x] > 0:
             hits[int(lab[z, y, x])] = hits.get(int(lab[z, y, x]), 0) + 1
         else:
@@ -157,12 +149,11 @@ def evaluate(gt, seg=None, detections=None):
     ap_per_iou = seg_counts = av_ap = None
     det_ap = det_counts = None
     if seg is not None:
-        ap_per_iou = {}
-        seg_counts = {}
-        for t in IOU_THRESHOLDS:
-            ap, tp, fp, fn = segmentation_ap(gt, seg, t)
-            ap_per_iou[t] = ap
-            seg_counts[t] = (tp, fp, fn)
+        ious = iou_matrix(gt, seg)
+        n_gt, n_seg = len(gt.ids()), len(seg.ids())
+        matches = {t: _match(ious, n_gt, n_seg, t) for t in IOU_THRESHOLDS}
+        ap_per_iou = {t: m[0] for t, m in matches.items()}
+        seg_counts = {t: m[1:] for t, m in matches.items()}
         av_ap = sum(ap_per_iou[t] for t in IOU_THRESHOLDS) / len(IOU_THRESHOLDS)
     if detections is not None:
         det_ap, tp, fp, fn = detection_ap(gt, detections)

@@ -6,7 +6,7 @@ stream is stable across platforms, so phantom volumes are bit-reproducible
 from their config alone.
 """
 
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 from scipy import ndimage as ndi
@@ -54,6 +54,12 @@ class PhantomConfig:
 
     @classmethod
     def from_mapping(cls, mapping):
+        """Build a config from a YAML mapping; unknown keys raise ValueError."""
+        if not isinstance(mapping, dict):
+            raise ValueError(f"phantom config must be a mapping, got {type(mapping).__name__}")
+        unknown = sorted(map(str, set(mapping) - {f.name for f in fields(cls)}))
+        if unknown:
+            raise ValueError(f"unknown phantom config key(s): {', '.join(unknown)}")
         return cls(**mapping)
 
 
@@ -128,10 +134,8 @@ def generate_phantom(cfg):
                 f"for instance {instance} of {cfg.n_instances}"
             )
 
-    raw = np.zeros(cfg.shape, dtype=np.float64)
     intensities = rng.uniform(0.6, 1.0, size=cfg.n_instances)
-    for i in range(1, cfg.n_instances + 1):
-        raw[labels == i] = intensities[i - 1]
+    raw = np.concatenate(([0.0], intensities))[labels]
     if cfg.smoothing_sigma > 0:
         raw = ndi.gaussian_filter(raw, cfg.smoothing_sigma)
     if cfg.noise_sigma > 0:

@@ -17,12 +17,14 @@ are FIFO. Predictions may be probabilities (default) or logits.
 """
 
 import heapq
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
-from .core import LabelVolume, Volume, VoxelSize, connected_components, dilate_instances
+from .core import (
+    LabelVolume, Volume, VoxelSize, connected_components, dilate_instances, round_half_away,
+)
 from .errors import ChannelCountError, ShapeMismatchError
 from .targets import MAIN_CHANNELS, TargetBundle
 
@@ -61,13 +63,6 @@ class PostprocConfig:
         if self.cpv_seed_threshold < 0:
             raise ValueError("cpv_seed_threshold must be >= 0")
 
-    def to_mapping(self):
-        return {k: v for k, v in asdict(self).items()}
-
-    @classmethod
-    def from_mapping(cls, mapping):
-        return cls(**mapping)
-
 
 @dataclass(frozen=True)
 class TopographicMap:
@@ -85,7 +80,10 @@ class TopographicMap:
 
 
 def _pred_volume(pred):
-    return pred.volume if isinstance(pred, TargetBundle) else pred
+    vol = pred.volume if isinstance(pred, TargetBundle) else pred
+    if isinstance(vol, LabelVolume):
+        raise ChannelCountError("expected a prediction Volume, got a label volume")
+    return vol
 
 
 def _main_data(pred, variant, logits):
@@ -158,7 +156,7 @@ def accumulate_votes(cpv_pred, fg_mask):
         targets = []
         for coords, v in zip((zz, yy, xx), vec):
             t = coords + v[zz, yy, xx]
-            targets.append(np.copysign(np.floor(np.abs(t) + 0.5), t).astype(np.int64))
+            targets.append(round_half_away(t).astype(np.int64))
         tz, ty, tx = targets
         ok = (
             (tz >= 0) & (tz < fg.shape[0])

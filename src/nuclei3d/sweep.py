@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .detection import centroids_from_labels
+from .errors import FormatError
 from .io import read_report, read_volume
 from .metrics import detection_ap, evaluate, segmentation_ap
 from .postproc import PostprocConfig, segment
@@ -98,26 +99,26 @@ def load_sweep_spec(path):
     """Load a sweep spec YAML file, resolving paths relative to it."""
     base = Path(path).parent
     raw = read_report(path)
-    checkpoints = tuple(
-        (
-            ck["name"],
-            tuple(
-                (str(base / pair["gt"]), str(base / pair["pred"])) for pair in ck["pairs"]
-            ),
+    try:
+        checkpoints = tuple(
+            (ck["name"], tuple((str(base / p["gt"]), str(base / p["pred"])) for p in ck["pairs"]))
+            for ck in raw["checkpoints"]
         )
-        for ck in raw["checkpoints"]
-    )
-    grid = raw["grid"]
-    return SweepSpec(
-        variant=raw["variant"],
-        objective=raw["objective"],
-        checkpoints=checkpoints,
-        seed_sources=tuple(grid["seed_source"]),
-        seed_thresholds=tuple(float(v) for v in grid["seed_threshold"]),
-        foreground_thresholds=tuple(float(v) for v in grid["foreground_threshold"]),
-        cpv_seed_thresholds=tuple(float(v) for v in grid["cpv_seed_threshold"]),
-        dilate=tuple(bool(v) for v in grid["dilate"]),
-    )
+        grid = raw["grid"]
+        return SweepSpec(
+            variant=raw["variant"],
+            objective=raw["objective"],
+            checkpoints=checkpoints,
+            seed_sources=tuple(grid["seed_source"]),
+            seed_thresholds=tuple(float(v) for v in grid["seed_threshold"]),
+            foreground_thresholds=tuple(float(v) for v in grid["foreground_threshold"]),
+            cpv_seed_thresholds=tuple(float(v) for v in grid["cpv_seed_threshold"]),
+            dilate=tuple(bool(v) for v in grid["dilate"]),
+        )
+    except KeyError as exc:
+        raise FormatError(f"{path}: sweep spec is missing key {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise FormatError(f"{path}: malformed sweep spec: {exc}") from None
 
 
 def _score(spec, pairs, cfg, volumes):
@@ -137,11 +138,9 @@ def _score(spec, pairs, cfg, volumes):
 
 def run_sweep(spec):
     """Score every candidate and return the argmax plus the full table."""
-    volumes = {}
-    for _, pairs in spec.checkpoints:
-        for gt_path, pred_path in pairs:
-            volumes.setdefault(gt_path, read_volume(gt_path))
-            volumes.setdefault(pred_path, read_volume(pred_path))
+    # each distinct file is read once, in first-listed order
+    paths = dict.fromkeys(p for _, pairs in spec.checkpoints for pair in pairs for p in pair)
+    volumes = {p: read_volume(p) for p in paths}
 
     table = []
     best = None

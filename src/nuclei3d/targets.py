@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage as ndi
 
-from .core import LabelVolume, Volume, erode_instances
+from .core import Volume, erode_instances, face_slices, instance_centers
 
 __all__ = [
     "VARIANTS",
@@ -73,13 +73,10 @@ def _boundary_mask(lab):
     """Foreground voxels with an in-bounds face neighbor of different label."""
     diff = np.zeros(lab.shape, dtype=bool)
     for axis in range(3):
-        lo = [slice(None)] * 3
-        hi = [slice(None)] * 3
-        lo[axis] = slice(0, -1)
-        hi[axis] = slice(1, None)
-        ne = lab[tuple(lo)] != lab[tuple(hi)]
-        diff[tuple(lo)] |= ne
-        diff[tuple(hi)] |= ne
+        lo, hi = face_slices(axis)
+        ne = lab[lo] != lab[hi]
+        diff[lo] |= ne
+        diff[hi] |= ne
     return (lab > 0) & diff
 
 
@@ -145,31 +142,10 @@ def encode_affinities(labels):
     er = erode_instances(labels, 1).labels
     out = np.zeros((4,) + er.shape, dtype=np.float64)
     for axis in range(3):
-        lo = [slice(None)] * 3
-        hi = [slice(None)] * 3
-        lo[axis] = slice(0, -1)
-        hi[axis] = slice(1, None)
-        same = (er[tuple(lo)] == er[tuple(hi)]) & (er[tuple(lo)] > 0)
-        out[axis][tuple(lo)] = same
+        lo, hi = face_slices(axis)
+        out[axis][lo] = (er[lo] == er[hi]) & (er[lo] > 0)
     out[3] = er > 0
     return Volume(out, labels.voxel_size)
-
-
-def _instance_centers(lab):
-    """Per-instance center of mass, bit-identical to core.center_of_mass."""
-    zz, yy, xx = np.nonzero(lab)
-    ids = lab[zz, yy, xx]
-    order = np.argsort(ids, kind="stable")
-    ids_sorted = ids[order]
-    cut = np.flatnonzero(np.diff(ids_sorted)) + 1
-    starts = np.concatenate(([0], cut))
-    ends = np.concatenate((cut, [ids_sorted.size]))
-    centers = {}
-    for a, b in zip(starts, ends):
-        i = int(ids_sorted[a])
-        sel = order[a:b]
-        centers[i] = (zz[sel].mean(), yy[sel].mean(), xx[sel].mean())
-    return centers
 
 
 def encode_cpv(labels):
@@ -180,16 +156,11 @@ def encode_cpv(labels):
     """
     lab = labels.labels
     out = np.zeros((3,) + lab.shape, dtype=np.float64)
-    zz, yy, xx = np.nonzero(lab)
-    if zz.size:
-        centers = _instance_centers(lab)
-        table = np.zeros((max(centers) + 1, 3))
-        for i, c in centers.items():
-            table[i] = c
-        per_voxel = table[lab[zz, yy, xx]]
-        out[0][zz, yy, xx] = per_voxel[:, 0] - zz
-        out[1][zz, yy, xx] = per_voxel[:, 1] - yy
-        out[2][zz, yy, xx] = per_voxel[:, 2] - xx
+    coords = np.nonzero(lab)
+    ids, _, centers = instance_centers(labels)
+    per_voxel = centers[np.searchsorted(ids, lab[coords])]
+    for k, c in enumerate(coords):
+        out[k][coords] = per_voxel[:, k] - c
     return Volume(out, labels.voxel_size)
 
 
@@ -207,7 +178,7 @@ def encode_gauss(labels, sigma=2.0):
     z = np.arange(nz, dtype=np.float64)[:, None, None]
     y = np.arange(ny, dtype=np.float64)[None, :, None]
     x = np.arange(nx, dtype=np.float64)[None, None, :]
-    for cz, cy, cx in _instance_centers(lab).values():
+    for cz, cy, cx in instance_centers(labels)[2]:
         d2 = (z - cz) ** 2 + (y - cy) ** 2 + (x - cx) ** 2
         np.maximum(out, np.exp(d2 / (-2.0 * sigma * sigma)), out=out)
     return Volume(out[np.newaxis], labels.voxel_size)

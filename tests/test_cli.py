@@ -206,3 +206,43 @@ def test_errors_go_to_stderr_not_report_stream(workdir, capsys):
     assert captured.out == ""
     assert "error:" in captured.err
     assert not out.exists()
+
+
+def _one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def test_segment_on_label_volume_is_typed_error(workdir, capsys):
+    args = ["segment", str(workdir / "gt.v3dr"), str(workdir / "o.v3dr"), "--variant", "sdt"]
+    assert main(args) == 1
+    assert "label volume" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "name,text,expected",
+    [
+        ("malformed.yaml", "shape: [10, 20\nn_instances: 1\n", "malformed YAML"),
+        ("unknown.yaml", "shape: [10, 20, 20]\nn_instances: 1\nradius_range: [2, 3]\nbogus: 1\n",
+         "bogus"),
+        ("list.yaml", "- 1\n- 2\n", "must be a mapping"),
+    ],
+)
+def test_bad_phantom_config_names_file_and_key(workdir, capsys, name, text, expected):
+    (workdir / name).write_text(text)
+    assert main(["phantom", str(workdir / name), str(workdir / "bad_")]) == 1
+    err = _one_line_error(capsys)
+    assert name in err and expected in err
+
+
+def test_sweep_spec_missing_key_names_file_and_key(workdir, capsys):
+    write_report(workdir / "nogrid.yaml", {
+        "variant": "sdt",
+        "objective": "seg_avap",
+        "checkpoints": [{"name": "only", "pairs": [{"gt": "gt.v3dr", "pred": "gt.v3dr"}]}],
+    })
+    assert main(["sweep", str(workdir / "nogrid.yaml"), str(workdir / "o.yaml")]) == 1
+    err = _one_line_error(capsys)
+    assert "nogrid.yaml" in err and "'grid'" in err

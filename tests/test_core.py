@@ -10,6 +10,7 @@ from nuclei3d import (
     connected_components,
     dilate_instances,
     erode_instances,
+    instance_centers,
 )
 from nuclei3d.errors import ShapeMismatchError, UnknownIdError
 
@@ -83,6 +84,25 @@ class TestCenterOfMass:
         lv = make_labels({1: [(0, 0, 0)]})
         with pytest.raises(UnknownIdError):
             center_of_mass(lv, 9)
+
+
+class TestInstanceCenters:
+    def test_matches_per_instance_formula(self, rng):
+        for _ in range(5):
+            lab = random_blob_labels(rng, (9, 10, 11), 6)
+            # non-contiguous IDs whose order differs from raster order
+            remap = np.concatenate(([0], rng.choice(np.arange(1, 1000), lab.max(), replace=False)))
+            lab = remap[lab].astype(np.int32)
+            lv = LabelVolume(lab)
+            ids, counts, centers = instance_centers(lv)
+            np.testing.assert_array_equal(ids, lv.ids())
+            np.testing.assert_array_equal(counts, np.bincount(lab.ravel())[ids])
+            for i, center in zip(ids, centers):
+                assert center.tolist() == [k.mean() for k in np.nonzero(lab == i)]
+
+    def test_background_only(self):
+        ids, counts, centers = instance_centers(LabelVolume(np.zeros((3, 4, 5), np.int32)))
+        assert ids.size == 0 and counts.size == 0 and centers.shape == (0, 3)
 
 
 class TestErode:

@@ -214,6 +214,29 @@ class TestEvaluateAndAggregate:
             expected = tp / (tp + fp + fn) if tp + fp + fn else 1.0
             assert report.ap_per_iou[t] == pytest.approx(expected, abs=1e-12)
 
+    def test_counts_match_segmentation_ap_from_one_iou_pass(self, rng, monkeypatch):
+        import nuclei3d.metrics
+
+        calls = []
+        real = nuclei3d.metrics.iou_matrix
+        monkeypatch.setattr(
+            nuclei3d.metrics, "iou_matrix", lambda g, p: calls.append(1) or real(g, p)
+        )
+        for _ in range(20):
+            gt = random_blob_labels(rng, (8, 8, 8), int(rng.integers(1, 6)))
+            if rng.random() < 0.5:
+                pred = np.roll(gt, tuple(rng.integers(-1, 2, size=3)), axis=(0, 1, 2))
+            else:
+                pred = random_blob_labels(rng, (8, 8, 8), int(rng.integers(1, 6)))
+            gtv, prv = labels_from(gt), labels_from(pred)
+            calls.clear()
+            report = evaluate(gtv, seg=prv)
+            assert len(calls) == 1
+            for t in IOU_THRESHOLDS:
+                ap, tp, fp, fn = segmentation_ap(gtv, prv, t)
+                assert report.seg_counts[t] == (tp, fp, fn)
+                assert report.ap_per_iou[t] == ap
+
     def test_omitted_inputs_stay_none(self, rng):
         lab = labels_from(random_blob_labels(rng, (6, 6, 6), 2))
         report = evaluate(lab, seg=lab)

@@ -248,11 +248,3 @@ class TestSegment:
             PostprocConfig("sdt", seed_source="votes")
         with pytest.raises(ValueError):
             PostprocConfig("sdt", cpv_seed_threshold=-1.0)
-
-    def test_config_yaml_round_trip(self, tmp_path):
-        from nuclei3d import read_report, write_report
-
-        cfg = PostprocConfig("sdt", seed_threshold=-0.14, dilate_result=True)
-        path = tmp_path / "cfg.yaml"
-        write_report(path, cfg.to_mapping())
-        assert PostprocConfig.from_mapping(read_report(path)) == cfg

@@ -116,6 +116,30 @@ def test_tie_breaks_keep_first_candidate(sweep_dir):
     assert result.selected["checkpoint"] == "dup_a"
 
 
+def test_each_file_is_read_once(sweep_dir, monkeypatch):
+    import nuclei3d.sweep
+
+    reads = []
+    real = nuclei3d.sweep.read_volume
+    monkeypatch.setattr(nuclei3d.sweep, "read_volume", lambda p: reads.append(p) or real(p))
+    spec = load_sweep_spec(sweep_dir / "spec.yaml")
+    one_point = SweepSpec(
+        variant=spec.variant,
+        objective=spec.objective,
+        checkpoints=spec.checkpoints,
+        seed_sources=("main",),
+        seed_thresholds=(0.7,),
+        foreground_thresholds=(0.95,),
+        cpv_seed_thresholds=(0,),
+        dilate=(False,),
+    )
+    run_sweep(one_point)
+    # three checkpoints share the two ground truths: 8 distinct files in 12 path slots
+    distinct = {p for _, pairs in spec.checkpoints for pair in pairs for p in pair}
+    assert len(distinct) == 8
+    assert sorted(reads) == sorted(distinct)
+
+
 def test_enumeration_order_is_normative(sweep_dir):
     result = run_sweep(load_sweep_spec(sweep_dir / "spec.yaml"))
     rows = [(r["checkpoint"], r["seed_threshold"], r["foreground_threshold"]) for r in result.table]
