@@ -11,6 +11,7 @@ import sys
 import numpy as np
 
 from . import io
+from .core import LabelVolume, Volume
 from .detection import NmsConfig, nms_detect
 from .errors import Nuclei3dError, PlacementError
 from .metrics import evaluate
@@ -34,7 +35,7 @@ def _cmd_phantom(args):
 
 
 def _cmd_encode(args):
-    labels = io.read_volume(args.labels)
+    labels = io.read_volume(args.labels, LabelVolume)
     bundle = encode_bundle(
         labels,
         args.variant,
@@ -47,7 +48,7 @@ def _cmd_encode(args):
 
 
 def _cmd_segment(args):
-    pred = io.read_volume(args.pred)
+    pred = io.read_volume(args.pred, Volume)
     cfg = PostprocConfig(
         variant=args.variant,
         seed_source=args.seed_source,
@@ -61,15 +62,15 @@ def _cmd_segment(args):
 
 
 def _cmd_detect(args):
-    pred = io.read_volume(args.pred)
+    pred = io.read_volume(args.pred, Volume)
     cfg = NmsConfig(gauss_threshold=args.gauss_threshold, nms_distance=args.nms_distance)
     io.write_detections(args.out, nms_detect(pred, cfg))
     return 0
 
 
 def _cmd_evaluate(args):
-    gt = io.read_volume(args.gt)
-    seg = io.read_volume(args.seg) if args.seg else None
+    gt = io.read_volume(args.gt, LabelVolume)
+    seg = io.read_volume(args.seg, LabelVolume) if args.seg else None
     dets = io.read_detections(args.dets) if args.dets else None
     report = evaluate(gt, seg=seg, detections=dets)
     io.write_report(args.out, report.to_mapping())

@@ -42,6 +42,7 @@ __all__ = [
     "write_report",
 ]
 
+_KINDS = {LabelVolume: "label volume", Volume: "scalar volume"}
 _MAGIC = b"V3DR"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIIIIIIddd")
@@ -106,8 +107,8 @@ def write_volume(path, volume):
         fh.write(payload)
 
 
-def read_volume(path):
-    """Read a ``.v3dr`` file back into a Volume or LabelVolume."""
+def read_volume(path, kind=None):
+    """Read a ``.v3dr`` file back into a Volume or LabelVolume, of type ``kind`` if given."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size:
@@ -119,6 +120,9 @@ def read_volume(path):
             raise UnsupportedVersionError(f"{path}: unsupported version {version}")
         if tag not in _TAG_DTYPES:
             raise UnsupportedDtypeError(f"{path}: unknown dtype tag {tag}")
+        found = LabelVolume if tag == 2 else Volume
+        if kind not in (None, found):
+            raise FormatError(f"{path}: expected a {_KINDS[kind]}, got a {_KINDS[found]}")
         if min(channels, nz, ny, nx) <= 0:
             raise FormatError(f"{path}: non-positive count in header")
         dtype = _TAG_DTYPES[tag]

@@ -7,6 +7,7 @@ from their config alone.
 """
 
 from dataclasses import asdict, dataclass, fields
+from numbers import Integral, Real
 
 import numpy as np
 from scipy import ndimage as ndi
@@ -34,17 +35,20 @@ class PhantomConfig:
     smoothing_sigma: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "shape", tuple(int(s) for s in self.shape))
-        object.__setattr__(self, "radius_range", tuple(float(r) for r in self.radius_range))
+        for key, kind in (("shape", int), ("radius_range", float)):
+            try:
+                object.__setattr__(self, key, tuple(kind(v) for v in getattr(self, key)))
+            except (TypeError, ValueError):
+                raise ValueError(f"{key} must be a list of numbers") from None
         if len(self.shape) != 3 or min(self.shape) <= 0:
             raise ValueError("shape must be three positive extents")
-        if self.n_instances < 0:
-            raise ValueError("n_instances must be >= 0")
-        rmin, rmax = self.radius_range
-        if rmin < 1 or rmax < rmin:
-            raise ValueError("radius_range must satisfy 1 <= min <= max")
-        if self.min_gap < 0:
-            raise ValueError("min_gap must be >= 0")
+        if len(self.radius_range) != 2 or not 1 <= self.radius_range[0] <= self.radius_range[1]:
+            raise ValueError("radius_range must be [min, max] with 1 <= min <= max")
+        for f in fields(self):
+            kind = {int: Integral, float: Real}.get(f.type)
+            value = getattr(self, f.name)
+            if kind and not (isinstance(value, kind) and 0 <= value < np.inf):
+                raise ValueError(f"{f.name} must be a finite {f.type.__name__} >= 0, got {value!r}")
 
     def to_mapping(self):
         m = asdict(self)

@@ -17,6 +17,7 @@ are FIFO. Predictions may be probabilities (default) or logits.
 """
 
 import heapq
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,9 +179,6 @@ def extract_seeds_cpv(cpv_pred, fg_mask, cpv_seed_threshold):
     return connected_components(Volume(mask.astype(np.uint8), voxel_size))
 
 
-_OFFSETS = ((-1, 0, 0), (1, 0, 0), (0, -1, 0), (0, 1, 0), (0, 0, -1), (0, 0, 1))
-
-
 def watershed(topo, seeds):
     """Priority-flood the topography from seed regions.
 
@@ -192,43 +190,34 @@ def watershed(topo, seeds):
     """
     if seeds.shape != topo.values.shape:
         raise ShapeMismatchError("seeds and topography shapes differ")
-    nz, ny, nx = topo.values.shape
-    values = topo.values.ravel().tolist()
-    fg = topo.foreground.ravel().tolist()
+    # one voxel of non-foreground padding keeps every face step in bounds
+    labels = np.pad(np.where(topo.foreground, seeds.labels, 0).astype(np.int32), 1)
+    _, ny, nx = labels.shape
+    values = np.pad(topo.values, 1).ravel().tolist()
+    result = labels.ravel().tolist()
+    free = (np.pad(topo.foreground, 1) & (labels == 0)).ravel().tolist()
+    steps = (-ny * nx, ny * nx, -nx, nx, -1, 1)
 
-    out = np.where(topo.foreground, seeds.labels, 0).astype(np.int32)
-    result = out.ravel().tolist()
-
+    # All claims on a voxel share its map value and sequence numbers only
+    # grow, so the first claim queued for a voxel is the one resolved: it
+    # is labelled when queued and never queued again.
     heap = []
-    seq = 0
-    seed_voxels = np.argwhere(out > 0)
-    for z, y, x in seed_voxels:
-        z, y, x = int(z), int(y), int(x)
-        idx = (z * ny + y) * nx + x
+    seq = itertools.count()
+
+    def pops():
+        while heap:
+            yield heapq.heappop(heap)[2]
+
+    for idx in itertools.chain(np.flatnonzero(labels).tolist(), pops()):
         lab = result[idx]
-        for dz, dy, dx in _OFFSETS:
-            az, ay, ax = z + dz, y + dy, x + dx
-            if 0 <= az < nz and 0 <= ay < ny and 0 <= ax < nx:
-                aidx = (az * ny + ay) * nx + ax
-                if fg[aidx] and result[aidx] == 0:
-                    heapq.heappush(heap, (values[aidx], seq, az, ay, ax, lab))
-                    seq += 1
+        for step in steps:
+            a = idx + step
+            if free[a]:
+                free[a] = False
+                result[a] = lab
+                heapq.heappush(heap, (values[a], next(seq), a))
 
-    while heap:
-        _, _, z, y, x, lab = heapq.heappop(heap)
-        idx = (z * ny + y) * nx + x
-        if result[idx] != 0:
-            continue
-        result[idx] = lab
-        for dz, dy, dx in _OFFSETS:
-            az, ay, ax = z + dz, y + dy, x + dx
-            if 0 <= az < nz and 0 <= ay < ny and 0 <= ax < nx:
-                aidx = (az * ny + ay) * nx + ax
-                if fg[aidx] and result[aidx] == 0:
-                    heapq.heappush(heap, (values[aidx], seq, az, ay, ax, lab))
-                    seq += 1
-
-    out = np.asarray(result, dtype=np.int32).reshape(nz, ny, nx)
+    out = np.asarray(result, dtype=np.int32).reshape(labels.shape)[1:-1, 1:-1, 1:-1]
     return LabelVolume(out, topo.voxel_size)
 
 

@@ -30,6 +30,7 @@ import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
+from .core import LabelVolume, Volume
 from .detection import centroids_from_labels
 from .errors import FormatError
 from .io import read_report, read_volume
@@ -117,7 +118,7 @@ def load_sweep_spec(path):
         )
     except KeyError as exc:
         raise FormatError(f"{path}: sweep spec is missing key {exc.args[0]!r}") from None
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed sweep spec: {exc}") from None
 
 
@@ -138,9 +139,9 @@ def _score(spec, pairs, cfg, volumes):
 
 def run_sweep(spec):
     """Score every candidate and return the argmax plus the full table."""
-    # each distinct file is read once, in first-listed order
-    paths = dict.fromkeys(p for _, pairs in spec.checkpoints for pair in pairs for p in pair)
-    volumes = {p: read_volume(p) for p in paths}
+    # each distinct file is read once, in first-listed order, as the kind its role needs
+    roles = (zip(pair, (LabelVolume, Volume)) for _, pairs in spec.checkpoints for pair in pairs)
+    volumes = {p: read_volume(p, kind) for p, kind in dict.fromkeys(itertools.chain(*roles))}
 
     table = []
     best = None

@@ -5,6 +5,7 @@ from nuclei3d import (
     NmsConfig,
     PhantomConfig,
     PostprocConfig,
+    Volume,
     encode_bundle,
     evaluate,
     generate_phantom,
@@ -228,6 +229,21 @@ def test_segment_on_label_volume_is_typed_error(workdir, capsys):
         ("unknown.yaml", "shape: [10, 20, 20]\nn_instances: 1\nradius_range: [2, 3]\nbogus: 1\n",
          "bogus"),
         ("list.yaml", "- 1\n- 2\n", "must be a mapping"),
+        ("count_float.yaml", "shape: [10, 20, 20]\nn_instances: 2.5\nradius_range: [2, 3]\n",
+         "n_instances"),
+        ("seed_float.yaml",
+         "shape: [10, 20, 20]\nn_instances: 1\nradius_range: [2, 3]\nrng_seed: 1.5\n", "rng_seed"),
+        ("seed_negative.yaml",
+         "shape: [10, 20, 20]\nn_instances: 1\nradius_range: [2, 3]\nrng_seed: -1\n", "rng_seed"),
+        ("extent_scalar.yaml", "shape: 5\nn_instances: 1\nradius_range: [2, 3]\n", "shape"),
+        ("radii_scalar.yaml", "shape: [10, 20, 20]\nn_instances: 1\nradius_range: 4\n",
+         "radius_range"),
+        ("noise_negative.yaml",
+         "shape: [10, 20, 20]\nn_instances: 1\nradius_range: [2, 3]\nnoise_sigma: -0.1\n",
+         "noise_sigma"),
+        ("blur_negative.yaml",
+         "shape: [10, 20, 20]\nn_instances: 1\nradius_range: [2, 3]\nsmoothing_sigma: -1\n",
+         "smoothing_sigma"),
     ],
 )
 def test_bad_phantom_config_names_file_and_key(workdir, capsys, name, text, expected):
@@ -246,3 +262,52 @@ def test_sweep_spec_missing_key_names_file_and_key(workdir, capsys):
     assert main(["sweep", str(workdir / "nogrid.yaml"), str(workdir / "o.yaml")]) == 1
     err = _one_line_error(capsys)
     assert "nogrid.yaml" in err and "'grid'" in err
+
+
+def test_sweep_spec_non_number_names_file(workdir, capsys):
+    (workdir / "nonnumber.yaml").write_text(
+        "variant: sdt\nobjective: seg_avap\n"
+        "checkpoints: [{name: only, pairs: [{gt: gt.v3dr, pred: gt.v3dr}]}]\n"
+        "grid: {seed_source: [main], seed_threshold: [x], foreground_threshold: [0],"
+        " cpv_seed_threshold: [0], dilate: [false]}\n"
+    )
+    assert main(["sweep", str(workdir / "nonnumber.yaml"), str(workdir / "o.yaml")]) == 1
+    err = _one_line_error(capsys)
+    assert "nonnumber.yaml" in err and "'x'" in err
+
+
+@pytest.mark.parametrize(
+    "argv,wrong,expected",
+    [
+        (["encode", "{raw}", "{out}", "--variant", "sdt"], "raw", "expected a label volume"),
+        (["evaluate", "{raw}", "{out}"], "raw", "expected a label volume"),
+        (["evaluate", "{gt}", "{out}", "--seg", "{raw}"], "raw", "expected a label volume"),
+        (["evaluate", "{raw}", "{out}", "--dets", "{dets}"], "raw", "expected a label volume"),
+        (["detect", "{gt}", "{out}", "--gauss-threshold", "0.5", "--nms-distance", "2"], "gt",
+         "expected a scalar volume"),
+        (["sweep", "{spec}", "{out}"], "raw", "expected a label volume"),
+    ],
+    ids=["encode", "evaluate-gt", "evaluate-seg", "evaluate-dets", "detect", "sweep-gt"],
+)
+def test_volume_of_wrong_kind_is_one_line_error(workdir, capsys, argv, wrong, expected):
+    paths = {
+        "gt": workdir / "gt.v3dr",
+        "raw": workdir / "kind_raw.v3dr",
+        "dets": workdir / "kind_dets.csv",
+        "spec": workdir / "kind_spec.yaml",
+        "out": workdir / "kind_out",
+    }
+    write_volume(paths["raw"], Volume(np.zeros((1, 20, 36, 36), dtype=np.float32)))
+    write_detections(paths["dets"], [])
+    write_report(paths["spec"], {
+        "variant": "sdt",
+        "objective": "seg_avap",
+        "checkpoints": [{"name": "only", "pairs": [{"gt": "kind_raw.v3dr", "pred": "kind_raw.v3dr"}]}],
+        "grid": {
+            "seed_source": ["main"], "seed_threshold": [-0.14], "foreground_threshold": [0.0],
+            "cpv_seed_threshold": [0], "dilate": [False],
+        },
+    })
+    assert main([a.format(**paths) for a in argv]) == 1
+    err = _one_line_error(capsys)
+    assert paths[wrong].name in err and expected in err

@@ -203,6 +203,19 @@ class TestWatershed:
                 seeds[z, y, x] = i
             got = watershed(TopographicMap(values, fg), LabelVolume(seeds)).labels
             np.testing.assert_array_equal(got, flood_simulator(values, fg, seeds))
+        # distinct extents catch swapped axis strides; face seeds probe the edges
+        for shape in [(3, 5, 7), (7, 4, 2), (1, 6, 5)]:
+            for _ in range(8):
+                values = np.round(rng.random(shape), 1)
+                fg = rng.random(shape) < 0.8
+                seeds = np.zeros(shape, dtype=np.int32)
+                for i in range(1, rng.integers(2, 5) + 1):
+                    pos = [int(rng.integers(0, n)) for n in shape]
+                    axis = rng.integers(0, 3)
+                    pos[axis] = (0, shape[axis] - 1)[rng.integers(0, 2)]
+                    seeds[tuple(pos)] = i
+                got = watershed(TopographicMap(values, fg), LabelVolume(seeds)).labels
+                np.testing.assert_array_equal(got, flood_simulator(values, fg, seeds))
 
 
 class TestSegment:

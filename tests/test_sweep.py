@@ -121,7 +121,9 @@ def test_each_file_is_read_once(sweep_dir, monkeypatch):
 
     reads = []
     real = nuclei3d.sweep.read_volume
-    monkeypatch.setattr(nuclei3d.sweep, "read_volume", lambda p: reads.append(p) or real(p))
+    monkeypatch.setattr(
+        nuclei3d.sweep, "read_volume", lambda p, kind=None: reads.append(p) or real(p, kind)
+    )
     spec = load_sweep_spec(sweep_dir / "spec.yaml")
     one_point = SweepSpec(
         variant=spec.variant,
