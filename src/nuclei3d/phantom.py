@@ -35,11 +35,13 @@ class PhantomConfig:
     smoothing_sigma: float = 0.0
 
     def __post_init__(self):
-        for key, kind in (("shape", int), ("radius_range", float)):
-            try:
-                object.__setattr__(self, key, tuple(kind(v) for v in getattr(self, key)))
-            except (TypeError, ValueError):
-                raise ValueError(f"{key} must be a list of numbers") from None
+        for key, kind, cast, what in (
+            ("shape", Integral, int, "integers"), ("radius_range", Real, float, "numbers")
+        ):
+            value = getattr(self, key)
+            if not isinstance(value, (list, tuple)) or not all(isinstance(v, kind) for v in value):
+                raise ValueError(f"{key} must be a list of {what}, got {value!r}")
+            object.__setattr__(self, key, tuple(cast(v) for v in value))
         if len(self.shape) != 3 or min(self.shape) <= 0:
             raise ValueError("shape must be three positive extents")
         if len(self.radius_range) != 2 or not 1 <= self.radius_range[0] <= self.radius_range[1]:

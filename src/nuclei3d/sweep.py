@@ -8,6 +8,20 @@ wins; ties keep the earliest candidate in enumeration order (checkpoints in
 listed order, then the grid expanded over seed_source, seed_threshold,
 foreground_threshold, cpv_seed_threshold, dilate, each in listed order).
 
+Each stage runs once per distinct input it reads, per validation pair:
+
+    topography   foreground_threshold
+    seeds        seed_threshold (main) or cpv_seed_threshold (cpv)
+    watershed    the two above, so (seed_source, foreground_threshold,
+                 the seed source's threshold) keys the undilated result
+    dilation     dilate, applied to the undilated result
+    score        objective, ground truth and the (possibly dilated) labels
+
+A grid point's score is the same float as running ``segment`` and the
+objective for every grid point and pair: the floods are deterministic,
+dilation is the call ``segment`` makes, and each total is summed in pair
+order.
+
 Spec files are YAML::
 
     variant: 3label
@@ -27,10 +41,10 @@ Relative paths are resolved against the spec file's directory.
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .core import LabelVolume, Volume
+from .core import LabelVolume, Volume, dilate_instances
 from .detection import centroids_from_labels
 from .errors import FormatError
 from .io import read_report, read_volume
@@ -50,6 +64,7 @@ class SweepSpec:
     foreground_thresholds: tuple
     cpv_seed_thresholds: tuple
     dilate: tuple
+    configs: tuple = field(init=False, repr=False, compare=False)  # one per grid point
 
     def __post_init__(self):
         _parse_objective(self.objective)
@@ -64,6 +79,14 @@ class SweepSpec:
         ):
             if not grid:
                 raise ValueError("sweep grids must be nonempty")
+        for d in self.dilate:
+            if not isinstance(d, bool):
+                raise ValueError(f"dilate values must be true or false, got {d!r}")
+        configs = tuple(
+            PostprocConfig(self.variant, source, seed_t, fg_t, cpv_t, dilate)
+            for source, seed_t, fg_t, cpv_t, dilate in self.grid_points()
+        )
+        object.__setattr__(self, "configs", configs)
 
     def grid_points(self):
         """Grid combinations in the normative enumeration order."""
@@ -88,7 +111,7 @@ class SweepResult:
 def _parse_objective(objective):
     if objective in ("seg_avap", "det_ap"):
         return objective, None
-    if objective.startswith("seg_ap@"):
+    if isinstance(objective, str) and objective.startswith("seg_ap@"):
         t = float(objective.split("@", 1)[1])
         if not 0 < t < 1:
             raise ValueError(f"objective IoU threshold out of range: {objective!r}")
@@ -114,7 +137,7 @@ def load_sweep_spec(path):
             seed_thresholds=tuple(float(v) for v in grid["seed_threshold"]),
             foreground_thresholds=tuple(float(v) for v in grid["foreground_threshold"]),
             cpv_seed_thresholds=tuple(float(v) for v in grid["cpv_seed_threshold"]),
-            dilate=tuple(bool(v) for v in grid["dilate"]),
+            dilate=tuple(grid["dilate"]),
         )
     except KeyError as exc:
         raise FormatError(f"{path}: sweep spec is missing key {exc.args[0]!r}") from None
@@ -122,19 +145,18 @@ def load_sweep_spec(path):
         raise FormatError(f"{path}: malformed sweep spec: {exc}") from None
 
 
-def _score(spec, pairs, cfg, volumes):
-    kind, iou_t = _parse_objective(spec.objective)
-    total = 0.0
-    for gt_path, pred_path in pairs:
-        gt, pred = volumes[gt_path], volumes[pred_path]
-        seg = segment(pred, cfg)
-        if kind == "seg_avap":
-            total += evaluate(gt, seg=seg).av_ap
-        elif kind == "seg_ap":
-            total += segmentation_ap(gt, seg, iou_t)[0]
-        else:
-            total += detection_ap(gt, centroids_from_labels(seg))[0]
-    return total / len(pairs)
+def _stage_key(cfg):
+    """The parameters the undilated segmentation under ``cfg`` reads."""
+    seed_t = cfg.seed_threshold if cfg.seed_source == "main" else cfg.cpv_seed_threshold
+    return cfg.seed_source, cfg.foreground_threshold, seed_t
+
+
+def _objective(kind, iou_t, gt, seg):
+    if kind == "seg_avap":
+        return evaluate(gt, seg=seg).av_ap
+    if kind == "seg_ap":
+        return segmentation_ap(gt, seg, iou_t)[0]
+    return detection_ap(gt, centroids_from_labels(seg))[0]
 
 
 def run_sweep(spec):
@@ -142,31 +164,39 @@ def run_sweep(spec):
     # each distinct file is read once, in first-listed order, as the kind its role needs
     roles = (zip(pair, (LabelVolume, Volume)) for _, pairs in spec.checkpoints for pair in pairs)
     volumes = {p: read_volume(p, kind) for p, kind in dict.fromkeys(itertools.chain(*roles))}
+    kind, iou_t = _parse_objective(spec.objective)
 
+    scores = {}  # (pair, stage key, dilate) -> objective score
     table = []
     best = None
     for name, pairs in spec.checkpoints:
-        for seed_source, seed_t, fg_t, cpv_t, dilate in spec.grid_points():
-            cfg = PostprocConfig(
-                variant=spec.variant,
-                seed_source=seed_source,
-                seed_threshold=seed_t,
-                foreground_threshold=fg_t,
-                cpv_seed_threshold=cpv_t,
-                dilate_result=dilate,
-            )
-            score = _score(spec, pairs, cfg, volumes)
+        totals = [0.0] * len(spec.configs)
+        for pair in pairs:
+            gt, pred = (volumes[p] for p in pair)
+            undilated = None  # (stage key, labels) of the latest segment call
+            for i, cfg in enumerate(spec.configs):
+                stage = _stage_key(cfg)
+                key = (pair, stage, cfg.dilate_result)
+                if key not in scores:
+                    if undilated is None or undilated[0] != stage:
+                        undilated = stage, segment(pred, replace(cfg, dilate_result=False))
+                    seg = undilated[1]
+                    if cfg.dilate_result:
+                        seg = dilate_instances(seg, 1)
+                    scores[key] = _objective(kind, iou_t, gt, seg)
+                totals[i] += scores[key]
+        for cfg, total in zip(spec.configs, totals):
             row = {
                 "checkpoint": name,
-                "seed_source": seed_source,
-                "seed_threshold": seed_t,
-                "foreground_threshold": fg_t,
-                "cpv_seed_threshold": cpv_t,
-                "dilate": dilate,
-                "score": score,
+                "seed_source": cfg.seed_source,
+                "seed_threshold": cfg.seed_threshold,
+                "foreground_threshold": cfg.foreground_threshold,
+                "cpv_seed_threshold": cfg.cpv_seed_threshold,
+                "dilate": cfg.dilate_result,
+                "score": total / len(pairs),
             }
             table.append(row)
-            if best is None or score > best["score"]:
+            if best is None or row["score"] > best["score"]:
                 best = row
     selected = dict(best)
     selected["objective"] = spec.objective

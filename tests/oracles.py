@@ -1,7 +1,10 @@
 """Independent brute-force oracles the library is checked against.
 
 Everything here is written from the definitions, with explicit loops or
-plain broadcasting, and deliberately shares no code with the package.
+plain broadcasting, and deliberately shares no code with the package. The
+one exception is ``naive_sweep``: it is the full product of the package's
+own ``segment`` and objective calls, the reference a memoised sweep must
+reproduce exactly.
 """
 
 import numpy as np
@@ -274,3 +277,47 @@ def optimal_match_count(iou_pairs, gt_ids, iou_threshold):
         return best
 
     return rec(0, frozenset())
+
+
+def naive_sweep(spec):
+    """Sweep table and selection by re-running every (checkpoint, grid point, pair)."""
+    from nuclei3d import (
+        LabelVolume, PostprocConfig, Volume, centroids_from_labels, detection_ap, evaluate,
+        read_volume, segment, segmentation_ap,
+    )
+
+    table = []
+    best = None
+    for name, pairs in spec.checkpoints:
+        for seed_source, seed_t, fg_t, cpv_t, dilate in spec.grid_points():
+            cfg = PostprocConfig(
+                variant=spec.variant,
+                seed_source=seed_source,
+                seed_threshold=seed_t,
+                foreground_threshold=fg_t,
+                cpv_seed_threshold=cpv_t,
+                dilate_result=dilate,
+            )
+            total = 0.0
+            for gt_path, pred_path in pairs:
+                gt = read_volume(gt_path, LabelVolume)
+                seg = segment(read_volume(pred_path, Volume), cfg)
+                if spec.objective == "seg_avap":
+                    total += evaluate(gt, seg=seg).av_ap
+                elif spec.objective.startswith("seg_ap@"):
+                    total += segmentation_ap(gt, seg, float(spec.objective[7:]))[0]
+                else:
+                    total += detection_ap(gt, centroids_from_labels(seg))[0]
+            row = {
+                "checkpoint": name,
+                "seed_source": seed_source,
+                "seed_threshold": seed_t,
+                "foreground_threshold": fg_t,
+                "cpv_seed_threshold": cpv_t,
+                "dilate": dilate,
+                "score": total / len(pairs),
+            }
+            table.append(row)
+            if best is None or row["score"] > best["score"]:
+                best = row
+    return dict(best, objective=spec.objective), table

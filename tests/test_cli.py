@@ -238,6 +238,13 @@ def test_segment_on_label_volume_is_typed_error(workdir, capsys):
         ("extent_scalar.yaml", "shape: 5\nn_instances: 1\nradius_range: [2, 3]\n", "shape"),
         ("radii_scalar.yaml", "shape: [10, 20, 20]\nn_instances: 1\nradius_range: 4\n",
          "radius_range"),
+        ("extent_float.yaml", "shape: [12.7, 24, 24]\nn_instances: 1\nradius_range: [2, 3]\n",
+         "shape"),
+        ("extent_string.yaml", "shape: \"999\"\nn_instances: 1\nradius_range: [2, 3]\n", "shape"),
+        ("radii_string.yaml", "shape: [10, 20, 20]\nn_instances: 1\nradius_range: \"23\"\n",
+         "radius_range"),
+        ("radii_text.yaml", "shape: [10, 20, 20]\nn_instances: 1\nradius_range: [2, x]\n",
+         "radius_range"),
         ("noise_negative.yaml",
          "shape: [10, 20, 20]\nn_instances: 1\nradius_range: [2, 3]\nnoise_sigma: -0.1\n",
          "noise_sigma"),
@@ -274,6 +281,37 @@ def test_sweep_spec_non_number_names_file(workdir, capsys):
     assert main(["sweep", str(workdir / "nonnumber.yaml"), str(workdir / "o.yaml")]) == 1
     err = _one_line_error(capsys)
     assert "nonnumber.yaml" in err and "'x'" in err
+
+
+@pytest.mark.parametrize(
+    "field,value,expected",
+    [
+        ("dilate", '["false"]', "dilate"),
+        ("dilate", "[2]", "dilate"),
+        ("seed_source", "[foo]", "seed_source must be 'main' or 'cpv', got 'foo'"),
+        ("cpv_seed_threshold", "[-1]", "cpv_seed_threshold must be >= 0"),
+        ("variant", "sdtx", "unknown segmentation variant 'sdtx'"),
+        ("objective", "5", "unknown objective 5"),
+    ],
+)
+def test_bad_sweep_spec_value_names_file_before_reading_volumes(
+    workdir, capsys, field, value, expected
+):
+    top = {"variant": "sdt", "objective": "seg_avap"}
+    grid = {
+        "seed_source": "[main]", "seed_threshold": "[-0.14]", "foreground_threshold": "[0]",
+        "cpv_seed_threshold": "[0]", "dilate": "[false]",
+    }
+    (top if field in top else grid)[field] = value
+    # the pair names missing files: the spec value must be refused before any read
+    (workdir / "badvalue.yaml").write_text(
+        "".join(f"{k}: {v}\n" for k, v in top.items())
+        + "checkpoints: [{name: only, pairs: [{gt: missing.v3dr, pred: missing.v3dr}]}]\n"
+        + "grid: {" + ", ".join(f"{k}: {v}" for k, v in grid.items()) + "}\n"
+    )
+    assert main(["sweep", str(workdir / "badvalue.yaml"), str(workdir / "o.yaml")]) == 1
+    err = _one_line_error(capsys)
+    assert "badvalue.yaml" in err and expected in err and "missing.v3dr" not in err
 
 
 @pytest.mark.parametrize(

@@ -115,6 +115,15 @@ class TestGenerate:
         with pytest.raises(ValueError):
             PhantomConfig(shape=(8, 8, 8), n_instances=1, radius_range=(0.5, 3))
 
+    def test_numpy_scalars_are_plain_numbers(self):
+        cfg = PhantomConfig(
+            shape=[np.int64(8), np.int32(9), 10], n_instances=1,
+            radius_range=(np.float32(2.0), np.int64(3)),
+        )
+        assert cfg.shape == (8, 9, 10) and cfg.radius_range == (2.0, 3.0)
+        assert all(type(v) is int for v in cfg.shape)
+        assert all(type(v) is float for v in cfg.radius_range)
+
     def test_config_yaml_round_trip(self, tmp_path):
         from nuclei3d import read_report, write_report
 

@@ -12,6 +12,7 @@ from nuclei3d import (
     write_volume,
 )
 from nuclei3d.sweep import SweepSpec
+from oracles import naive_sweep
 
 
 @pytest.fixture(scope="module")
@@ -173,3 +174,98 @@ def test_spec_validation():
             seed_sources=("main",), seed_thresholds=(),
             foreground_thresholds=(0.95,), cpv_seed_thresholds=(0,), dilate=(False,),
         )
+
+
+MEMO_GRIDS = {
+    "sdt": {"seed_threshold": [-0.15, -0.25, -0.15], "foreground_threshold": [0.0, 0.1]},
+    "3label": {"seed_threshold": [0.6, 0.8, 0.6], "foreground_threshold": [0.5, 0.9]},
+    "affinities": {"seed_threshold": [0.6, 0.8, 0.6], "foreground_threshold": [0.5, 0.9]},
+}
+
+
+@pytest.fixture(scope="module")
+def memo_dir(tmp_path_factory):
+    """Predictions with cpv channels for every variant, for checkpoints that share files."""
+    root = tmp_path_factory.mktemp("memo")
+    for idx, seed in enumerate((31, 32)):
+        cfg = PhantomConfig(
+            shape=(12, 24, 24), n_instances=4, radius_range=(2.5, 3.5),
+            allow_touching=True, rng_seed=seed,
+        )
+        labels, _ = generate_phantom(cfg)
+        write_volume(root / f"gt_{idx}.v3dr", labels)
+        for variant in MEMO_GRIDS:
+            bundle = encode_bundle(labels, variant, with_cpv=True)
+            for noise in (0.1, 0.3):
+                pred = perturb_target(bundle, noise, 0.5, rng_seed=idx)
+                write_volume(root / f"{variant}_{noise}_{idx}.v3dr", pred.volume.astype(np.float32))
+    return root
+
+
+def _memo_spec(root, variant, objective):
+    def pair(noise, idx, gt_idx=None):
+        gt_idx = idx if gt_idx is None else gt_idx
+        return str(root / f"gt_{gt_idx}.v3dr"), str(root / f"{variant}_{noise}_{idx}.v3dr")
+
+    grid = MEMO_GRIDS[variant]
+    return SweepSpec(
+        variant=variant,
+        objective=objective,
+        checkpoints=(
+            ("low", (pair(0.1, 0), pair(0.1, 1))),
+            ("shared", (pair(0.1, 1),)),
+            ("high", (pair(0.3, 0), pair(0.3, 1))),
+            ("swapped", (pair(0.1, 0, gt_idx=1),)),
+        ),
+        seed_sources=("main", "cpv"),
+        seed_thresholds=tuple(grid["seed_threshold"]),
+        foreground_thresholds=tuple(grid["foreground_threshold"]),
+        cpv_seed_thresholds=(4, 8),
+        dilate=(True, False),
+    )
+
+
+@pytest.mark.parametrize(
+    "variant,objective", [("3label", "seg_avap"), ("sdt", "seg_ap@0.5"), ("affinities", "det_ap")]
+)
+def test_memoised_sweep_equals_naive_sweep(memo_dir, variant, objective):
+    spec = _memo_spec(memo_dir, variant, objective)
+    result = run_sweep(spec)
+    selected, table = naive_sweep(spec)
+
+    def bits(row):
+        return {**row, "score": row["score"].hex()}
+
+    assert len(result.table) == len(table) == 4 * 2 * 3 * 2 * 2 * 2
+    assert [bits(r) for r in result.table] == [bits(r) for r in table]
+    assert bits(result.selected) == bits(selected)
+    assert len({r["score"] for r in table}) > 1
+
+
+def test_segment_runs_once_per_distinct_stage_input(memo_dir, monkeypatch):
+    import nuclei3d.sweep
+
+    calls = []
+    real = nuclei3d.sweep.segment
+
+    def counting(pred, cfg, **kwargs):
+        calls.append((id(pred), cfg))
+        return real(pred, cfg, **kwargs)
+
+    monkeypatch.setattr(nuclei3d.sweep, "segment", counting)
+    spec = _memo_spec(memo_dir, "3label", "seg_avap")
+    run_sweep(spec)
+
+    pairs = {pair for _, ck_pairs in spec.checkpoints for pair in ck_pairs}
+    keys = {("main", f, s) for f in spec.foreground_thresholds for s in spec.seed_thresholds}
+    keys |= {("cpv", f, c) for f in spec.foreground_thresholds for c in spec.cpv_seed_thresholds}
+    assert not any(cfg.dilate_result for _, cfg in calls)
+    seen = [
+        (cfg.seed_source, cfg.foreground_threshold,
+         cfg.seed_threshold if cfg.seed_source == "main" else cfg.cpv_seed_threshold)
+        for _, cfg in calls
+    ]
+    # four distinct pred volumes, one of them also scored against the other gt
+    assert len({pred for pred, _ in calls}) == 4
+    assert len(calls) == len(pairs) * len(keys)
+    assert set(seen) == keys
