@@ -1,6 +1,7 @@
 """Center-point detection: NMS on blob maps, centroids of segmentations."""
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from scipy import ndimage as ndi
@@ -20,8 +21,9 @@ class NmsConfig:
     nms_distance: int
 
     def __post_init__(self):
-        if self.nms_distance < 1:
-            raise ValueError("nms_distance must be >= 1")
+        d = self.nms_distance
+        if isinstance(d, bool) or not isinstance(d, Integral) or d < 1:
+            raise ValueError(f"nms_distance must be an integer >= 1, got {d!r}")
         if not np.isfinite(self.gauss_threshold):
             raise ValueError("gauss_threshold must be finite")
 

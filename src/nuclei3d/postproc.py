@@ -13,7 +13,10 @@ Alternatively seeds come from center-point-vector vote accumulation.
 
 The watershed is a deterministic priority flood: claims are queued with key
 (map value, insertion sequence number) and resolved lowest-first, so ties
-are FIFO. Predictions may be probabilities (default) or logits.
+are FIFO. A flood cannot leave its 6-connected foreground component, so
+components holding one seed ID are filled with it in numpy, and only the
+voxels of components holding two or more IDs are flooded. Predictions may
+be probabilities (default) or logits.
 """
 
 import heapq
@@ -21,6 +24,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage as ndi
 from scipy.special import expit
 
 from .core import (
@@ -61,8 +65,8 @@ class PostprocConfig:
             raise ValueError(f"seed_source must be 'main' or 'cpv', got {self.seed_source!r}")
         if not np.isfinite([self.seed_threshold, self.foreground_threshold]).all():
             raise ValueError("thresholds must be finite")
-        if self.cpv_seed_threshold < 0:
-            raise ValueError("cpv_seed_threshold must be >= 0")
+        if not self.cpv_seed_threshold >= 0:
+            raise ValueError(f"cpv_seed_threshold must be >= 0, got {self.cpv_seed_threshold!r}")
 
 
 @dataclass(frozen=True)
@@ -170,8 +174,8 @@ def accumulate_votes(cpv_pred, fg_mask):
 
 def extract_seeds_cpv(cpv_pred, fg_mask, cpv_seed_threshold):
     """Seed regions from center-point-vector vote accumulation."""
-    if cpv_seed_threshold < 0:
-        raise ValueError("cpv_seed_threshold must be >= 0")
+    if not cpv_seed_threshold >= 0:
+        raise ValueError(f"cpv_seed_threshold must be >= 0, got {cpv_seed_threshold!r}")
     counts = accumulate_votes(cpv_pred, fg_mask)
     mask = counts >= cpv_seed_threshold
     vol = _pred_volume(cpv_pred)
@@ -187,38 +191,72 @@ def watershed(topo, seeds):
     claimed voxel, insertion sequence number), which makes the result fully
     deterministic. Foreground voxels unreachable from any seed stay
     background.
+
+    A flood never leaves its 6-connected foreground component, so a
+    component holding one seed ID is filled with that ID and a component
+    holding none stays background. Only the voxels of components holding
+    two or more IDs are flooded. Dropping the other components' claims
+    keeps the relative (value, sequence) order of each component's own
+    claims, so the labels are those of one flood over the whole volume.
     """
     if seeds.shape != topo.values.shape:
         raise ShapeMismatchError("seeds and topography shapes differ")
-    # one voxel of non-foreground padding keeps every face step in bounds
-    labels = np.pad(np.where(topo.foreground, seeds.labels, 0).astype(np.int32), 1)
-    _, ny, nx = labels.shape
-    values = np.pad(topo.values, 1).ravel().tolist()
-    result = labels.ravel().tolist()
-    free = (np.pad(topo.foreground, 1) & (labels == 0)).ravel().tolist()
-    steps = (-ny * nx, ny * nx, -nx, nx, -1, 1)
+    labels = np.where(topo.foreground, seeds.labels, 0).astype(np.int32, copy=False).ravel()
+    comp, n_comp = ndi.label(topo.foreground, structure=ndi.generate_binary_structure(3, 1))
+    comp = comp.ravel()
 
-    # All claims on a voxel share its map value and sequence numbers only
-    # grow, so the first claim queued for a voxel is the one resolved: it
-    # is labelled when queued and never queued again.
-    heap = []
-    seq = itertools.count()
+    # distinct (component, seed ID) pairs, one key each
+    at = np.flatnonzero(labels)
+    base = int(labels.max()) + 1
+    owner, ids = np.divmod(np.unique(comp[at].astype(np.int64) * base + labels[at]), base)
+    n_ids = np.bincount(owner, minlength=n_comp + 1)
+    fill = np.zeros(n_comp + 1, dtype=np.int32)
+    single = n_ids[owner] == 1
+    fill[owner[single]] = ids[single]
+    out = fill[comp]
 
-    def pops():
-        while heap:
-            yield heapq.heappop(heap)[2]
+    # contested voxels in raster order, so seeds are expanded in raster order
+    idx = np.flatnonzero((n_ids >= 2)[comp])
+    if idx.size:
+        nz, ny, nx = topo.values.shape
+        pos = np.full(comp.size, -1, dtype=np.intp)
+        pos[idx] = np.arange(idx.size)
+        z, y, x = np.unravel_index(idx, topo.values.shape)
+        # -1 marks a neighbour out of bounds or outside the contested voxels
+        nbr = np.full((idx.size, 6), -1, dtype=np.intp)
+        steps = (-ny * nx, ny * nx, -nx, nx, -1, 1)
+        inside = (z > 0, z < nz - 1, y > 0, y < ny - 1, x > 0, x < nx - 1)
+        for k, (step, ok) in enumerate(zip(steps, inside)):
+            nbr[ok, k] = pos[idx[ok] + step]
+        del pos, z, y, x  # whole-volume index gone before the lists below
 
-    for idx in itertools.chain(np.flatnonzero(labels).tolist(), pops()):
-        lab = result[idx]
-        for step in steps:
-            a = idx + step
-            if free[a]:
-                free[a] = False
-                result[a] = lab
-                heapq.heappush(heap, (values[a], next(seq), a))
+        start = labels[idx]
+        values = topo.values.ravel()[idx].tolist()
+        result = start.tolist()
+        # the trailing False is the entry that neighbour -1 reads
+        free = (start == 0).tolist() + [False]
+        table = nbr.tolist()
 
-    out = np.asarray(result, dtype=np.int32).reshape(labels.shape)[1:-1, 1:-1, 1:-1]
-    return LabelVolume(out, topo.voxel_size)
+        # All claims on a voxel share its map value and sequence numbers only
+        # grow, so the first claim queued for a voxel is the one resolved: it
+        # is labelled when queued and never queued again.
+        heap = []
+        seq = itertools.count()
+
+        def pops():
+            while heap:
+                yield heapq.heappop(heap)[2]
+
+        for i in itertools.chain(np.flatnonzero(start).tolist(), pops()):
+            lab = result[i]
+            for a in table[i]:
+                if free[a]:
+                    free[a] = False
+                    result[a] = lab
+                    heapq.heappush(heap, (values[a], next(seq), a))
+        out[idx] = result
+
+    return LabelVolume(out.reshape(topo.values.shape), topo.voxel_size)
 
 
 def segment(pred, cfg, logits=False):

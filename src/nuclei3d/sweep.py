@@ -42,6 +42,7 @@ Relative paths are resolved against the spec file's directory.
 
 import itertools
 from dataclasses import dataclass, field, replace
+from numbers import Real
 from pathlib import Path
 
 from .core import LabelVolume, Volume, dilate_instances
@@ -119,6 +120,18 @@ def _parse_objective(objective):
     raise ValueError(f"unknown objective {objective!r}")
 
 
+def _grid_list(grid, key, numbers=False):
+    """One grid entry as a tuple; it must be a list, of real numbers if ``numbers``."""
+    values = grid[key]
+    if not isinstance(values, list):
+        raise ValueError(f"grid {key} must be a list, got {values!r}")
+    if numbers:
+        if not all(isinstance(v, Real) and not isinstance(v, bool) for v in values):
+            raise ValueError(f"grid {key} entries must be numbers, got {values!r}")
+        return tuple(float(v) for v in values)
+    return tuple(values)
+
+
 def load_sweep_spec(path):
     """Load a sweep spec YAML file, resolving paths relative to it."""
     base = Path(path).parent
@@ -133,11 +146,11 @@ def load_sweep_spec(path):
             variant=raw["variant"],
             objective=raw["objective"],
             checkpoints=checkpoints,
-            seed_sources=tuple(grid["seed_source"]),
-            seed_thresholds=tuple(float(v) for v in grid["seed_threshold"]),
-            foreground_thresholds=tuple(float(v) for v in grid["foreground_threshold"]),
-            cpv_seed_thresholds=tuple(float(v) for v in grid["cpv_seed_threshold"]),
-            dilate=tuple(grid["dilate"]),
+            seed_sources=_grid_list(grid, "seed_source"),
+            seed_thresholds=_grid_list(grid, "seed_threshold", numbers=True),
+            foreground_thresholds=_grid_list(grid, "foreground_threshold", numbers=True),
+            cpv_seed_thresholds=_grid_list(grid, "cpv_seed_threshold", numbers=True),
+            dilate=_grid_list(grid, "dilate"),
         )
     except KeyError as exc:
         raise FormatError(f"{path}: sweep spec is missing key {exc.args[0]!r}") from None

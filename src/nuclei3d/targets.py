@@ -112,8 +112,8 @@ def encode_sdt(labels, scale=5.0, anisotropic=False):
     ``scale`` divides the distance before the tanh; with no boundary at all
     the output saturates to ±1.
     """
-    if scale <= 0:
-        raise ValueError("scale must be > 0")
+    if not scale > 0:
+        raise ValueError(f"scale must be > 0, got {scale!r}")
     signed = signed_boundary_distance(labels, anisotropic=anisotropic)
     return Volume(np.tanh(signed / scale)[np.newaxis], labels.voxel_size)
 
@@ -170,8 +170,8 @@ def encode_gauss(labels, sigma=2.0):
     The value at voxel p is max over centers c of exp(-|p - c|^2 / (2 sigma^2)),
     so isolated centers peak at 1 regardless of how many instances exist.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be > 0")
+    if not sigma > 0:
+        raise ValueError(f"sigma must be > 0, got {sigma!r}")
     lab = labels.labels
     out = np.zeros(lab.shape, dtype=np.float64)
     nz, ny, nx = lab.shape

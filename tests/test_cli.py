@@ -222,6 +222,18 @@ def test_segment_on_label_volume_is_typed_error(workdir, capsys):
     assert "label volume" in _one_line_error(capsys)
 
 
+def test_segment_nan_cpv_seed_threshold_is_one_line_error(workdir, capsys):
+    pred = workdir / "nan_pred.v3dr"
+    labels = read_volume(workdir / "gt.v3dr")
+    write_volume(pred, encode_bundle(labels, "sdt", with_cpv=True).volume.astype(np.float32))
+    out = workdir / "nan_seg.v3dr"
+    args = ["segment", str(pred), str(out), "--variant", "sdt", "--seed-source", "cpv",
+            "--cpv-seed-threshold", "nan"]
+    assert main(args) == 1
+    assert "cpv_seed_threshold must be >= 0, got nan" in _one_line_error(capsys)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "name,text,expected",
     [
@@ -290,6 +302,12 @@ def test_sweep_spec_non_number_names_file(workdir, capsys):
         ("dilate", "[2]", "dilate"),
         ("seed_source", "[foo]", "seed_source must be 'main' or 'cpv', got 'foo'"),
         ("cpv_seed_threshold", "[-1]", "cpv_seed_threshold must be >= 0"),
+        ("cpv_seed_threshold", "[.nan]", "cpv_seed_threshold must be >= 0, got nan"),
+        ("seed_threshold", '["-0.1"]', "grid seed_threshold entries must be numbers"),
+        ("seed_threshold", "[true]", "grid seed_threshold entries must be numbers"),
+        ("foreground_threshold", "0", "grid foreground_threshold must be a list"),
+        ("seed_source", "main", "grid seed_source must be a list, got 'main'"),
+        ("dilate", "false", "grid dilate must be a list"),
         ("variant", "sdtx", "unknown segmentation variant 'sdtx'"),
         ("objective", "5", "unknown objective 5"),
     ],

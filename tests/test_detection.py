@@ -74,8 +74,12 @@ class TestNms:
             nms_detect(Volume(rng.random((2, 3, 3, 3))), NmsConfig(0.5, 1))
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            NmsConfig(0.5, 0)
+        for distance in (0, -1, float("nan"), 2.0, 1.5, True, "3"):
+            with pytest.raises(ValueError, match="nms_distance must be an integer >= 1"):
+                NmsConfig(0.5, distance)
+
+    def test_numpy_integer_distance_accepted(self):
+        assert NmsConfig(0.5, np.int64(2)).nms_distance == 2
 
 
 class TestCentroids:

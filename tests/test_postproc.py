@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import ndimage as ndi
 
 from nuclei3d import (
     LabelVolume,
@@ -139,6 +140,12 @@ class TestCpvSeeds:
         got = accumulate_votes(Volume(vec), fg)
         np.testing.assert_array_equal(got, vote_count_oracle(vec, fg))
 
+    @pytest.mark.parametrize("threshold", [-1.0, float("nan")])
+    def test_bad_threshold_rejected(self, threshold):
+        fg = np.ones((2, 2, 2), dtype=bool)
+        with pytest.raises(ValueError, match="cpv_seed_threshold must be >= 0"):
+            extract_seeds_cpv(Volume(np.zeros((3, 2, 2, 2))), fg, threshold)
+
     def test_rounding_half_away_from_zero(self):
         fg = np.zeros((1, 1, 4), dtype=bool)
         fg[0, 0, 1] = True
@@ -158,13 +165,13 @@ class TestWatershed:
         out = watershed(TopographicMap(values, fg), LabelVolume(seeds))
         np.testing.assert_array_equal(out.labels > 0, fg)
 
-    def test_empty_seeds_all_background(self):
-        fg = np.ones((3, 3, 3), dtype=bool)
-        out = watershed(
-            TopographicMap(np.zeros((3, 3, 3)), fg),
-            LabelVolume(np.zeros((3, 3, 3), dtype=np.int32)),
-        )
-        assert (out.labels == 0).all()
+    def test_empty_seeds_all_background(self, rng):
+        for fg in (np.ones((3, 3, 3), dtype=bool), rng.random((5, 6, 7)) < 0.4):
+            out = watershed(
+                TopographicMap(np.zeros(fg.shape), fg),
+                LabelVolume(np.zeros(fg.shape, dtype=np.int32)),
+            )
+            assert out.labels.dtype == np.int32 and (out.labels == 0).all()
 
     def test_dumbbell_splits_at_ridge(self):
         values = np.zeros((1, 3, 7))
@@ -217,6 +224,53 @@ class TestWatershed:
                 got = watershed(TopographicMap(values, fg), LabelVolume(seeds)).labels
                 np.testing.assert_array_equal(got, flood_simulator(values, fg, seeds))
 
+    def test_matches_flood_simulator_on_sparse_grids(self, rng):
+        """Sparse foreground mixes components holding zero, one and several seed IDs."""
+        seen = set()
+        for shape in [(6, 6, 6), (3, 5, 7), (7, 4, 2), (1, 6, 5), (2, 1, 9)]:
+            for _ in range(12):
+                values = np.round(rng.random(shape), 1)  # coarse values force ties
+                fg = rng.random(shape) < rng.uniform(0.3, 0.5)
+                # few IDs at random voxels: IDs repeat across and within components,
+                # and some seeds fall outside the foreground
+                seeds = (rng.integers(1, 4, size=shape) * (rng.random(shape) < 0.2)).astype(np.int32)
+                got = watershed(TopographicMap(values, fg), LabelVolume(seeds)).labels
+                np.testing.assert_array_equal(got, flood_simulator(values, fg, seeds))
+                seen |= _component_cases(fg, seeds)
+        assert seen == {
+            "unseeded", "single", "contested", "seed off foreground",
+            "id filled here, contested there", "id with two blobs in a contested component",
+        }
+
+    @pytest.mark.parametrize("fg", [True, False])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_single_voxel_volume(self, fg, seed):
+        values = np.zeros((1, 1, 1))
+        fg = np.full((1, 1, 1), fg)
+        seeds = np.full((1, 1, 1), seed, dtype=np.int32)
+        got = watershed(TopographicMap(values, fg), LabelVolume(seeds)).labels
+        assert got.dtype == np.int32
+        np.testing.assert_array_equal(got, flood_simulator(values, fg, seeds))
+
+
+def _component_cases(fg, seeds):
+    """Which seed situations the 6-connected foreground components of one grid show."""
+    comp, n = ndi.label(fg)
+    clipped = np.where(fg, seeds, 0)
+    cases = {"seed off foreground"} if (seeds[~fg] > 0).any() else set()
+    kind_by_id = {}
+    for c in range(1, n + 1):
+        ids = set(np.unique(clipped[comp == c]).tolist()) - {0}
+        kind = ("unseeded", "single", "contested")[min(len(ids), 2)]
+        cases.add(kind)
+        for i in ids:
+            kind_by_id.setdefault(i, set()).add(kind)
+            if kind == "contested" and ndi.label((comp == c) & (clipped == i))[1] > 1:
+                cases.add("id with two blobs in a contested component")
+    if any({"single", "contested"} <= kinds for kinds in kind_by_id.values()):
+        cases.add("id filled here, contested there")
+    return cases
+
 
 class TestSegment:
     @pytest.mark.parametrize(
@@ -259,5 +313,6 @@ class TestSegment:
             PostprocConfig("gauss")
         with pytest.raises(ValueError):
             PostprocConfig("sdt", seed_source="votes")
-        with pytest.raises(ValueError):
-            PostprocConfig("sdt", cpv_seed_threshold=-1.0)
+        for bad in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="cpv_seed_threshold must be >= 0"):
+                PostprocConfig("sdt", cpv_seed_threshold=bad)

@@ -77,8 +77,9 @@ class TestSdt:
         assert d[2, 0, 2] == pytest.approx(2.0)
 
     def test_scale_must_be_positive(self):
-        with pytest.raises(ValueError):
-            encode_sdt(ball_labels(), scale=0.0)
+        for scale in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="scale must be > 0"):
+                encode_sdt(ball_labels(), scale=scale)
 
 
 class TestThreeLabel:
@@ -223,8 +224,9 @@ class TestGauss:
         assert (out > 0).all() and (out <= 1).all()
 
     def test_sigma_must_be_positive(self, blobs):
-        with pytest.raises(ValueError):
-            encode_gauss(blobs, sigma=-1.0)
+        for sigma in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="sigma must be > 0"):
+                encode_gauss(blobs, sigma=sigma)
 
 
 class TestBundle:
