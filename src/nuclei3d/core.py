@@ -305,9 +305,11 @@ def connected_components(mask, connectivity=6):
 
 def _relabel_raster_order(lab, n):
     # scipy does not document its ID ordering; enforce first-encounter order.
-    ids, first = np.unique(lab.ravel(), return_index=True)
-    keep = ids > 0
-    ids, first = ids[keep], first[keep]
+    # Every ID 1..n occurs; its first raster index is the least foreground index.
+    flat = lab.ravel()
+    fg = np.flatnonzero(flat)
+    first = np.full(n + 1, flat.size)
+    np.minimum.at(first, flat[fg], fg)
     remap = np.zeros(n + 1, dtype=np.int32)
-    remap[ids[np.argsort(first, kind="stable")]] = np.arange(1, ids.size + 1)
+    remap[np.argsort(first[1:]) + 1] = np.arange(1, n + 1)
     return remap[lab]

@@ -45,15 +45,13 @@ def nms_detect(pred, cfg):
     candidates = np.argwhere((vals >= cfg.gauss_threshold) & (vals >= winmax))
 
     detections = []
-    kept = []
+    # True within Chebyshev distance r of an accepted detection
+    blocked = np.zeros(vals.shape, dtype=bool)
     r = cfg.nms_distance
-    for z, y, x in candidates:
-        z, y, x = int(z), int(y), int(x)
-        if any(
-            max(abs(z - kz), abs(y - ky), abs(x - kx)) <= r for kz, ky, kx in kept
-        ):
+    for z, y, x in candidates.tolist():
+        if blocked[z, y, x]:
             continue
-        kept.append((z, y, x))
+        blocked[max(0, z - r): z + r + 1, max(0, y - r): y + r + 1, max(0, x - r): x + r + 1] = True
         detections.append(Detection(float(z), float(y), float(x), float(vals[z, y, x])))
     return detections
 

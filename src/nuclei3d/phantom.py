@@ -39,7 +39,9 @@ class PhantomConfig:
             ("shape", Integral, int, "integers"), ("radius_range", Real, float, "numbers")
         ):
             value = getattr(self, key)
-            if not isinstance(value, (list, tuple)) or not all(isinstance(v, kind) for v in value):
+            if not isinstance(value, (list, tuple)) or not all(
+                isinstance(v, kind) and not isinstance(v, bool) for v in value
+            ):
                 raise ValueError(f"{key} must be a list of {what}, got {value!r}")
             object.__setattr__(self, key, tuple(cast(v) for v in value))
         if len(self.shape) != 3 or min(self.shape) <= 0:
@@ -47,9 +49,13 @@ class PhantomConfig:
         if len(self.radius_range) != 2 or not 1 <= self.radius_range[0] <= self.radius_range[1]:
             raise ValueError("radius_range must be [min, max] with 1 <= min <= max")
         for f in fields(self):
-            kind = {int: Integral, float: Real}.get(f.type)
             value = getattr(self, f.name)
-            if kind and not (isinstance(value, kind) and 0 <= value < np.inf):
+            if f.type is bool and not isinstance(value, bool):
+                raise ValueError(f"{f.name} must be true or false, got {value!r}")
+            kind = {int: Integral, float: Real}.get(f.type)
+            if kind and (
+                isinstance(value, bool) or not (isinstance(value, kind) and 0 <= value < np.inf)
+            ):
                 raise ValueError(f"{f.name} must be a finite {f.type.__name__} >= 0, got {value!r}")
 
     def to_mapping(self):

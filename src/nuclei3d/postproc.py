@@ -22,6 +22,7 @@ be probabilities (default) or logits.
 import heapq
 import itertools
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 from scipy import ndimage as ndi
@@ -63,10 +64,16 @@ class PostprocConfig:
             raise ValueError(f"unknown segmentation variant {self.variant!r}")
         if self.seed_source not in ("main", "cpv"):
             raise ValueError(f"seed_source must be 'main' or 'cpv', got {self.seed_source!r}")
-        if not np.isfinite([self.seed_threshold, self.foreground_threshold]).all():
-            raise ValueError("thresholds must be finite")
+        for key in ("seed_threshold", "foreground_threshold", "cpv_seed_threshold"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"{key} must be a number, got {value!r}")
+            if key != "cpv_seed_threshold" and not np.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value!r}")
         if not self.cpv_seed_threshold >= 0:
             raise ValueError(f"cpv_seed_threshold must be >= 0, got {self.cpv_seed_threshold!r}")
+        if not isinstance(self.dilate_result, bool):
+            raise ValueError(f"dilate_result must be true or false, got {self.dilate_result!r}")
 
 
 @dataclass(frozen=True)

@@ -80,9 +80,6 @@ class SweepSpec:
         ):
             if not grid:
                 raise ValueError("sweep grids must be nonempty")
-        for d in self.dilate:
-            if not isinstance(d, bool):
-                raise ValueError(f"dilate values must be true or false, got {d!r}")
         configs = tuple(
             PostprocConfig(self.variant, source, seed_t, fg_t, cpv_t, dilate)
             for source, seed_t, fg_t, cpv_t, dilate in self.grid_points()

@@ -112,8 +112,8 @@ def encode_sdt(labels, scale=5.0, anisotropic=False):
     ``scale`` divides the distance before the tanh; with no boundary at all
     the output saturates to ±1.
     """
-    if not scale > 0:
-        raise ValueError(f"scale must be > 0, got {scale!r}")
+    if isinstance(scale, bool) or not 0 < scale < np.inf:
+        raise ValueError(f"scale must be > 0 and finite, got {scale!r}")
     signed = signed_boundary_distance(labels, anisotropic=anisotropic)
     return Volume(np.tanh(signed / scale)[np.newaxis], labels.voxel_size)
 
@@ -169,18 +169,27 @@ def encode_gauss(labels, sigma=2.0):
 
     The value at voxel p is max over centers c of exp(-|p - c|^2 / (2 sigma^2)),
     so isolated centers peak at 1 regardless of how many instances exist.
+
+    It is computed as exp(min_c |p - c|^2 / (-2 sigma^2)) with one exp call.
+    Division by a fixed negative number is correctly rounded and therefore
+    non-increasing, so the smallest d^2 gives the largest quotient, and exp
+    is monotone, so that quotient gives the largest value: the two forms are
+    bit-identical, ties included. With no instances d^2 stays +inf and the
+    target is all +0.0.
     """
-    if not sigma > 0:
-        raise ValueError(f"sigma must be > 0, got {sigma!r}")
+    if isinstance(sigma, bool) or not 0 < sigma < np.inf:
+        raise ValueError(f"sigma must be > 0 and finite, got {sigma!r}")
     lab = labels.labels
-    out = np.zeros(lab.shape, dtype=np.float64)
     nz, ny, nx = lab.shape
     z = np.arange(nz, dtype=np.float64)[:, None, None]
     y = np.arange(ny, dtype=np.float64)[None, :, None]
     x = np.arange(nx, dtype=np.float64)[None, None, :]
+    best = np.full(lab.shape, np.inf)
+    d2 = np.empty(lab.shape)
     for cz, cy, cx in instance_centers(labels)[2]:
-        d2 = (z - cz) ** 2 + (y - cy) ** 2 + (x - cx) ** 2
-        np.maximum(out, np.exp(d2 / (-2.0 * sigma * sigma)), out=out)
+        np.add((z - cz) ** 2 + (y - cy) ** 2, (x - cx) ** 2, out=d2)
+        np.minimum(best, d2, out=best)
+    out = np.exp(best / (-2.0 * sigma * sigma))
     return Volume(out[np.newaxis], labels.voxel_size)
 
 

@@ -149,6 +149,18 @@ def distance_to_set_oracle(shape, points):
     return np.sqrt(d2.min(axis=1)).reshape(shape)
 
 
+def naive_gauss(shape, centers, sigma):
+    """Per-voxel maximum over centers of exp(-|p - c|^2 / (2 sigma^2)), one exp per center."""
+    z = np.arange(shape[0], dtype=np.float64)[:, None, None]
+    y = np.arange(shape[1], dtype=np.float64)[None, :, None]
+    x = np.arange(shape[2], dtype=np.float64)[None, None, :]
+    out = np.zeros(shape, dtype=np.float64)
+    for cz, cy, cx in centers:
+        d2 = (z - cz) ** 2 + (y - cy) ** 2 + (x - cx) ** 2
+        np.maximum(out, np.exp(d2 / (-2.0 * sigma * sigma)), out=out)
+    return out
+
+
 def vote_count_oracle(vec, fg):
     """Per-voxel CPV vote counter, rounding half away from zero."""
 

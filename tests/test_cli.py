@@ -235,6 +235,21 @@ def test_segment_nan_cpv_seed_threshold_is_one_line_error(workdir, capsys):
 
 
 @pytest.mark.parametrize(
+    "variant,flag,value",
+    [("gauss", "--sigma", "inf"), ("gauss", "--sigma", "nan"), ("sdt", "--tanh-scale", "inf"),
+     ("sdt", "--tanh-scale", "-1.0")],
+)
+def test_bad_encoder_parameter_is_one_line_error(workdir, capsys, variant, flag, value):
+    out = workdir / "bad_param.v3dr"
+    args = ["encode", str(workdir / "gt.v3dr"), str(out), "--variant", variant, f"{flag}={value}"]
+    name = "sigma" if flag == "--sigma" else "scale"
+    expected = f"{name} must be > 0 and finite, got {value}"
+    assert main(args) == 1
+    assert expected in _one_line_error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "name,text,expected",
     [
         ("malformed.yaml", "shape: [10, 20\nn_instances: 1\n", "malformed YAML"),
@@ -263,6 +278,16 @@ def test_segment_nan_cpv_seed_threshold_is_one_line_error(workdir, capsys):
         ("blur_negative.yaml",
          "shape: [10, 20, 20]\nn_instances: 1\nradius_range: [2, 3]\nsmoothing_sigma: -1\n",
          "smoothing_sigma"),
+        ("count_bool.yaml", "shape: [10, 20, 20]\nn_instances: true\nradius_range: [2, 3]\n",
+         "n_instances must be a finite int >= 0, got True"),
+        ("seed_bool.yaml",
+         "shape: [10, 20, 20]\nn_instances: 1\nradius_range: [2, 3]\nrng_seed: false\n",
+         "rng_seed must be a finite int >= 0, got False"),
+        ("touching_int.yaml",
+         "shape: [10, 20, 20]\nn_instances: 1\nradius_range: [2, 3]\nallow_touching: 5\n",
+         "allow_touching must be true or false, got 5"),
+        ("extent_bool.yaml", "shape: [true, 20, 20]\nn_instances: 1\nradius_range: [2, 3]\n",
+         "shape"),
     ],
 )
 def test_bad_phantom_config_names_file_and_key(workdir, capsys, name, text, expected):

@@ -12,6 +12,7 @@ from nuclei3d import (
     erode_instances,
     instance_centers,
 )
+from nuclei3d.core import _relabel_raster_order
 from nuclei3d.errors import ShapeMismatchError, UnknownIdError
 
 from conftest import random_blob_labels
@@ -187,6 +188,18 @@ class TestConnectedComponents:
             mask = (rng.random((10, 10, 10)) < 0.3).astype(np.uint8)
             got = connected_components(mask, connectivity).labels
             np.testing.assert_array_equal(got, unionfind_components(mask, connectivity))
+
+    def test_relabel_undoes_any_id_permutation(self, rng):
+        # ndi.label already numbers in raster order on every mask tried, so the
+        # relabel is checked directly on shuffled IDs
+        for shape in ((6, 9, 7), (11, 5, 8), (4, 12, 13)):
+            mask = rng.random(shape) < 0.35
+            expected = unionfind_components(mask)
+            n = int(expected.max())
+            perm = np.concatenate([[0], rng.permutation(n) + 1]).astype(np.int32)
+            shuffled = perm[expected]
+            assert n > 5 and not np.array_equal(shuffled, expected)
+            np.testing.assert_array_equal(_relabel_raster_order(shuffled, n), expected)
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):

@@ -49,6 +49,24 @@ class TestNms:
             got = [(int(d.z), int(d.y), int(d.x)) for d in dets]
             assert got == window_max_oracle(vals, cfg.gauss_threshold, cfg.nms_distance)
 
+    def test_plateaus_match_window_scan_oracle(self, rng):
+        # three levels only: a quarter of the voxels tie at the top, most of them suppressed
+        for shape in ((9, 12, 7), (6, 5, 14), (11, 8, 10)):
+            for radius in (1, 2, 3):
+                vals = np.round(rng.random(shape) * 2) / 2
+                candidates = int((vals == 1.0).sum())
+                cfg = NmsConfig(gauss_threshold=0.5, nms_distance=radius)
+                dets = nms_detect(Volume(vals[np.newaxis]), cfg)
+                got = [(int(d.z), int(d.y), int(d.x)) for d in dets]
+                assert got == window_max_oracle(vals, cfg.gauss_threshold, radius)
+                assert candidates > 2 * len(got)
+        flat = np.full((5, 7, 9), 0.75)
+        got = nms_detect(Volume(flat[np.newaxis]), NmsConfig(0.5, 2))
+        assert [(d.z, d.y, d.x) for d in got] == [
+            tuple(map(float, k)) for k in window_max_oracle(flat, 0.5, 2)
+        ]
+        assert len(got) == 2 * 3 * 3
+
     def test_no_two_detections_within_window(self, rng):
         vals = rng.random((10, 10, 10))
         cfg = NmsConfig(gauss_threshold=0.2, nms_distance=2)

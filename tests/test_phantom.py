@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,24 @@ class TestGenerate:
             PhantomConfig(shape=(8, 8), n_instances=1, radius_range=(2, 3))
         with pytest.raises(ValueError):
             PhantomConfig(shape=(8, 8, 8), n_instances=1, radius_range=(0.5, 3))
+
+    @pytest.mark.parametrize(
+        "key,value,expected",
+        [
+            ("n_instances", True, "n_instances must be a finite int >= 0, got True"),
+            ("rng_seed", False, "rng_seed must be a finite int >= 0, got False"),
+            ("min_gap", True, "min_gap must be a finite float >= 0, got True"),
+            ("allow_touching", 5, "allow_touching must be true or false, got 5"),
+            ("allow_touching", "no", "allow_touching must be true or false, got 'no'"),
+            ("shape", (8, True, 8), "shape must be a list of integers"),
+            ("radius_range", (2, True), "radius_range must be a list of numbers"),
+        ],
+    )
+    def test_bool_and_non_bool_values_rejected(self, key, value, expected):
+        kwargs = dict(shape=(8, 8, 8), n_instances=1, radius_range=(2, 3))
+        kwargs[key] = value
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            PhantomConfig(**kwargs)
 
     def test_numpy_scalars_are_plain_numbers(self):
         cfg = PhantomConfig(

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import ndimage as ndi
@@ -316,3 +318,20 @@ class TestSegment:
         for bad in (-1.0, float("nan")):
             with pytest.raises(ValueError, match="cpv_seed_threshold must be >= 0"):
                 PostprocConfig("sdt", cpv_seed_threshold=bad)
+
+    @pytest.mark.parametrize(
+        "key,value,expected",
+        [
+            ("seed_threshold", True, "seed_threshold must be a number, got True"),
+            ("foreground_threshold", False, "foreground_threshold must be a number, got False"),
+            ("cpv_seed_threshold", True, "cpv_seed_threshold must be a number, got True"),
+            ("seed_threshold", "0.5", "seed_threshold must be a number, got '0.5'"),
+            ("seed_threshold", float("inf"), "seed_threshold must be finite, got inf"),
+            ("foreground_threshold", float("nan"), "foreground_threshold must be finite, got nan"),
+            ("dilate_result", "no", "dilate_result must be true or false, got 'no'"),
+            ("dilate_result", 1, "dilate_result must be true or false, got 1"),
+        ],
+    )
+    def test_config_values_named_in_error(self, key, value, expected):
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            PostprocConfig("sdt", **{key: value})

@@ -10,12 +10,15 @@ from nuclei3d import (
     encode_gauss,
     encode_sdt,
     encode_three_label,
+    instance_centers,
     signed_boundary_distance,
 )
 from nuclei3d.targets import BACKGROUND, BOUNDARY, INTERIOR
 
 from conftest import random_blob_labels
-from oracles import boundary_oracle, com_oracle, distance_to_set_oracle, erode_oracle
+from oracles import (
+    boundary_oracle, com_oracle, distance_to_set_oracle, erode_oracle, naive_gauss,
+)
 
 
 def ball_labels(shape=(9, 9, 9), center=(4, 4, 4), r=3.0, instance=1):
@@ -77,7 +80,7 @@ class TestSdt:
         assert d[2, 0, 2] == pytest.approx(2.0)
 
     def test_scale_must_be_positive(self):
-        for scale in (0.0, -1.0, float("nan")):
+        for scale in (0.0, -1.0, float("nan"), float("inf"), True):
             with pytest.raises(ValueError, match="scale must be > 0"):
                 encode_sdt(ball_labels(), scale=scale)
 
@@ -224,9 +227,55 @@ class TestGauss:
         assert (out > 0).all() and (out <= 1).all()
 
     def test_sigma_must_be_positive(self, blobs):
-        for sigma in (0.0, -1.0, float("nan")):
+        for sigma in (0.0, -1.0, float("nan"), float("inf"), True):
             with pytest.raises(ValueError, match="sigma must be > 0"):
                 encode_gauss(blobs, sigma=sigma)
+
+    @staticmethod
+    def _assert_matches_oracle(lab, sigma):
+        labels = LabelVolume(lab)
+        got = encode_gauss(labels, sigma=sigma).channel(0)
+        expected = naive_gauss(lab.shape, instance_centers(labels)[2], sigma)
+        assert got.dtype == expected.dtype == np.float64
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0, 3.7])
+    def test_random_labels_bit_identical_to_oracle(self, rng, sigma):
+        counts = set()
+        for shape, n_blobs in (
+            ((5, 9, 7), 0), ((6, 4, 11), 1), ((7, 12, 9), 12), ((13, 6, 10), 30),
+        ):
+            for _ in range(3):
+                lab = random_blob_labels(rng, shape, n_blobs, rmax=2)
+                counts.add(min(int(lab.max()), 2))
+                self._assert_matches_oracle(lab, sigma)
+        assert counts == {0, 1, 2}
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0, 3.7])
+    @pytest.mark.parametrize(
+        "shape,instances",
+        [
+            # two instances mirrored across the plane x = 4
+            ((5, 6, 9), {1: [(2, 3, 1)], 2: [(2, 3, 7)]}),
+            # the same with half-voxel centers, mirrored across the plane x = 4.5
+            ((5, 6, 10), {1: [(2, 3, 1), (2, 3, 2)], 2: [(2, 3, 7), (2, 3, 8)]}),
+            # three instances at distance 3 from (4, 4, 4)
+            ((8, 9, 10), {1: [(4, 4, 1)], 2: [(4, 1, 4)], 3: [(1, 4, 4)]}),
+            # an instance in a volume corner, tied with one across the plane z = 3
+            ((7, 5, 6), {1: [(0, 0, 0)], 2: [(6, 0, 0)], 3: [(6, 4, 5)]}),
+        ],
+        ids=["mirrored", "mirrored-half", "equidistant", "corner"],
+    )
+    def test_tied_centers_bit_identical_to_oracle(self, shape, instances, sigma):
+        lab = np.zeros(shape, dtype=np.int32)
+        for i, coords in instances.items():
+            for c in coords:
+                lab[c] = i
+        self._assert_matches_oracle(lab, sigma)
+
+    def test_no_instances_is_positive_zero(self):
+        out = encode_gauss(LabelVolume(np.zeros((3, 4, 5), dtype=np.int32))).channel(0)
+        assert out.tobytes() == np.zeros((3, 4, 5)).tobytes()
 
 
 class TestBundle:
