@@ -140,9 +140,15 @@ class LabelVolume:
         return self.labels.shape
 
     def ids(self):
-        """Sorted array of the positive instance IDs present."""
-        ids = np.unique(self.labels)
-        return ids[ids > 0]
+        """Sorted array of the positive instance IDs present, in the labels' dtype.
+
+        The foreground IDs are sorted and the first of each run is kept. A
+        bare ``np.unique`` takes a hash path on numpy >= 2.3, which is several
+        times slower than this sort on label volumes.
+        """
+        ids = self.labels[self.labels > 0]
+        ids.sort()
+        return ids[run_starts(ids)]
 
     def foreground(self):
         """Boolean mask of all foreground voxels."""
@@ -161,24 +167,30 @@ class LabelVolume:
     __hash__ = None
 
 
+def run_starts(ids):
+    """Index of the first element of each run of equal values in sorted positive ``ids``."""
+    # a zero of the IDs' own dtype: a Python 0 would turn uint64 IDs into float64
+    return np.flatnonzero(np.diff(ids, prepend=ids.dtype.type(0)))
+
+
 def instance_centers(labels):
     """Sorted positive IDs, their voxel counts and ``(n, 3)`` centers of mass.
 
-    One pass over the volume. Each center is the mean of the instance's voxel
-    coordinates in raster order, bit-identical to
+    One pass over the volume. Each center is bit-identical to
     ``np.nonzero(labels.labels == i)[k].mean()``.
     """
     lab = labels.labels
     coords = np.nonzero(lab)
     ids = lab[coords]
-    # a stable sort keeps each instance's voxels in raster order
-    order = np.argsort(ids, kind="stable")
+    order = np.argsort(ids)
     ids = ids[order]
-    coords = [c[order] for c in coords]
-    starts = np.flatnonzero(np.diff(ids, prepend=0))
+    starts = run_starts(ids)
     counts = np.diff(starts, append=ids.size)
-    centers = [[c[a:a + n].mean() for c in coords] for a, n in zip(starts, counts)]
-    return ids[starts], counts, np.array(centers, dtype=np.float64).reshape(-1, 3)
+    if not starts.size:
+        return ids, counts, np.zeros((0, 3))
+    # integer coordinates sum exactly in float64 (below 2**53) in any order; .mean() is sum / n
+    sums = [np.add.reduceat(c[order], starts, dtype=np.float64) for c in coords]
+    return ids[starts], counts, np.stack(sums, axis=1) / counts[:, None]
 
 
 def center_of_mass(labels, instance_id):
@@ -256,13 +268,13 @@ def dilate_instances(labels, iterations):
     lab = labels.labels.copy()
     sentinel = np.iinfo(np.int64).max
     for _ in range(iterations):
+        # background reads as the sentinel, so the minimum over neighbours skips it
+        src = np.where(lab > 0, lab.astype(np.int64, copy=False), sentinel)
         candidate = np.full(lab.shape, sentinel, dtype=np.int64)
-        for neighbor in _face_neighbors(lab):
-            np.minimum(
-                candidate,
-                np.where(neighbor > 0, neighbor.astype(np.int64), sentinel),
-                out=candidate,
-            )
+        for axis in range(3):
+            lo, hi = face_slices(axis)
+            np.minimum(candidate[hi], src[lo], out=candidate[hi])
+            np.minimum(candidate[lo], src[hi], out=candidate[lo])
         claim = (lab == 0) & (candidate != sentinel)
         lab[claim] = candidate[claim].astype(lab.dtype)
     return LabelVolume(lab, labels.voxel_size)

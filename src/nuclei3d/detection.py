@@ -1,7 +1,7 @@
 """Center-point detection: NMS on blob maps, centroids of segmentations."""
 
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 from scipy import ndimage as ndi
@@ -24,8 +24,9 @@ class NmsConfig:
         d = self.nms_distance
         if isinstance(d, bool) or not isinstance(d, Integral) or d < 1:
             raise ValueError(f"nms_distance must be an integer >= 1, got {d!r}")
-        if not np.isfinite(self.gauss_threshold):
-            raise ValueError("gauss_threshold must be finite")
+        t = self.gauss_threshold
+        if isinstance(t, bool) or not isinstance(t, Real) or not np.isfinite(t):
+            raise ValueError(f"gauss_threshold must be a finite number, got {t!r}")
 
 
 def nms_detect(pred, cfg):

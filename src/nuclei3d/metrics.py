@@ -63,18 +63,15 @@ def iou_matrix(gt, pred):
     g = gt.labels
     p = pred.labels
     both = (g > 0) & (p > 0)
-    gsz = np.bincount(g.ravel())
-    psz = np.bincount(p.ravel())
-    out = {}
-    if both.any():
-        stride = int(p.max()) + 1
-        keys = g[both].astype(np.int64) * stride + p[both].astype(np.int64)
-        pair, inter = np.unique(keys, return_counts=True)
-        for k, n in zip(pair, inter):
-            gi, pi = int(k // stride), int(k % stride)
-            union = int(gsz[gi]) + int(psz[pi]) - int(n)
-            out[(gi, pi)] = float(n) / float(union)
-    return out
+    if not both.any():
+        return {}
+    stride = int(p.max()) + 1
+    keys = g[both].astype(np.int64) * stride + p[both].astype(np.int64)
+    pair, inter = np.unique(keys, return_counts=True)
+    gi, pi = np.divmod(pair, stride)
+    union = np.bincount(g.ravel())[gi] + np.bincount(p.ravel())[pi] - inter
+    # exact integer counts, so each quotient is the correctly rounded float64 IoU
+    return dict(zip(zip(gi.tolist(), pi.tolist()), (inter / union).tolist()))
 
 
 def segmentation_ap(gt, pred, iou_threshold):
@@ -89,21 +86,31 @@ def segmentation_ap(gt, pred, iou_threshold):
     """
     if not 0 < iou_threshold < 1:
         raise ValueError("iou_threshold must be in (0, 1)")
-    return _match(iou_matrix(gt, pred), len(gt.ids()), len(pred.ids()), iou_threshold)
+    matched = _matched_ious(iou_matrix(gt, pred))
+    return _counts(matched, len(gt.ids()), len(pred.ids()), iou_threshold)
 
 
-def _match(ious, n_gt, n_pred, iou_threshold):
-    """Greedy matching of ``iou_matrix`` pairs; returns (ap, tp, fp, fn)."""
-    pairs = sorted(
-        ((iou, g, p) for (g, p), iou in ious.items() if iou > iou_threshold),
-        key=lambda t: (-t[0], t[1], t[2]),
-    )
+def _matched_ious(ious):
+    """IoU of each greedy one-to-one match over all ``iou_matrix`` pairs.
+
+    Pairs are visited by (descending IoU, gt id, pred id). The pairs above
+    any threshold are a prefix of that order and a greedy decision depends
+    only on earlier pairs, so the matches of the greedy pass restricted to
+    IoU > t are exactly the matches here with IoU > t.
+    """
     matched_gt, matched_pred = set(), set()
-    for _, g, p in pairs:
+    matched = []
+    for (g, p), iou in sorted(ious.items(), key=lambda kv: (-kv[1], kv[0])):
         if g not in matched_gt and p not in matched_pred:
             matched_gt.add(g)
             matched_pred.add(p)
-    tp = len(matched_gt)
+            matched.append(iou)
+    return matched
+
+
+def _counts(matched, n_gt, n_pred, iou_threshold):
+    """(ap, tp, fp, fn) at one threshold from the ``_matched_ious`` list."""
+    tp = sum(iou > iou_threshold for iou in matched)
     fp = n_pred - tp
     fn = n_gt - tp
     return _ap(tp, fp, fn), tp, fp, fn
@@ -149,9 +156,9 @@ def evaluate(gt, seg=None, detections=None):
     ap_per_iou = seg_counts = av_ap = None
     det_ap = det_counts = None
     if seg is not None:
-        ious = iou_matrix(gt, seg)
+        matched = _matched_ious(iou_matrix(gt, seg))
         n_gt, n_seg = len(gt.ids()), len(seg.ids())
-        matches = {t: _match(ious, n_gt, n_seg, t) for t in IOU_THRESHOLDS}
+        matches = {t: _counts(matched, n_gt, n_seg, t) for t in IOU_THRESHOLDS}
         ap_per_iou = {t: m[0] for t, m in matches.items()}
         seg_counts = {t: m[1:] for t, m in matches.items()}
         av_ap = sum(ap_per_iou[t] for t in IOU_THRESHOLDS) / len(IOU_THRESHOLDS)

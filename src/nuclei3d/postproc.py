@@ -14,9 +14,11 @@ Alternatively seeds come from center-point-vector vote accumulation.
 The watershed is a deterministic priority flood: claims are queued with key
 (map value, insertion sequence number) and resolved lowest-first, so ties
 are FIFO. A flood cannot leave its 6-connected foreground component, so
-components holding one seed ID are filled with it in numpy, and only the
-voxels of components holding two or more IDs are flooded. Predictions may
-be probabilities (default) or logits.
+components holding one seed ID are filled with it in numpy, and only
+components holding two or more IDs are flooded. There the flood indexes just
+the unseeded voxels and the seed voxels next to one of them: a seed with no
+unseeded neighbour never queues a claim. Predictions may be probabilities
+(default) or logits.
 """
 
 import heapq
@@ -29,7 +31,8 @@ from scipy import ndimage as ndi
 from scipy.special import expit
 
 from .core import (
-    LabelVolume, Volume, VoxelSize, connected_components, dilate_instances, round_half_away,
+    LabelVolume, Volume, VoxelSize, connected_components, dilate_instances, face_slices,
+    round_half_away, run_starts,
 )
 from .errors import ChannelCountError, ShapeMismatchError
 from .targets import MAIN_CHANNELS, TargetBundle
@@ -140,7 +143,7 @@ def extract_seeds_main(pred, cfg, logits=False):
         mask = data[1] >= cfg.seed_threshold
     else:
         mask = (data[:3] >= cfg.seed_threshold).sum(axis=0) >= 2
-    return connected_components(Volume(mask.astype(np.uint8), vol.voxel_size))
+    return connected_components(Volume(mask, vol.voxel_size))
 
 
 def accumulate_votes(cpv_pred, fg_mask):
@@ -187,7 +190,7 @@ def extract_seeds_cpv(cpv_pred, fg_mask, cpv_seed_threshold):
     mask = counts >= cpv_seed_threshold
     vol = _pred_volume(cpv_pred)
     voxel_size = vol.voxel_size if isinstance(vol, Volume) else VoxelSize()
-    return connected_components(Volume(mask.astype(np.uint8), voxel_size))
+    return connected_components(Volume(mask, voxel_size))
 
 
 def watershed(topo, seeds):
@@ -201,10 +204,18 @@ def watershed(topo, seeds):
 
     A flood never leaves its 6-connected foreground component, so a
     component holding one seed ID is filled with that ID and a component
-    holding none stays background. Only the voxels of components holding
-    two or more IDs are flooded. Dropping the other components' claims
-    keeps the relative (value, sequence) order of each component's own
-    claims, so the labels are those of one flood over the whole volume.
+    holding none stays background. Only components holding two or more IDs
+    are flooded. Dropping the other components' claims keeps the relative
+    (value, sequence) order of each component's own claims, so the labels
+    are those of one flood over the whole volume.
+
+    Seed labels are written straight into the output. The flood indexes the
+    seed voxels that have an unseeded neighbour in a flooded component, in
+    raster order, followed by those unseeded voxels. A seed voxel only ever
+    queues claims on unseeded neighbours not yet claimed, and a voxel once
+    claimed stays claimed, so a seed without an unseeded neighbour never
+    queues one. Skipping it uses no sequence number and keeps every
+    (value, sequence) order.
     """
     if seeds.shape != topo.values.shape:
         raise ShapeMismatchError("seeds and topography shapes differ")
@@ -212,36 +223,49 @@ def watershed(topo, seeds):
     comp, n_comp = ndi.label(topo.foreground, structure=ndi.generate_binary_structure(3, 1))
     comp = comp.ravel()
 
-    # distinct (component, seed ID) pairs, one key each
+    # distinct (component, seed ID) pairs, one key each; every key is >= base > 0
     at = np.flatnonzero(labels)
     base = int(labels.max()) + 1
-    owner, ids = np.divmod(np.unique(comp[at].astype(np.int64) * base + labels[at]), base)
+    keys = np.sort(comp[at].astype(np.int64) * base + labels[at])
+    owner, ids = np.divmod(keys[run_starts(keys)], base)
     n_ids = np.bincount(owner, minlength=n_comp + 1)
     fill = np.zeros(n_comp + 1, dtype=np.int32)
     single = n_ids[owner] == 1
     fill[owner[single]] = ids[single]
     out = fill[comp]
+    out[at] = labels[at]
 
-    # contested voxels in raster order, so seeds are expanded in raster order
-    idx = np.flatnonzero((n_ids >= 2)[comp])
-    if idx.size:
-        nz, ny, nx = topo.values.shape
+    # unseeded voxels of components holding two or more IDs
+    unseeded = (n_ids >= 2)[comp] & (labels == 0)
+    if unseeded.any():
+        shape = topo.values.shape
+        nz, ny, nx = shape
+        # seeds with an unseeded face neighbour (which shares their component),
+        # the only seeds that queue claims, in raster order
+        touch = np.zeros(shape, dtype=bool)
+        grid = unseeded.reshape(shape)
+        for axis in range(3):
+            lo, hi = face_slices(axis)
+            touch[hi] |= grid[lo]
+            touch[lo] |= grid[hi]
+        border = np.flatnonzero(touch.ravel() & (labels != 0))
+        idx = np.concatenate((border, np.flatnonzero(unseeded)))
+        n_border = border.size
         pos = np.full(comp.size, -1, dtype=np.intp)
-        pos[idx] = np.arange(idx.size)
-        z, y, x = np.unravel_index(idx, topo.values.shape)
-        # -1 marks a neighbour out of bounds or outside the contested voxels
+        pos[idx[n_border:]] = np.arange(n_border, idx.size)
+        z, y, x = np.unravel_index(idx, shape)
+        # -1 marks a neighbour that is never free: out of bounds, a seed or background
         nbr = np.full((idx.size, 6), -1, dtype=np.intp)
         steps = (-ny * nx, ny * nx, -nx, nx, -1, 1)
         inside = (z > 0, z < nz - 1, y > 0, y < ny - 1, x > 0, x < nx - 1)
         for k, (step, ok) in enumerate(zip(steps, inside)):
             nbr[ok, k] = pos[idx[ok] + step]
-        del pos, z, y, x  # whole-volume index gone before the lists below
+        del pos, touch, grid, unseeded, z, y, x  # whole-volume arrays gone before the lists below
 
-        start = labels[idx]
         values = topo.values.ravel()[idx].tolist()
-        result = start.tolist()
+        result = labels[idx].tolist()
         # the trailing False is the entry that neighbour -1 reads
-        free = (start == 0).tolist() + [False]
+        free = [False] * n_border + [True] * (idx.size - n_border) + [False]
         table = nbr.tolist()
 
         # All claims on a voxel share its map value and sequence numbers only
@@ -254,7 +278,7 @@ def watershed(topo, seeds):
             while heap:
                 yield heapq.heappop(heap)[2]
 
-        for i in itertools.chain(np.flatnonzero(start).tolist(), pops()):
+        for i in itertools.chain(range(n_border), pops()):
             lab = result[i]
             for a in table[i]:
                 if free[a]:

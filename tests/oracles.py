@@ -291,6 +291,29 @@ def optimal_match_count(iou_pairs, gt_ids, iou_threshold):
     return rec(0, frozenset())
 
 
+def greedy_match_counts(ious, n_gt, n_pred, iou_threshold):
+    """Greedy one-to-one matching at one threshold; returns (ap, tp, fp, fn).
+
+    Keeps only the pairs with IoU strictly above the threshold, sorts them by
+    (descending IoU, gt id, pred id) and accepts a pair when neither side is
+    matched yet; a fresh filter and sort per threshold.
+    """
+    pairs = sorted(
+        ((iou, g, p) for (g, p), iou in ious.items() if iou > iou_threshold),
+        key=lambda t: (-t[0], t[1], t[2]),
+    )
+    matched_gt, matched_pred = set(), set()
+    for _, g, p in pairs:
+        if g not in matched_gt and p not in matched_pred:
+            matched_gt.add(g)
+            matched_pred.add(p)
+    tp = len(matched_gt)
+    fp = n_pred - tp
+    fn = n_gt - tp
+    denom = tp + fp + fn
+    return (float(tp) / denom if denom else 1.0), tp, fp, fn
+
+
 def naive_sweep(spec):
     """Sweep table and selection by re-running every (checkpoint, grid point, pair)."""
     from nuclei3d import (

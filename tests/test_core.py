@@ -60,6 +60,27 @@ class TestContainers:
         assert a == b and a != c
 
 
+class TestIds:
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int32, np.int64, np.uint64])
+    def test_matches_unique(self, rng, dtype):
+        top = np.iinfo(dtype).max
+        for lab in (
+            rng.choice(np.array([0, 1, 7, 200, top], dtype=dtype), size=(4, 5, 6)),
+            np.where(rng.random((3, 4, 5)) < 0.5, rng.integers(0, 255, (3, 4, 5)), 0).astype(dtype),
+            np.zeros((2, 3, 4), dtype=dtype),
+        ):
+            ids = LabelVolume(lab).ids()
+            expected = np.unique(lab)[np.unique(lab) > 0]
+            assert ids.dtype == expected.dtype == dtype
+            np.testing.assert_array_equal(ids, expected)
+
+    def test_uint64_ids_that_float64_merges(self):
+        # 2**63 + 1 and 2**63 + 2 are one float64 value
+        lab = np.array([[[2**63 + 2, 0, 2**63 + 1]]], dtype=np.uint64)
+        assert LabelVolume(lab).ids().tolist() == [2**63 + 1, 2**63 + 2]
+        assert instance_centers(LabelVolume(lab))[0].tolist() == [2**63 + 1, 2**63 + 2]
+
+
 class TestCenterOfMass:
     def test_single_voxel(self):
         lv = make_labels({1: [(2, 3, 4)]})

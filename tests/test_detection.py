@@ -96,6 +96,17 @@ class TestNms:
             with pytest.raises(ValueError, match="nms_distance must be an integer >= 1"):
                 NmsConfig(0.5, distance)
 
+    @pytest.mark.parametrize(
+        "threshold", [True, False, np.True_, "0.5", None, float("nan"), float("inf"), -np.inf, 1j]
+    )
+    def test_gauss_threshold_must_be_a_finite_number(self, threshold):
+        with pytest.raises(ValueError, match="gauss_threshold must be a finite number"):
+            NmsConfig(threshold, 3)
+
+    @pytest.mark.parametrize("threshold", [0, 0.5, -1.5, np.float32(0.25), np.int64(1)])
+    def test_gauss_threshold_numbers_accepted(self, threshold):
+        assert NmsConfig(threshold, 3).gauss_threshold == threshold
+
     def test_numpy_integer_distance_accepted(self):
         assert NmsConfig(0.5, np.int64(2)).nms_distance == 2
 

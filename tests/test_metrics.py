@@ -14,7 +14,7 @@ from nuclei3d import (
 from nuclei3d.errors import ShapeMismatchError
 
 from conftest import random_blob_labels
-from oracles import iou_pairs_oracle, optimal_match_count
+from oracles import greedy_match_counts, iou_pairs_oracle, optimal_match_count
 
 
 def labels_from(arr):
@@ -129,6 +129,68 @@ class TestSegmentationAp:
         lv = labels_from(random_blob_labels(rng, (4, 4, 4), 1))
         with pytest.raises(ValueError):
             segmentation_ap(lv, lv, 0.0)
+
+
+def _row_layout(rng):
+    """Short runs of IDs along rows: small-integer IoUs, so ties and k/10 values abound."""
+    shape = (1, int(rng.integers(1, 4)), 16)
+    out = []
+    for _ in range(2):
+        lab = np.zeros(shape, dtype=np.int32)
+        next_id = 1
+        for row in range(shape[1]):
+            x = int(rng.integers(0, 3))
+            while x < shape[2]:
+                n = int(rng.integers(1, 6))
+                lab[0, row, x:x + n] = next_id
+                next_id += 1
+                x += n + int(rng.integers(0, 3))
+        out.append(lab)
+    return out
+
+
+def _mirrored_layout(rng):
+    """Blobs and their mirror images under fresh IDs, in both gt and pred: tied IoUs."""
+    out = []
+    for _ in range(2):
+        half = random_blob_labels(rng, (6, 6, 5), int(rng.integers(1, 4)))
+        mirror = np.where(half > 0, half + half.max(), 0)
+        out.append(np.concatenate((half, np.flip(mirror, axis=2)), axis=2))
+    return out
+
+
+class TestOnePassMatching:
+    def test_counts_match_per_threshold_greedy_oracle(self, rng):
+        """``evaluate`` and ``segmentation_ap`` against a fresh greedy pass per threshold."""
+        seen = set()
+        for k in range(60):
+            gt, pred = (_row_layout, _mirrored_layout)[k % 2](rng)
+            gtv, prv = labels_from(gt), labels_from(pred)
+            ious = iou_pairs_oracle(gt, pred)
+            n_gt, n_pred = len(set(gt[gt > 0].tolist())), len(set(pred[pred > 0].tolist()))
+            report = evaluate(gtv, seg=prv)
+            for t in IOU_THRESHOLDS:
+                expected = greedy_match_counts(ious, n_gt, n_pred, t)
+                assert segmentation_ap(gtv, prv, t) == expected
+                assert (report.ap_per_iou[t], *report.seg_counts[t]) == expected
+            if any(iou in IOU_THRESHOLDS for iou in ious.values()):
+                seen.add("iou on a threshold")
+            pairs = [(g, p, iou) for (g, p), iou in ious.items()]
+            if any(a != b and a[2] == b[2] and (a[0] == b[0] or a[1] == b[1])
+                   for a in pairs for b in pairs):
+                seen.add("tie sharing an instance")
+        assert seen == {"iou on a threshold", "tie sharing an instance"}
+
+    def test_tie_order_decides_the_count(self):
+        # (gt, pred) pairs (1, 1), (1, 2) and (2, 2) all have IoU 1/3; taking
+        # (1, 1) first leaves pred 2 for gt 2, taking (1, 2) first matches once
+        gt = np.array([[[1] * 6 + [2] * 6]], dtype=np.int32)
+        pred = np.array([[[1, 1, 0, 2, 2, 2, 2, 2, 2, 0, 0, 0]]], dtype=np.int32)
+        gtv, prv = labels_from(gt), labels_from(pred)
+        assert set(iou_matrix(gtv, prv).values()) == {1 / 3}
+        report = evaluate(gtv, seg=prv)
+        assert segmentation_ap(gtv, prv, 0.3)[1:] == report.seg_counts[0.3] == (2, 0, 0)
+        assert report.seg_counts[0.4] == (0, 2, 2)
 
 
 class TestDetectionAp:

@@ -9,6 +9,7 @@ from nuclei3d import (
     PostprocConfig,
     TopographicMap,
     Volume,
+    VoxelSize,
     accumulate_votes,
     build_topography,
     encode_bundle,
@@ -20,6 +21,7 @@ from nuclei3d import (
 )
 from nuclei3d.errors import ChannelCountError
 
+from conftest import random_blob_labels
 from oracles import flood_simulator, unionfind_components
 from test_targets import ball_labels
 
@@ -98,6 +100,16 @@ class TestMainSeeds:
         cfg = PostprocConfig("affinities", seed_threshold=0.5)
         seeds = extract_seeds_main(Volume(data), cfg)
         assert (seeds.labels > 0).tolist() == [[[False, True, True]]]
+
+    def test_seed_labels_keep_the_prediction_voxel_size(self):
+        vs = VoxelSize(2.0, 1.0, 0.5)
+        data = np.zeros((3, 3, 4, 5))
+        data[1, 1, 1:3, 1:4] = 1.0
+        seeds = extract_seeds_main(Volume(data, vs), PostprocConfig("3label", seed_threshold=0.5))
+        assert seeds.voxel_size == vs and seeds.labels.dtype == np.int32
+        seeds = extract_seeds_cpv(Volume(np.zeros((3, 3, 4, 5)), vs), data[1] > 0, 1)
+        assert seeds.voxel_size == vs and seeds.labels.dtype == np.int32
+        assert len(seeds.ids()) == 1
 
 
 class TestCpvSeeds:
@@ -244,6 +256,19 @@ class TestWatershed:
             "id filled here, contested there", "id with two blobs in a contested component",
         }
 
+    def test_matches_flood_simulator_with_thick_seeds(self, rng):
+        """Seed blobs have interior voxels, which the flood never indexes."""
+        n_interior = 0
+        for shape in [(6, 6, 6), (3, 7, 5), (7, 4, 6)]:
+            for _ in range(6):
+                values = np.round(rng.random(shape), 1)  # coarse values force ties
+                fg = rng.random(shape) < 0.9
+                seeds = random_blob_labels(rng, shape, int(rng.integers(2, 5)), rmax=2)
+                got = watershed(TopographicMap(values, fg), LabelVolume(seeds)).labels
+                np.testing.assert_array_equal(got, flood_simulator(values, fg, seeds))
+                n_interior += _interior_seeds(fg, seeds).sum()
+        assert n_interior > 0
+
     @pytest.mark.parametrize("fg", [True, False])
     @pytest.mark.parametrize("seed", [0, 3])
     def test_single_voxel_volume(self, fg, seed):
@@ -272,6 +297,18 @@ def _component_cases(fg, seeds):
     if any({"single", "contested"} <= kinds for kinds in kind_by_id.values()):
         cases.add("id filled here, contested there")
     return cases
+
+
+def _interior_seeds(fg, seeds):
+    """Seed voxels of multi-ID components with no unseeded foreground face neighbour."""
+    comp, n = ndi.label(fg)
+    clipped = np.where(fg, seeds, 0)
+    contested = np.zeros(n + 1, dtype=bool)
+    for c in range(1, n + 1):
+        contested[c] = len(set(clipped[comp == c].tolist()) - {0}) >= 2
+    unseeded = fg & (clipped == 0)
+    border = ndi.binary_dilation(unseeded, structure=ndi.generate_binary_structure(3, 1))
+    return (clipped > 0) & contested[comp] & ~border
 
 
 class TestSegment:
