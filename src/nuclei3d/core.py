@@ -9,7 +9,9 @@ Conventions used throughout the toolkit:
   structuring element unless stated otherwise
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
+from numbers import Integral, Real
 from typing import NamedTuple
 
 import numpy as np
@@ -30,6 +32,29 @@ __all__ = [
 ]
 
 
+def check_number(key, value, integer=False, ge=None, gt=None):
+    """Return ``value`` if it is a finite real number (an integer if asked) within the bound.
+
+    Refuses ``bool``, ``str``, ``None``, complex, non-finite values and a value
+    below ``ge`` or at or below ``gt`` with a ``ValueError`` naming ``key``.
+    """
+    try:
+        ok = (
+            not isinstance(value, bool)
+            and isinstance(value, Integral if integer else Real)
+            and (integer or math.isfinite(value))
+            and (ge is None or value >= ge)
+            and (gt is None or value > gt)
+        )
+    except OverflowError:  # math.isfinite of an int too large for a float
+        ok = False
+    if not ok:
+        bound = f" >= {ge}" if ge is not None else f" > {gt}" if gt is not None else ""
+        what = "an integer" if integer else "a finite number"
+        raise ValueError(f"{key} must be {what}{bound}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class VoxelSize:
     """Physical voxel edge lengths ``(dz, dy, dx)`` in micrometers."""
@@ -39,8 +64,8 @@ class VoxelSize:
     dx: float = 1.0
 
     def __post_init__(self):
-        if not (self.dz > 0 and self.dy > 0 and self.dx > 0):
-            raise ValueError("voxel edge lengths must be strictly positive")
+        for f in fields(self):
+            check_number(f"voxel size {f.name}", getattr(self, f.name), gt=0)
 
     def as_tuple(self):
         return (self.dz, self.dy, self.dx)
@@ -140,15 +165,8 @@ class LabelVolume:
         return self.labels.shape
 
     def ids(self):
-        """Sorted array of the positive instance IDs present, in the labels' dtype.
-
-        The foreground IDs are sorted and the first of each run is kept. A
-        bare ``np.unique`` takes a hash path on numpy >= 2.3, which is several
-        times slower than this sort on label volumes.
-        """
-        ids = self.labels[self.labels > 0]
-        ids.sort()
-        return ids[run_starts(ids)]
+        """Sorted array of the positive instance IDs present, in the labels' dtype."""
+        return id_counts(self.labels)[0]
 
     def foreground(self):
         """Boolean mask of all foreground voxels."""
@@ -171,6 +189,19 @@ def run_starts(ids):
     """Index of the first element of each run of equal values in sorted positive ``ids``."""
     # a zero of the IDs' own dtype: a Python 0 would turn uint64 IDs into float64
     return np.flatnonzero(np.diff(ids, prepend=ids.dtype.type(0)))
+
+
+def id_counts(lab):
+    """Sorted positive IDs of a label array, in its dtype, and their voxel counts.
+
+    The foreground IDs are sorted and the first of each run is kept. A bare
+    ``np.unique`` takes a hash path on numpy >= 2.3, which is several times
+    slower than this sort on label volumes.
+    """
+    ids = lab[lab > 0]
+    ids.sort()
+    starts = run_starts(ids)
+    return ids[starts], np.diff(starts, append=ids.size)
 
 
 def instance_centers(labels):
@@ -227,16 +258,6 @@ def round_half_away(v):
     return np.copysign(np.floor(np.abs(v) + 0.5), v)
 
 
-def _face_neighbors(lab):
-    """Neighbor labels along each of the six face directions; out-of-bounds reads as 0."""
-    for axis in range(3):
-        lo, hi = face_slices(axis)
-        for dst, src in ((hi, lo), (lo, hi)):
-            out = np.zeros_like(lab)
-            out[dst] = lab[src]
-            yield out
-
-
 def erode_instances(labels, iterations):
     """Erode every instance independently with the 6-connected element.
 
@@ -244,15 +265,19 @@ def erode_instances(labels, iterations):
     carry the same ID; neighbors outside the volume count as background.
     Instances may vanish entirely.
     """
-    if iterations < 0:
-        raise ValueError("iterations must be >= 0")
+    check_number("iterations", iterations, integer=True, ge=0)
     lab = labels.labels.copy()
     for _ in range(iterations):
         if not lab.any():
             break
         keep = lab > 0
-        for neighbor in _face_neighbors(lab):
-            keep &= neighbor == lab
+        for axis in range(3):
+            lo, hi = face_slices(axis)
+            same = lab[lo] == lab[hi]
+            keep[lo] &= same
+            keep[hi] &= same
+            # the neighbour outside the volume is background
+            np.moveaxis(keep, axis, 0)[[0, -1]] = False
         lab = np.where(keep, lab, 0)
     return LabelVolume(lab, labels.voxel_size)
 
@@ -263,8 +288,7 @@ def dilate_instances(labels, iterations):
     Existing foreground is never overwritten. A background voxel adjacent
     to several distinct instances is claimed by the smallest ID.
     """
-    if iterations < 0:
-        raise ValueError("iterations must be >= 0")
+    check_number("iterations", iterations, integer=True, ge=0)
     lab = labels.labels.copy()
     sentinel = np.iinfo(np.int64).max
     for _ in range(iterations):

@@ -1,12 +1,11 @@
 """Center-point detection: NMS on blob maps, centroids of segmentations."""
 
 from dataclasses import dataclass
-from numbers import Integral, Real
 
 import numpy as np
 from scipy import ndimage as ndi
 
-from .core import instance_centers
+from .core import check_number, instance_centers
 from .errors import ShapeMismatchError
 from .io import Detection
 
@@ -21,12 +20,8 @@ class NmsConfig:
     nms_distance: int
 
     def __post_init__(self):
-        d = self.nms_distance
-        if isinstance(d, bool) or not isinstance(d, Integral) or d < 1:
-            raise ValueError(f"nms_distance must be an integer >= 1, got {d!r}")
-        t = self.gauss_threshold
-        if isinstance(t, bool) or not isinstance(t, Real) or not np.isfinite(t):
-            raise ValueError(f"gauss_threshold must be a finite number, got {t!r}")
+        check_number("nms_distance", self.nms_distance, integer=True, ge=1)
+        check_number("gauss_threshold", self.gauss_threshold)
 
 
 def nms_detect(pred, cfg):

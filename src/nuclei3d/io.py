@@ -134,7 +134,10 @@ def read_volume(path, kind=None):
         )
     data = np.frombuffer(payload, dtype=dtype).reshape(channels, nz, ny, nx)
     data = data.astype(dtype.newbyteorder("="))
-    voxel_size = VoxelSize(dz, dy, dx)
+    try:
+        voxel_size = VoxelSize(dz, dy, dx)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
     if tag == 2:
         if channels != 1:
             raise FormatError(f"{path}: label volumes must be single-channel")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .core import Volume
+from .core import Volume, check_number
 from .errors import InvalidClassError, ShapeMismatchError
 
 __all__ = [
@@ -128,8 +128,7 @@ def combined_loss(main, cpv_pred, cpv_target, fg_mask, main_weight):
     term carries ``main_weight``. The gradient concatenates the scaled main
     gradient with the auxiliary gradient, in that channel order.
     """
-    if main_weight <= 0:
-        raise ValueError("main_weight must be > 0")
+    check_number("main_weight", main_weight, gt=0)
     main_result = main() if callable(main) else main
     aux = ssd_loss(cpv_pred, cpv_target, fg_mask)
     value = main_weight * main_result.value + aux.value

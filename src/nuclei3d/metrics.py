@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import round_half_away
+from .core import id_counts, round_half_away
 from .errors import ShapeMismatchError
 
 __all__ = [
@@ -65,13 +65,15 @@ def iou_matrix(gt, pred):
     both = (g > 0) & (p > 0)
     if not both.any():
         return {}
-    stride = int(p.max()) + 1
-    keys = g[both].astype(np.int64) * stride + p[both].astype(np.int64)
+    g_ids, g_size = id_counts(g)
+    p_ids, p_size = id_counts(p)
+    # pairs are keyed by rank in the sorted IDs, so large sparse IDs cannot overflow the key
+    keys = np.searchsorted(g_ids, g[both]) * p_ids.size + np.searchsorted(p_ids, p[both])
     pair, inter = np.unique(keys, return_counts=True)
-    gi, pi = np.divmod(pair, stride)
-    union = np.bincount(g.ravel())[gi] + np.bincount(p.ravel())[pi] - inter
+    gr, pr = np.divmod(pair, p_ids.size)
+    union = g_size[gr] + p_size[pr] - inter
     # exact integer counts, so each quotient is the correctly rounded float64 IoU
-    return dict(zip(zip(gi.tolist(), pi.tolist()), (inter / union).tolist()))
+    return dict(zip(zip(g_ids[gr].tolist(), p_ids[pr].tolist()), (inter / union).tolist()))
 
 
 def segmentation_ap(gt, pred, iou_threshold):

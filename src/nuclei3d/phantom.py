@@ -7,12 +7,11 @@ from their config alone.
 """
 
 from dataclasses import asdict, dataclass, fields
-from numbers import Integral, Real
 
 import numpy as np
 from scipy import ndimage as ndi
 
-from .core import LabelVolume, Volume
+from .core import LabelVolume, Volume, check_number
 from .errors import PlacementError
 from .targets import TargetBundle
 
@@ -35,28 +34,20 @@ class PhantomConfig:
     smoothing_sigma: float = 0.0
 
     def __post_init__(self):
-        for key, kind, cast, what in (
-            ("shape", Integral, int, "integers"), ("radius_range", Real, float, "numbers")
-        ):
+        for key, size, integer in (("shape", 3, True), ("radius_range", 2, False)):
             value = getattr(self, key)
-            if not isinstance(value, (list, tuple)) or not all(
-                isinstance(v, kind) and not isinstance(v, bool) for v in value
-            ):
-                raise ValueError(f"{key} must be a list of {what}, got {value!r}")
-            object.__setattr__(self, key, tuple(cast(v) for v in value))
-        if len(self.shape) != 3 or min(self.shape) <= 0:
-            raise ValueError("shape must be three positive extents")
-        if len(self.radius_range) != 2 or not 1 <= self.radius_range[0] <= self.radius_range[1]:
-            raise ValueError("radius_range must be [min, max] with 1 <= min <= max")
+            if not isinstance(value, (list, tuple)) or len(value) != size:
+                raise ValueError(f"{key} must be a list of length {size}, got {value!r}")
+            checked = (check_number(f"{key}[{i}]", v, integer, ge=1) for i, v in enumerate(value))
+            object.__setattr__(self, key, tuple(map(int if integer else float, checked)))
+        if self.radius_range[0] > self.radius_range[1]:
+            raise ValueError(f"radius_range must have min <= max, got {list(self.radius_range)}")
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type is bool and not isinstance(value, bool):
                 raise ValueError(f"{f.name} must be true or false, got {value!r}")
-            kind = {int: Integral, float: Real}.get(f.type)
-            if kind and (
-                isinstance(value, bool) or not (isinstance(value, kind) and 0 <= value < np.inf)
-            ):
-                raise ValueError(f"{f.name} must be a finite {f.type.__name__} >= 0, got {value!r}")
+            if f.type in (int, float):
+                check_number(f.name, value, integer=f.type is int, ge=0)
 
     def to_mapping(self):
         m = asdict(self)

@@ -24,15 +24,14 @@ unseeded neighbour never queues a claim. Predictions may be probabilities
 import heapq
 import itertools
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 from scipy import ndimage as ndi
 from scipy.special import expit
 
 from .core import (
-    LabelVolume, Volume, VoxelSize, connected_components, dilate_instances, face_slices,
-    round_half_away, run_starts,
+    LabelVolume, Volume, VoxelSize, check_number, connected_components, dilate_instances,
+    face_slices, round_half_away, run_starts,
 )
 from .errors import ChannelCountError, ShapeMismatchError
 from .targets import MAIN_CHANNELS, TargetBundle
@@ -67,14 +66,10 @@ class PostprocConfig:
             raise ValueError(f"unknown segmentation variant {self.variant!r}")
         if self.seed_source not in ("main", "cpv"):
             raise ValueError(f"seed_source must be 'main' or 'cpv', got {self.seed_source!r}")
-        for key in ("seed_threshold", "foreground_threshold", "cpv_seed_threshold"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, Real):
-                raise ValueError(f"{key} must be a number, got {value!r}")
-            if key != "cpv_seed_threshold" and not np.isfinite(value):
-                raise ValueError(f"{key} must be finite, got {value!r}")
-        if not self.cpv_seed_threshold >= 0:
-            raise ValueError(f"cpv_seed_threshold must be >= 0, got {self.cpv_seed_threshold!r}")
+        for key, ge in (
+            ("seed_threshold", None), ("foreground_threshold", None), ("cpv_seed_threshold", 0)
+        ):
+            object.__setattr__(self, key, float(check_number(key, getattr(self, key), ge=ge)))
         if not isinstance(self.dilate_result, bool):
             raise ValueError(f"dilate_result must be true or false, got {self.dilate_result!r}")
 
@@ -184,8 +179,7 @@ def accumulate_votes(cpv_pred, fg_mask):
 
 def extract_seeds_cpv(cpv_pred, fg_mask, cpv_seed_threshold):
     """Seed regions from center-point-vector vote accumulation."""
-    if not cpv_seed_threshold >= 0:
-        raise ValueError(f"cpv_seed_threshold must be >= 0, got {cpv_seed_threshold!r}")
+    check_number("cpv_seed_threshold", cpv_seed_threshold, ge=0)
     counts = accumulate_votes(cpv_pred, fg_mask)
     mask = counts >= cpv_seed_threshold
     vol = _pred_volume(cpv_pred)
@@ -219,13 +213,17 @@ def watershed(topo, seeds):
     """
     if seeds.shape != topo.values.shape:
         raise ShapeMismatchError("seeds and topography shapes differ")
-    labels = np.where(topo.foreground, seeds.labels, 0).astype(np.int32, copy=False).ravel()
+    labels = np.where(topo.foreground, seeds.labels, 0)
+    max_id = int(labels.max())
+    if max_id > np.iinfo(np.int32).max:
+        raise ValueError(f"seed ID {max_id} exceeds the int32 label range")
+    labels = labels.astype(np.int32, copy=False).ravel()
     comp, n_comp = ndi.label(topo.foreground, structure=ndi.generate_binary_structure(3, 1))
     comp = comp.ravel()
 
     # distinct (component, seed ID) pairs, one key each; every key is >= base > 0
     at = np.flatnonzero(labels)
-    base = int(labels.max()) + 1
+    base = max_id + 1
     keys = np.sort(comp[at].astype(np.int64) * base + labels[at])
     owner, ids = np.divmod(keys[run_starts(keys)], base)
     n_ids = np.bincount(owner, minlength=n_comp + 1)

@@ -42,7 +42,6 @@ Relative paths are resolved against the spec file's directory.
 
 import itertools
 from dataclasses import dataclass, field, replace
-from numbers import Real
 from pathlib import Path
 
 from .core import LabelVolume, Volume, dilate_instances
@@ -71,19 +70,10 @@ class SweepSpec:
         _parse_objective(self.objective)
         if not self.checkpoints or any(not pairs for _, pairs in self.checkpoints):
             raise ValueError("sweep needs at least one checkpoint with validation pairs")
-        for grid in (
-            self.seed_sources,
-            self.seed_thresholds,
-            self.foreground_thresholds,
-            self.cpv_seed_thresholds,
-            self.dilate,
-        ):
-            if not grid:
-                raise ValueError("sweep grids must be nonempty")
-        configs = tuple(
-            PostprocConfig(self.variant, source, seed_t, fg_t, cpv_t, dilate)
-            for source, seed_t, fg_t, cpv_t, dilate in self.grid_points()
-        )
+        # PostprocConfig checks every grid value; the product is empty iff a grid is
+        configs = tuple(PostprocConfig(self.variant, *point) for point in self.grid_points())
+        if not configs:
+            raise ValueError("sweep grids must be nonempty")
         object.__setattr__(self, "configs", configs)
 
     def grid_points(self):
@@ -117,15 +107,11 @@ def _parse_objective(objective):
     raise ValueError(f"unknown objective {objective!r}")
 
 
-def _grid_list(grid, key, numbers=False):
-    """One grid entry as a tuple; it must be a list, of real numbers if ``numbers``."""
+def _grid_list(grid, key):
+    """One grid entry as a tuple; it must be a list. ``PostprocConfig`` checks the values."""
     values = grid[key]
     if not isinstance(values, list):
         raise ValueError(f"grid {key} must be a list, got {values!r}")
-    if numbers:
-        if not all(isinstance(v, Real) and not isinstance(v, bool) for v in values):
-            raise ValueError(f"grid {key} entries must be numbers, got {values!r}")
-        return tuple(float(v) for v in values)
     return tuple(values)
 
 
@@ -144,9 +130,9 @@ def load_sweep_spec(path):
             objective=raw["objective"],
             checkpoints=checkpoints,
             seed_sources=_grid_list(grid, "seed_source"),
-            seed_thresholds=_grid_list(grid, "seed_threshold", numbers=True),
-            foreground_thresholds=_grid_list(grid, "foreground_threshold", numbers=True),
-            cpv_seed_thresholds=_grid_list(grid, "cpv_seed_threshold", numbers=True),
+            seed_thresholds=_grid_list(grid, "seed_threshold"),
+            foreground_thresholds=_grid_list(grid, "foreground_threshold"),
+            cpv_seed_thresholds=_grid_list(grid, "cpv_seed_threshold"),
             dilate=_grid_list(grid, "dilate"),
         )
     except KeyError as exc:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage as ndi
 
-from .core import Volume, erode_instances, face_slices, instance_centers
+from .core import Volume, check_number, erode_instances, face_slices, instance_centers
 
 __all__ = [
     "VARIANTS",
@@ -112,8 +112,7 @@ def encode_sdt(labels, scale=5.0, anisotropic=False):
     ``scale`` divides the distance before the tanh; with no boundary at all
     the output saturates to ±1.
     """
-    if isinstance(scale, bool) or not 0 < scale < np.inf:
-        raise ValueError(f"scale must be > 0 and finite, got {scale!r}")
+    check_number("scale", scale, gt=0)
     signed = signed_boundary_distance(labels, anisotropic=anisotropic)
     return Volume(np.tanh(signed / scale)[np.newaxis], labels.voxel_size)
 
@@ -177,8 +176,7 @@ def encode_gauss(labels, sigma=2.0):
     bit-identical, ties included. With no instances d^2 stays +inf and the
     target is all +0.0.
     """
-    if isinstance(sigma, bool) or not 0 < sigma < np.inf:
-        raise ValueError(f"sigma must be > 0 and finite, got {sigma!r}")
+    check_number("sigma", sigma, gt=0)
     lab = labels.labels
     nz, ny, nx = lab.shape
     z = np.arange(nz, dtype=np.float64)[:, None, None]

@@ -1,3 +1,6 @@
+import math
+import struct
+
 import numpy as np
 import pytest
 
@@ -230,7 +233,7 @@ def test_segment_nan_cpv_seed_threshold_is_one_line_error(workdir, capsys):
     args = ["segment", str(pred), str(out), "--variant", "sdt", "--seed-source", "cpv",
             "--cpv-seed-threshold", "nan"]
     assert main(args) == 1
-    assert "cpv_seed_threshold must be >= 0, got nan" in _one_line_error(capsys)
+    assert "cpv_seed_threshold must be a finite number >= 0, got nan" in _one_line_error(capsys)
     assert not out.exists()
 
 
@@ -243,7 +246,7 @@ def test_bad_encoder_parameter_is_one_line_error(workdir, capsys, variant, flag,
     out = workdir / "bad_param.v3dr"
     args = ["encode", str(workdir / "gt.v3dr"), str(out), "--variant", variant, f"{flag}={value}"]
     name = "sigma" if flag == "--sigma" else "scale"
-    expected = f"{name} must be > 0 and finite, got {value}"
+    expected = f"{name} must be a finite number > 0, got {value}"
     assert main(args) == 1
     assert expected in _one_line_error(capsys)
     assert not out.exists()
@@ -279,10 +282,10 @@ def test_bad_encoder_parameter_is_one_line_error(workdir, capsys, variant, flag,
          "shape: [10, 20, 20]\nn_instances: 1\nradius_range: [2, 3]\nsmoothing_sigma: -1\n",
          "smoothing_sigma"),
         ("count_bool.yaml", "shape: [10, 20, 20]\nn_instances: true\nradius_range: [2, 3]\n",
-         "n_instances must be a finite int >= 0, got True"),
+         "n_instances must be an integer >= 0, got True"),
         ("seed_bool.yaml",
          "shape: [10, 20, 20]\nn_instances: 1\nradius_range: [2, 3]\nrng_seed: false\n",
-         "rng_seed must be a finite int >= 0, got False"),
+         "rng_seed must be an integer >= 0, got False"),
         ("touching_int.yaml",
          "shape: [10, 20, 20]\nn_instances: 1\nradius_range: [2, 3]\nallow_touching: 5\n",
          "allow_touching must be true or false, got 5"),
@@ -326,10 +329,11 @@ def test_sweep_spec_non_number_names_file(workdir, capsys):
         ("dilate", '["false"]', "dilate"),
         ("dilate", "[2]", "dilate"),
         ("seed_source", "[foo]", "seed_source must be 'main' or 'cpv', got 'foo'"),
-        ("cpv_seed_threshold", "[-1]", "cpv_seed_threshold must be >= 0"),
-        ("cpv_seed_threshold", "[.nan]", "cpv_seed_threshold must be >= 0, got nan"),
-        ("seed_threshold", '["-0.1"]', "grid seed_threshold entries must be numbers"),
-        ("seed_threshold", "[true]", "grid seed_threshold entries must be numbers"),
+        ("cpv_seed_threshold", "[-1]", "cpv_seed_threshold must be a finite number >= 0, got -1"),
+        ("cpv_seed_threshold", "[.nan]",
+         "cpv_seed_threshold must be a finite number >= 0, got nan"),
+        ("seed_threshold", '["-0.1"]', "seed_threshold must be a finite number, got '-0.1'"),
+        ("seed_threshold", "[true]", "seed_threshold must be a finite number, got True"),
         ("foreground_threshold", "0", "grid foreground_threshold must be a list"),
         ("seed_source", "main", "grid seed_source must be a list, got 'main'"),
         ("dilate", "false", "grid dilate must be a list"),
@@ -392,3 +396,58 @@ def test_volume_of_wrong_kind_is_one_line_error(workdir, capsys, argv, wrong, ex
     assert main([a.format(**paths) for a in argv]) == 1
     err = _one_line_error(capsys)
     assert paths[wrong].name in err and expected in err
+
+
+def _sweep_spec(path, **grid):
+    grid = {
+        "seed_source": "[main]", "seed_threshold": "[-0.14]", "foreground_threshold": "[0]",
+        "cpv_seed_threshold": "[0]", "dilate": "[false]", **grid,
+    }
+    path.write_text(
+        "variant: sdt\nobjective: seg_avap\n"
+        "checkpoints: [{name: only, pairs: [{gt: gt.v3dr, pred: gt.v3dr}]}]\n"
+        "grid: {" + ", ".join(f"{k}: {v}" for k, v in grid.items()) + "}\n"
+    )
+
+
+def _cpv_pred(path):
+    labels = read_volume(path.parent / "gt.v3dr")
+    write_volume(path, encode_bundle(labels, "sdt", with_cpv=True).volume.astype(np.float32))
+
+
+def _inf_voxel_size(path):
+    header = bytearray((path.parent / "gt.v3dr").read_bytes())
+    header[28:36] = struct.pack("<d", math.inf)  # dz
+    path.write_bytes(header)
+
+
+@pytest.mark.parametrize(
+    "write,argv,expected",
+    [
+        (lambda p: p.write_text("shape: [10, 20, 20]\nn_instances: 1\nradius_range: [2, .inf]\n"),
+         ["phantom", "{input}", "{out}"], "radius_range[1] must be a finite number >= 1, got inf"),
+        (_cpv_pred,
+         ["segment", "{input}", "{out}", "--variant", "sdt", "--seed-source", "cpv",
+          "--cpv-seed-threshold", "inf"],
+         "cpv_seed_threshold must be a finite number >= 0, got inf"),
+        (lambda p: _sweep_spec(p, seed_threshold='["-0.1", true]'),
+         ["sweep", "{input}", "{out}"], "seed_threshold must be a finite number, got '-0.1'"),
+        (lambda p: _sweep_spec(p, seed_source="main"),
+         ["sweep", "{input}", "{out}"], "grid seed_source must be a list, got 'main'"),
+        (lambda p: None,
+         ["encode", "{gt}", "{out}", "--variant", "gauss", "--sigma", "nan"],
+         "sigma must be a finite number > 0, got nan"),
+        (_inf_voxel_size,
+         ["evaluate", "{input}", "{out}"], "voxel size dz must be a finite number > 0, got inf"),
+    ],
+    ids=["phantom-radius-inf", "segment-cpv-threshold-inf", "sweep-threshold-text",
+         "sweep-scalar-source", "encode-sigma-nan", "evaluate-voxel-size-inf"],
+)
+def test_refused_value_is_one_line_error(workdir, capsys, request, write, argv, expected):
+    case = request.node.callspec.id
+    paths = {"input": workdir / f"refused_{case}.in", "gt": workdir / "gt.v3dr",
+             "out": workdir / f"refused_{case}.out"}
+    write(paths["input"])
+    assert main([a.format(**paths) for a in argv]) == 1
+    assert expected in _one_line_error(capsys)
+    assert not list(workdir.glob(f"refused_{case}.out*"))

@@ -1,16 +1,26 @@
+import math
+
 import numpy as np
 import pytest
 
 from nuclei3d import (
     LabelVolume,
+    NmsConfig,
+    PhantomConfig,
     Point3,
+    PostprocConfig,
     Volume,
     VoxelSize,
     center_of_mass,
+    combined_loss,
     connected_components,
     dilate_instances,
+    encode_gauss,
+    encode_sdt,
     erode_instances,
+    extract_seeds_cpv,
     instance_centers,
+    ssd_loss,
 )
 from nuclei3d.core import _relabel_raster_order
 from nuclei3d.errors import ShapeMismatchError, UnknownIdError
@@ -231,3 +241,76 @@ class TestConnectedComponents:
     def test_volume_input_single_channel_only(self):
         with pytest.raises(ShapeMismatchError):
             connected_components(Volume(np.zeros((2, 2, 2, 2), dtype=np.uint8)))
+
+
+def _phantom(**kwargs):
+    return PhantomConfig(**{"shape": (8, 8, 8), "n_instances": 1, "radius_range": (2, 3), **kwargs})
+
+
+def _cpv_seeds(threshold):
+    return extract_seeds_cpv(Volume(np.zeros((3, 2, 2, 2))), np.ones((2, 2, 2), bool), threshold)
+
+
+def _combined(weight):
+    cpv = Volume(np.zeros((3, 2, 2, 2)))
+    return combined_loss(ssd_loss(cpv, cpv), cpv, cpv, Volume(np.ones((1, 2, 2, 2))), weight)
+
+
+_BLOB = LabelVolume(np.pad(np.ones((1, 1, 1), np.int32), 1))
+
+# (key named in the error, call with the value, refused value just past the bound or None,
+#  accepted value at or just inside the bound)
+NUMBER_PARAMETERS = {
+    "phantom.n_instances": ("n_instances", lambda v: _phantom(n_instances=v), -1, 0),
+    "phantom.rng_seed": ("rng_seed", lambda v: _phantom(rng_seed=v), -1, 0),
+    "phantom.min_gap": ("min_gap", lambda v: _phantom(min_gap=v), math.nextafter(0, -1), 0.0),
+    "phantom.noise_sigma": (
+        "noise_sigma", lambda v: _phantom(noise_sigma=v), math.nextafter(0, -1), 0.0),
+    "phantom.smoothing_sigma": (
+        "smoothing_sigma", lambda v: _phantom(smoothing_sigma=v), math.nextafter(0, -1), 0.0),
+    "phantom.shape": ("shape[1]", lambda v: _phantom(shape=(8, v, 8)), 0, 1),
+    "phantom.radius_range": (
+        "radius_range[0]", lambda v: _phantom(radius_range=(v, 3)), math.nextafter(1, 0), 1.0),
+    "postproc.seed_threshold": (
+        "seed_threshold", lambda v: PostprocConfig("sdt", seed_threshold=v), None, -1.5),
+    "postproc.foreground_threshold": (
+        "foreground_threshold", lambda v: PostprocConfig("sdt", foreground_threshold=v), None, -1.5),
+    "postproc.cpv_seed_threshold": (
+        "cpv_seed_threshold", lambda v: PostprocConfig("sdt", cpv_seed_threshold=v),
+        math.nextafter(0, -1), 0.0),
+    "extract_seeds_cpv": ("cpv_seed_threshold", _cpv_seeds, math.nextafter(0, -1), 0),
+    "nms.nms_distance": ("nms_distance", lambda v: NmsConfig(0.5, v), 0, 1),
+    "nms.gauss_threshold": ("gauss_threshold", lambda v: NmsConfig(v, 1), None, -1.5),
+    "encode_sdt": ("scale", lambda v: encode_sdt(_BLOB, scale=v), 0.0, 0.5),
+    "encode_gauss": ("sigma", lambda v: encode_gauss(_BLOB, sigma=v), 0.0, 0.5),
+    "voxel_size.dz": ("voxel size dz", lambda v: VoxelSize(dz=v), 0.0, 0.5),
+    "voxel_size.dy": ("voxel size dy", lambda v: VoxelSize(dy=v), 0.0, 0.5),
+    "voxel_size.dx": ("voxel size dx", lambda v: VoxelSize(dx=v), 0.0, 0.5),
+    "erode": ("iterations", lambda v: erode_instances(_BLOB, v), -1, 0),
+    "dilate": ("iterations", lambda v: dilate_instances(_BLOB, v), -1, 0),
+    "combined_loss": ("main_weight", _combined, 0.0, 0.5),
+}
+
+
+@pytest.mark.parametrize(
+    "caller,value",
+    [
+        pytest.param(caller, value, id=f"{caller}-{value!r}")
+        for caller, (_, _, past, _) in NUMBER_PARAMETERS.items()
+        for value in (True, np.True_, "1", None, math.nan, math.inf)
+        + (() if past is None else (past,))
+    ],
+)
+def test_number_parameter_refused_naming_key(caller, value):
+    key, call, _, _ = NUMBER_PARAMETERS[caller]
+    with pytest.raises(ValueError) as info:
+        call(value)
+    message = str(info.value)
+    assert message.startswith(f"{key} must be ") and message.endswith(f", got {value!r}")
+
+
+@pytest.mark.parametrize("caller", NUMBER_PARAMETERS)
+def test_number_parameter_accepted_at_bound(caller):
+    _, call, _, edge = NUMBER_PARAMETERS[caller]
+    call(edge)
+    call(np.float32(edge) if isinstance(edge, float) else np.int64(edge))

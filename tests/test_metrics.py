@@ -52,6 +52,18 @@ class TestIouMatrix:
             for k in got:
                 assert got[k] == pytest.approx(expected[k], abs=1e-12)
 
+    def test_sparse_large_ids(self):
+        # sizes come from the sorted IDs, not from arrays indexed by ID
+        big = 2**40
+        gt = np.zeros((1, 1, 6), dtype=np.int64)
+        pred = np.zeros((1, 1, 6), dtype=np.int64)
+        gt[0, 0, :2], gt[0, 0, 2:5] = 1, big
+        pred[0, 0, :3], pred[0, 0, 3:6] = big, 1
+        assert iou_matrix(LabelVolume(gt), LabelVolume(gt)) == {(1, 1): 1.0, (big, big): 1.0}
+        assert iou_matrix(LabelVolume(gt), LabelVolume(pred)) == {
+            (1, big): 2 / 3, (big, big): 1 / 5, (big, 1): 2 / 4,
+        }
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             iou_matrix(

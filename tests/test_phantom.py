@@ -120,13 +120,13 @@ class TestGenerate:
     @pytest.mark.parametrize(
         "key,value,expected",
         [
-            ("n_instances", True, "n_instances must be a finite int >= 0, got True"),
-            ("rng_seed", False, "rng_seed must be a finite int >= 0, got False"),
-            ("min_gap", True, "min_gap must be a finite float >= 0, got True"),
+            ("n_instances", True, "n_instances must be an integer >= 0, got True"),
+            ("rng_seed", False, "rng_seed must be an integer >= 0, got False"),
+            ("min_gap", True, "min_gap must be a finite number >= 0, got True"),
             ("allow_touching", 5, "allow_touching must be true or false, got 5"),
             ("allow_touching", "no", "allow_touching must be true or false, got 'no'"),
-            ("shape", (8, True, 8), "shape must be a list of integers"),
-            ("radius_range", (2, True), "radius_range must be a list of numbers"),
+            ("shape", (8, True, 8), "shape[1] must be an integer >= 1, got True"),
+            ("radius_range", (2, True), "radius_range[1] must be a finite number >= 1, got True"),
         ],
     )
     def test_bool_and_non_bool_values_rejected(self, key, value, expected):

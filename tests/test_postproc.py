@@ -157,7 +157,8 @@ class TestCpvSeeds:
     @pytest.mark.parametrize("threshold", [-1.0, float("nan")])
     def test_bad_threshold_rejected(self, threshold):
         fg = np.ones((2, 2, 2), dtype=bool)
-        with pytest.raises(ValueError, match="cpv_seed_threshold must be >= 0"):
+        expected = f"cpv_seed_threshold must be a finite number >= 0, got {threshold!r}"
+        with pytest.raises(ValueError, match=re.escape(expected)):
             extract_seeds_cpv(Volume(np.zeros((3, 2, 2, 2))), fg, threshold)
 
     def test_rounding_half_away_from_zero(self):
@@ -186,6 +187,18 @@ class TestWatershed:
                 LabelVolume(np.zeros(fg.shape, dtype=np.int32)),
             )
             assert out.labels.dtype == np.int32 and (out.labels == 0).all()
+
+    def test_seed_id_beyond_int32_refused(self):
+        fg = np.ones((1, 1, 4), dtype=bool)
+        seeds = np.zeros((1, 1, 4), dtype=np.int64)
+        seeds[0, 0, 0] = 2**32 + 5  # would wrap to 5 in int32
+        with pytest.raises(ValueError, match=f"seed ID {2**32 + 5} exceeds"):
+            watershed(TopographicMap(np.zeros(fg.shape), fg), LabelVolume(seeds))
+        # outside the foreground the seed is clipped away before the cast
+        fg[0, 0, 0] = False
+        seeds[0, 0, 1] = 7
+        out = watershed(TopographicMap(np.zeros(fg.shape), fg), LabelVolume(seeds)).labels
+        np.testing.assert_array_equal(out, [[[0, 7, 7, 7]]])
 
     def test_dumbbell_splits_at_ridge(self):
         values = np.zeros((1, 3, 7))
@@ -353,18 +366,22 @@ class TestSegment:
         with pytest.raises(ValueError):
             PostprocConfig("sdt", seed_source="votes")
         for bad in (-1.0, float("nan")):
-            with pytest.raises(ValueError, match="cpv_seed_threshold must be >= 0"):
+            expected = f"cpv_seed_threshold must be a finite number >= 0, got {bad!r}"
+            with pytest.raises(ValueError, match=re.escape(expected)):
                 PostprocConfig("sdt", cpv_seed_threshold=bad)
 
     @pytest.mark.parametrize(
         "key,value,expected",
         [
-            ("seed_threshold", True, "seed_threshold must be a number, got True"),
-            ("foreground_threshold", False, "foreground_threshold must be a number, got False"),
-            ("cpv_seed_threshold", True, "cpv_seed_threshold must be a number, got True"),
-            ("seed_threshold", "0.5", "seed_threshold must be a number, got '0.5'"),
-            ("seed_threshold", float("inf"), "seed_threshold must be finite, got inf"),
-            ("foreground_threshold", float("nan"), "foreground_threshold must be finite, got nan"),
+            ("seed_threshold", True, "seed_threshold must be a finite number, got True"),
+            ("foreground_threshold", False,
+             "foreground_threshold must be a finite number, got False"),
+            ("cpv_seed_threshold", True,
+             "cpv_seed_threshold must be a finite number >= 0, got True"),
+            ("seed_threshold", "0.5", "seed_threshold must be a finite number, got '0.5'"),
+            ("seed_threshold", float("inf"), "seed_threshold must be a finite number, got inf"),
+            ("foreground_threshold", float("nan"),
+             "foreground_threshold must be a finite number, got nan"),
             ("dilate_result", "no", "dilate_result must be true or false, got 'no'"),
             ("dilate_result", 1, "dilate_result must be true or false, got 1"),
         ],

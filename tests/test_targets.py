@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -81,7 +83,8 @@ class TestSdt:
 
     def test_scale_must_be_positive(self):
         for scale in (0.0, -1.0, float("nan"), float("inf"), True):
-            with pytest.raises(ValueError, match="scale must be > 0"):
+            expected = f"scale must be a finite number > 0, got {scale!r}"
+            with pytest.raises(ValueError, match=re.escape(expected)):
                 encode_sdt(ball_labels(), scale=scale)
 
 
@@ -228,7 +231,8 @@ class TestGauss:
 
     def test_sigma_must_be_positive(self, blobs):
         for sigma in (0.0, -1.0, float("nan"), float("inf"), True):
-            with pytest.raises(ValueError, match="sigma must be > 0"):
+            expected = f"sigma must be a finite number > 0, got {sigma!r}"
+            with pytest.raises(ValueError, match=re.escape(expected)):
                 encode_gauss(blobs, sigma=sigma)
 
     @staticmethod
