@@ -17,13 +17,13 @@ import numpy as np
 
 from nuclei3d import (
     PhantomConfig,
-    center_of_mass,
     encode_bundle,
     encode_cpv,
     encode_gauss,
     encode_sdt,
     encode_three_label,
     generate_phantom,
+    instance_centers,
 )
 from nuclei3d.targets import BACKGROUND, BOUNDARY, INTERIOR
 
@@ -56,14 +56,14 @@ print(f"gauss peak {gauss.max():.3f} (1.0 up to center rounding), background flo
 
 # --- center point vectors -------------------------------------------------
 cpv = encode_cpv(labels)
-i = int(labels.ids()[0])
-c = center_of_mass(labels, i)
+ids, counts, centers = instance_centers(labels)
+i, c = int(ids[0]), centers[0]
 zz, yy, xx = np.nonzero(labels.labels == i)
 v = cpv.data[:, zz[0], yy[0], xx[0]]
-print(f"instance {i}: center of mass ({c.z:.2f}, {c.y:.2f}, {c.x:.2f})")
+print(f"instance {i}: {counts[0]} voxels, center of mass ({c[0]:.2f}, {c[1]:.2f}, {c[2]:.2f})")
 print(f"  voxel ({zz[0]}, {yy[0]}, {xx[0]}) carries vector ({v[0]:+.2f}, {v[1]:+.2f}, {v[2]:+.2f})")
 print("  voxel + vector lands on the center:",
-      np.allclose([zz[0] + v[0], yy[0] + v[1], xx[0] + v[2]], [c.z, c.y, c.x]))
+      np.allclose([zz[0] + v[0], yy[0] + v[1], xx[0] + v[2]], c))
 
 # --- bundles: what a matching network head would output --------------------
 for variant in ("sdt", "3label", "affinities", "gauss"):

@@ -8,10 +8,8 @@ hyper-parameter sweeps, and a synthetic phantom generator.
 
 from .core import (
     LabelVolume,
-    Point3,
     Volume,
     VoxelSize,
-    center_of_mass,
     connected_components,
     dilate_instances,
     erode_instances,

@@ -11,21 +11,19 @@ Conventions used throughout the toolkit:
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 from numbers import Integral, Real
-from typing import NamedTuple
 
 import numpy as np
 from scipy import ndimage as ndi
 
-from .errors import ShapeMismatchError, UnknownIdError
+from .errors import ShapeMismatchError
 
 __all__ = [
     "VoxelSize",
-    "Point3",
     "Volume",
     "LabelVolume",
     "instance_centers",
-    "center_of_mass",
     "erode_instances",
     "dilate_instances",
     "connected_components",
@@ -69,14 +67,6 @@ class VoxelSize:
 
     def as_tuple(self):
         return (self.dz, self.dy, self.dx)
-
-
-class Point3(NamedTuple):
-    """A continuous coordinate in voxel units."""
-
-    z: float
-    y: float
-    x: float
 
 
 def _readonly(arr):
@@ -142,7 +132,9 @@ class Volume:
 class LabelVolume:
     """Dense 3d grid of instance IDs; 0 is background.
 
-    IDs need not be contiguous. The stored array is exposed read-only.
+    IDs need not be contiguous. The stored array is exposed read-only, and
+    its IDs and voxel counts are computed once; callers must not mutate the
+    array they passed in afterwards.
     """
 
     labels: np.ndarray
@@ -164,9 +156,14 @@ class LabelVolume:
     def shape(self):
         return self.labels.shape
 
+    @cached_property
+    def id_counts(self):
+        """Read-only sorted positive IDs, in the labels' dtype, and their voxel counts."""
+        return tuple(map(_readonly, id_counts(self.labels)))
+
     def ids(self):
         """Sorted array of the positive instance IDs present, in the labels' dtype."""
-        return id_counts(self.labels)[0]
+        return self.id_counts[0]
 
     def foreground(self):
         """Boolean mask of all foreground voxels."""
@@ -222,27 +219,6 @@ def instance_centers(labels):
     # integer coordinates sum exactly in float64 (below 2**53) in any order; .mean() is sum / n
     sums = [np.add.reduceat(c[order], starts, dtype=np.float64) for c in coords]
     return ids[starts], counts, np.stack(sums, axis=1) / counts[:, None]
-
-
-def center_of_mass(labels, instance_id):
-    """Unweighted mean of the voxel-center coordinates carrying ``instance_id``.
-
-    Parameters
-    ----------
-    labels : LabelVolume
-    instance_id : int
-        Positive instance ID; must be present in ``labels``.
-
-    Returns
-    -------
-    Point3
-        Center of mass in voxel units.
-    """
-    ids, _, centers = instance_centers(labels)
-    row = np.searchsorted(ids, instance_id)
-    if row == ids.size or ids[row] != instance_id:
-        raise UnknownIdError(f"instance id {instance_id} not present")
-    return Point3(*(float(c) for c in centers[row]))
 
 
 def face_slices(axis):

@@ -13,10 +13,6 @@ class ChannelCountError(Nuclei3dError):
     """A prediction volume has the wrong number of channels for its variant."""
 
 
-class UnknownIdError(Nuclei3dError):
-    """A requested instance ID is not present in the label volume."""
-
-
 class InvalidClassError(Nuclei3dError):
     """A classification target contains values outside its legal class set."""
 

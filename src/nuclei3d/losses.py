@@ -122,17 +122,13 @@ def sigmoid_bce_loss(logits, target):
 def combined_loss(main, cpv_pred, cpv_target, fg_mask, main_weight):
     """Main loss plus the auxiliary center-point-vector loss.
 
-    ``main`` is either a LossResult over the main channels or a zero-argument
-    callable producing one. The auxiliary term is an unweighted SSD on the
-    vector channels, masked to the ground-truth foreground; only the main
-    term carries ``main_weight``. The gradient concatenates the scaled main
+    ``main`` is the LossResult over the main channels. The auxiliary term is
+    an unweighted SSD on the vector channels, masked to the ground-truth
+    foreground; only the main term carries ``main_weight``. The gradient concatenates the scaled main
     gradient with the auxiliary gradient, in that channel order.
     """
     check_number("main_weight", main_weight, gt=0)
-    main_result = main() if callable(main) else main
     aux = ssd_loss(cpv_pred, cpv_target, fg_mask)
-    value = main_weight * main_result.value + aux.value
-    grad = np.concatenate(
-        [main_weight * _f64(main_result.gradient), _f64(aux.gradient)], axis=0
-    )
+    value = main_weight * main.value + aux.value
+    grad = np.concatenate([main_weight * _f64(main.gradient), _f64(aux.gradient)], axis=0)
     return LossResult(value, Volume(grad, cpv_pred.voxel_size))

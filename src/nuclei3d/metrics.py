@@ -65,8 +65,8 @@ def iou_matrix(gt, pred):
     both = (g > 0) & (p > 0)
     if not both.any():
         return {}
-    g_ids, g_size = id_counts(g)
-    p_ids, p_size = id_counts(p)
+    g_ids, g_size = gt.id_counts
+    p_ids, p_size = pred.id_counts
     # pairs are keyed by rank in the sorted IDs, so large sparse IDs cannot overflow the key
     keys = np.searchsorted(g_ids, g[both]) * p_ids.size + np.searchsorted(p_ids, p[both])
     pair, inter = np.unique(keys, return_counts=True)
@@ -89,7 +89,7 @@ def segmentation_ap(gt, pred, iou_threshold):
     if not 0 < iou_threshold < 1:
         raise ValueError("iou_threshold must be in (0, 1)")
     matched = _matched_ious(iou_matrix(gt, pred))
-    return _counts(matched, len(gt.ids()), len(pred.ids()), iou_threshold)
+    return _ap_counts(sum(iou > iou_threshold for iou in matched), gt.ids().size, pred.ids().size)
 
 
 def _matched_ious(ious):
@@ -110,17 +110,12 @@ def _matched_ious(ious):
     return matched
 
 
-def _counts(matched, n_gt, n_pred, iou_threshold):
-    """(ap, tp, fp, fn) at one threshold from the ``_matched_ious`` list."""
-    tp = sum(iou > iou_threshold for iou in matched)
+def _ap_counts(tp, n_gt, n_pred):
+    """(ap, tp, fp, fn) from the true positives and the gt and prediction totals."""
     fp = n_pred - tp
     fn = n_gt - tp
-    return _ap(tp, fp, fn), tp, fp, fn
-
-
-def _ap(tp, fp, fn):
     denom = tp + fp + fn
-    return float(tp) / denom if denom else 1.0
+    return (float(tp) / denom if denom else 1.0), tp, fp, fn
 
 
 def detection_ap(gt, detections):
@@ -137,20 +132,15 @@ def detection_ap(gt, detections):
     (ap, tp, fp, fn)
     """
     lab = gt.labels
-    nz, ny, nx = lab.shape
-    hits = {}
-    n_background = 0
-    for det in detections:
-        z, y, x = (int(round_half_away(v)) for v in (det.z, det.y, det.x))
-        if 0 <= z < nz and 0 <= y < ny and 0 <= x < nx and lab[z, y, x] > 0:
-            hits[int(lab[z, y, x])] = hits.get(int(lab[z, y, x]), 0) + 1
-        else:
-            n_background += 1
-    tp = len(hits)
-    extra = sum(h - 1 for h in hits.values())
-    fp = n_background + extra
-    fn = len(gt.ids()) - tp
-    return _ap(tp, fp, fn), tp, fp, fn
+    pts = np.array([(d.z, d.y, d.x) for d in detections], dtype=np.float64).reshape(-1, 3)
+    if not np.isfinite(pts).all():
+        raise ValueError("detections must be finite")
+    pts = round_half_away(pts)
+    inside = ((pts >= 0) & (pts < lab.shape)).all(axis=1)
+    hit = lab[tuple(pts[inside].astype(np.intp).T)]
+    # one TP per distinct instance hit; every other detection is a FP
+    tp = id_counts(hit)[0].size
+    return _ap_counts(tp, gt.ids().size, len(detections))
 
 
 def evaluate(gt, seg=None, detections=None):
@@ -159,8 +149,10 @@ def evaluate(gt, seg=None, detections=None):
     det_ap = det_counts = None
     if seg is not None:
         matched = _matched_ious(iou_matrix(gt, seg))
-        n_gt, n_seg = len(gt.ids()), len(seg.ids())
-        matches = {t: _counts(matched, n_gt, n_seg, t) for t in IOU_THRESHOLDS}
+        n_gt, n_seg = gt.ids().size, seg.ids().size
+        matches = {
+            t: _ap_counts(sum(iou > t for iou in matched), n_gt, n_seg) for t in IOU_THRESHOLDS
+        }
         ap_per_iou = {t: m[0] for t, m in matches.items()}
         seg_counts = {t: m[1:] for t, m in matches.items()}
         av_ap = sum(ap_per_iou[t] for t in IOU_THRESHOLDS) / len(IOU_THRESHOLDS)
@@ -170,10 +162,8 @@ def evaluate(gt, seg=None, detections=None):
     return EvalReport(ap_per_iou, seg_counts, av_ap, det_ap, det_counts)
 
 
-def aggregate_reports(reports, mode="mean"):
+def aggregate_reports(reports):
     """Field-wise mean of AP values; counts are summed."""
-    if mode != "mean":
-        raise ValueError(f"unknown aggregation mode {mode!r}")
     if not reports:
         raise ValueError("cannot aggregate an empty report list")
     has_seg = reports[0].ap_per_iou is not None

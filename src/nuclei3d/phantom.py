@@ -47,7 +47,9 @@ class PhantomConfig:
             if f.type is bool and not isinstance(value, bool):
                 raise ValueError(f"{f.name} must be true or false, got {value!r}")
             if f.type in (int, float):
-                check_number(f.name, value, integer=f.type is int, ge=0)
+                # numpy scalars become Python numbers, which the YAML report can write
+                value = f.type(check_number(f.name, value, integer=f.type is int, ge=0))
+                object.__setattr__(self, f.name, value)
 
     def to_mapping(self):
         m = asdict(self)

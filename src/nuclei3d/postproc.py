@@ -149,13 +149,10 @@ def accumulate_votes(cpv_pred, fg_mask):
     discarded. The counter total therefore equals the number of foreground
     voxels whose vote lands in bounds.
     """
-    vol = _pred_volume(cpv_pred)
-    if isinstance(vol, Volume):
-        if vol.channels != 3:
-            raise ChannelCountError(f"cpv prediction needs 3 channels, got {vol.channels}")
-        vec = vol.data.astype(np.float64, copy=False)
-    else:
-        vec = np.asarray(vol, dtype=np.float64)
+    if not isinstance(cpv_pred, Volume) or cpv_pred.channels != 3:
+        got = getattr(cpv_pred, "channels", type(cpv_pred).__name__)
+        raise ChannelCountError(f"cpv prediction must be a 3-channel Volume, got {got}")
+    vec = cpv_pred.data.astype(np.float64, copy=False)
     fg = np.asarray(fg_mask, dtype=bool)
     if vec.shape[1:] != fg.shape:
         raise ShapeMismatchError("cpv channels and foreground mask shapes differ")
@@ -182,9 +179,7 @@ def extract_seeds_cpv(cpv_pred, fg_mask, cpv_seed_threshold):
     check_number("cpv_seed_threshold", cpv_seed_threshold, ge=0)
     counts = accumulate_votes(cpv_pred, fg_mask)
     mask = counts >= cpv_seed_threshold
-    vol = _pred_volume(cpv_pred)
-    voxel_size = vol.voxel_size if isinstance(vol, Volume) else VoxelSize()
-    return connected_components(Volume(mask, voxel_size))
+    return connected_components(Volume(mask, cpv_pred.voxel_size))
 
 
 def watershed(topo, seeds):

@@ -314,6 +314,32 @@ def greedy_match_counts(ious, n_gt, n_pred, iou_threshold):
     return (float(tp) / denom if denom else 1.0), tp, fp, fn
 
 
+def detection_counts_oracle(lab, detections):
+    """Center-point detection (ap, tp, fp, fn) by a per-detection loop.
+
+    Each detection rounds half away from zero per coordinate. Hits per
+    instance are tallied; an instance with a hit is one TP, and every
+    further hit, background hit and out-of-bounds detection is a FP.
+    """
+
+    def rnd(v):
+        return int(np.floor(abs(v) + 0.5) * (1 if v >= 0 else -1))
+
+    hits = {}
+    n_background = 0
+    for det in detections:
+        z, y, x = rnd(det.z), rnd(det.y), rnd(det.x)
+        if _in_bounds(lab.shape, z, y, x) and lab[z, y, x] > 0:
+            hits[int(lab[z, y, x])] = hits.get(int(lab[z, y, x]), 0) + 1
+        else:
+            n_background += 1
+    tp = len(hits)
+    fp = n_background + sum(h - 1 for h in hits.values())
+    fn = len(set(lab[lab > 0].tolist())) - tp
+    denom = tp + fp + fn
+    return (float(tp) / denom if denom else 1.0), tp, fp, fn
+
+
 def naive_sweep(spec):
     """Sweep table and selection by re-running every (checkpoint, grid point, pair)."""
     from nuclei3d import (

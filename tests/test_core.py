@@ -7,11 +7,9 @@ from nuclei3d import (
     LabelVolume,
     NmsConfig,
     PhantomConfig,
-    Point3,
     PostprocConfig,
     Volume,
     VoxelSize,
-    center_of_mass,
     combined_loss,
     connected_components,
     dilate_instances,
@@ -23,7 +21,7 @@ from nuclei3d import (
     ssd_loss,
 )
 from nuclei3d.core import _relabel_raster_order
-from nuclei3d.errors import ShapeMismatchError, UnknownIdError
+from nuclei3d.errors import ShapeMismatchError
 
 from conftest import random_blob_labels
 from oracles import com_oracle, dilate_oracle, erode_oracle, unionfind_components
@@ -90,32 +88,38 @@ class TestIds:
         assert LabelVolume(lab).ids().tolist() == [2**63 + 1, 2**63 + 2]
         assert instance_centers(LabelVolume(lab))[0].tolist() == [2**63 + 1, 2**63 + 2]
 
+    def test_ids_and_counts_are_cached_read_only(self):
+        lv = LabelVolume(np.array([[[3, 0, 3, 1]]], dtype=np.int32))
+        ids, counts = lv.id_counts
+        assert ids.tolist() == [1, 3] and counts.tolist() == [1, 2]
+        assert lv.id_counts is lv.id_counts and lv.ids() is ids
+        assert not ids.flags.writeable and not counts.flags.writeable
+
 
 class TestCenterOfMass:
+    """``instance_centers`` rows as the center of mass of one instance."""
+
     def test_single_voxel(self):
-        lv = make_labels({1: [(2, 3, 4)]})
-        assert center_of_mass(lv, 1) == Point3(2.0, 3.0, 4.0)
+        ids, counts, centers = instance_centers(make_labels({1: [(2, 3, 4)]}))
+        assert ids.tolist() == [1] and counts.tolist() == [1]
+        assert centers.tolist() == [[2.0, 3.0, 4.0]]
 
     def test_two_voxel_midpoint(self):
-        lv = make_labels({1: [(0, 0, 0), (0, 0, 2)]})
-        assert center_of_mass(lv, 1) == Point3(0.0, 0.0, 1.0)
+        _, counts, centers = instance_centers(make_labels({1: [(0, 0, 0), (0, 0, 2)]}))
+        assert counts.tolist() == [2] and centers.tolist() == [[0.0, 0.0, 1.0]]
 
     def test_random_blob_matches_summation_oracle(self, rng):
         for _ in range(5):
             lab = np.zeros((6, 6, 6), dtype=np.int32)
             picks = rng.choice(6 * 6 * 6, size=8, replace=False)
             lab.ravel()[picks] = 7
-            got = center_of_mass(LabelVolume(lab), 7)
-            np.testing.assert_allclose(got, com_oracle(lab, 7), atol=1e-12)
+            ids, counts, centers = instance_centers(LabelVolume(lab))
+            assert ids.tolist() == [7] and counts.tolist() == [8]
+            np.testing.assert_allclose(centers[0], com_oracle(lab, 7), atol=1e-12)
 
     def test_point_symmetric_set_has_symmetric_center(self):
         lv = make_labels({1: [(1, 1, 1), (3, 3, 3), (1, 3, 1), (3, 1, 3)]})
-        assert center_of_mass(lv, 1) == Point3(2.0, 2.0, 2.0)
-
-    def test_unknown_id(self):
-        lv = make_labels({1: [(0, 0, 0)]})
-        with pytest.raises(UnknownIdError):
-            center_of_mass(lv, 9)
+        assert instance_centers(lv)[2].tolist() == [[2.0, 2.0, 2.0]]
 
 
 class TestInstanceCenters:

@@ -181,15 +181,6 @@ class TestCombined:
         assert res.gradient.channels == 4
         np.testing.assert_array_equal(res.gradient.data[1:], 0.0)
 
-    def test_accepts_callable_main(self, rng):
-        pred = Volume(rng.random((1, 3, 3, 3)))
-        target = Volume(rng.random((1, 3, 3, 3)))
-        cpv = Volume(np.zeros((3, 3, 3, 3)))
-        fg = Volume(np.ones((1, 3, 3, 3)))
-        direct = combined_loss(ssd_loss(pred, target), cpv, cpv, fg, 1.0)
-        lazy = combined_loss(lambda: ssd_loss(pred, target), cpv, cpv, fg, 1.0)
-        assert direct.value == lazy.value
-
     def test_gradient_matches_finite_differences(self, rng):
         lab = random_blob_labels(rng, (3, 3, 3), 2)
         lv = LabelVolume(lab)

@@ -14,7 +14,9 @@ from nuclei3d import (
 from nuclei3d.errors import ShapeMismatchError
 
 from conftest import random_blob_labels
-from oracles import greedy_match_counts, iou_pairs_oracle, optimal_match_count
+from oracles import (
+    detection_counts_oracle, greedy_match_counts, iou_pairs_oracle, optimal_match_count,
+)
 
 
 def labels_from(arr):
@@ -251,6 +253,49 @@ class TestDetectionAp:
         assert tp + fn == len(gt.ids())
         assert tp + fp == len(dets)
 
+    @staticmethod
+    def random_detections(rng, shape, lab):
+        """Detections mixing every case: out of bounds, background, several per
+        instance, coordinates exactly on a +-0.5 rounding boundary."""
+        dets = []
+        fg = np.argwhere(lab > 0)
+        for _ in range(int(rng.integers(0, 25))):
+            kind = rng.integers(0, 5)
+            if kind == 0:  # out of bounds on one axis, possibly far away
+                p = rng.uniform(0, shape).tolist()
+                axis = int(rng.integers(0, 3))
+                p[axis] = float(rng.choice([-0.5, -0.51, shape[axis] - 0.5, -3.0, 1e300, -1e300]))
+            elif kind == 1 and fg.size:  # a foreground voxel center
+                p = fg[rng.integers(0, len(fg))].astype(float).tolist()
+            elif kind == 2 and dets:  # a repeat of an earlier detection, nudged
+                p = [v + float(rng.choice([0.0, 0.25, -0.25])) for v in dets[-1][:3]]
+            elif kind == 3:  # a voxel center shifted by exactly +-0.5 per axis
+                p = (rng.integers(0, shape) + rng.choice([-0.5, 0.0, 0.5], size=3)).tolist()
+            else:  # anywhere in the volume, background included
+                p = rng.uniform(-0.5, shape).tolist()
+            dets.append(Detection(*p, float(rng.random())))
+        return dets
+
+    def test_matches_loop_oracle_on_random_layouts(self, rng):
+        shape = (6, 7, 8)
+        seen_empty = False
+        for trial in range(80):
+            lab = random_blob_labels(rng, shape, int(rng.integers(0, 6)))
+            dets = [] if trial == 0 else self.random_detections(rng, shape, lab)
+            seen_empty |= not dets
+            got = detection_ap(labels_from(lab), dets)
+            assert got == detection_counts_oracle(lab, dets)
+            assert all(type(v) is int for v in got[1:])
+        assert seen_empty
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_non_finite_coordinates_rejected(self, bad, axis):
+        p = [1.0, 1.0, 1.0]
+        p[axis] = bad
+        with pytest.raises(ValueError, match="detections must be finite"):
+            detection_ap(self.make_gt(), [Detection(2, 2, 2, 1.0), Detection(*p, 0.5)])
+
     def test_centroids_of_convex_instances_are_perfect(self, rng):
         from nuclei3d import centroids_from_labels
         from test_targets import ball_labels
@@ -310,6 +355,29 @@ class TestEvaluateAndAggregate:
                 ap, tp, fp, fn = segmentation_ap(gtv, prv, t)
                 assert report.seg_counts[t] == (tp, fp, fn)
                 assert report.ap_per_iou[t] == ap
+
+    def test_evaluate_sorts_each_volume_once(self, rng, monkeypatch):
+        import nuclei3d.core
+        import nuclei3d.metrics
+
+        seen = []
+        real = nuclei3d.core.id_counts
+
+        def counting(lab):
+            seen.append(lab)
+            return real(lab)
+
+        monkeypatch.setattr(nuclei3d.core, "id_counts", counting)
+        monkeypatch.setattr(nuclei3d.metrics, "id_counts", counting)
+        gt = labels_from(random_blob_labels(rng, (8, 8, 8), 4))
+        seg = labels_from(np.roll(gt.labels, 1, axis=2))
+        first = evaluate(gt, seg=seg)
+        assert len(seen) <= 2
+        seen.clear()
+        seg2 = labels_from(np.roll(gt.labels, 1, axis=1))
+        evaluate(gt, seg=seg2)
+        assert len(seen) <= 1 and not any(lab is gt.labels for lab in seen)
+        assert evaluate(gt, seg=seg) == first
 
     def test_omitted_inputs_stay_none(self, rng):
         lab = labels_from(random_blob_labels(rng, (6, 6, 6), 2))

@@ -144,6 +144,22 @@ class TestGenerate:
         assert all(type(v) is int for v in cfg.shape)
         assert all(type(v) is float for v in cfg.radius_range)
 
+    def test_numpy_scalar_fields_are_plain_numbers(self, tmp_path):
+        from nuclei3d import read_report, write_report
+
+        cfg = PhantomConfig(
+            shape=(8, 8, 8), n_instances=np.int64(1), radius_range=(2, 3),
+            min_gap=np.float32(1.5), rng_seed=np.uint8(4), noise_sigma=np.int64(0),
+            smoothing_sigma=np.float64(0.5),
+        )
+        assert all(type(getattr(cfg, k)) is int for k in ("n_instances", "rng_seed"))
+        assert all(
+            type(getattr(cfg, k)) is float for k in ("min_gap", "noise_sigma", "smoothing_sigma")
+        )
+        path = tmp_path / "phantom.yaml"
+        write_report(path, cfg.to_mapping())
+        assert PhantomConfig.from_mapping(read_report(path)) == cfg
+
     def test_config_yaml_round_trip(self, tmp_path):
         from nuclei3d import read_report, write_report
 

@@ -161,6 +161,18 @@ class TestCpvSeeds:
         with pytest.raises(ValueError, match=re.escape(expected)):
             extract_seeds_cpv(Volume(np.zeros((3, 2, 2, 2))), fg, threshold)
 
+    def test_only_a_three_channel_volume_votes(self):
+        fg = np.ones((2, 2, 2), dtype=bool)
+        lv = LabelVolume(np.zeros((2, 2, 2), dtype=np.int32))
+        for bad in (
+            np.zeros((3, 2, 2, 2)), Volume(np.zeros((4, 2, 2, 2))), lv,
+            encode_bundle(lv, "sdt", with_cpv=True),
+        ):
+            with pytest.raises(ChannelCountError, match="3-channel Volume"):
+                accumulate_votes(bad, fg)
+            with pytest.raises(ChannelCountError, match="3-channel Volume"):
+                extract_seeds_cpv(bad, fg, 1)
+
     def test_rounding_half_away_from_zero(self):
         fg = np.zeros((1, 1, 4), dtype=bool)
         fg[0, 0, 1] = True

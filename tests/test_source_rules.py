@@ -1,0 +1,28 @@
+"""Rules on the package source that no behavioural test would catch."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "nuclei3d"
+
+
+def test_no_bare_np_unique():
+    """``np.unique`` only with a ``return_*`` argument.
+
+    A bare ``np.unique`` takes a hash path on numpy >= 2.3 that is several
+    times slower than sorting on label volumes; distinct IDs come from
+    ``core.id_counts`` or ``LabelVolume.ids()`` instead.
+    """
+    bare = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "unique"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in ("np", "numpy")
+                and not any((k.arg or "").startswith("return_") for k in node.keywords)
+            ):
+                bare.append(f"{path.name}:{node.lineno}")
+    assert not bare, f"bare np.unique call(s): {', '.join(bare)}"

@@ -5,7 +5,6 @@ import pytest
 
 from nuclei3d import (
     LabelVolume,
-    center_of_mass,
     encode_affinities,
     encode_bundle,
     encode_cpv,
@@ -181,12 +180,12 @@ class TestCpv:
 
     def test_matches_library_center_of_mass_exactly(self, blobs):
         out = encode_cpv(blobs).data
-        for i in blobs.ids():
-            c = center_of_mass(blobs, int(i))
+        ids, _, centers = instance_centers(blobs)
+        for i, c in zip(ids, centers):
             zz, yy, xx = np.nonzero(blobs.labels == i)
-            np.testing.assert_array_equal(out[0][zz, yy, xx], c.z - zz)
-            np.testing.assert_array_equal(out[1][zz, yy, xx], c.y - yy)
-            np.testing.assert_array_equal(out[2][zz, yy, xx], c.x - xx)
+            np.testing.assert_array_equal(out[0][zz, yy, xx], c[0] - zz)
+            np.testing.assert_array_equal(out[1][zz, yy, xx], c[1] - yy)
+            np.testing.assert_array_equal(out[2][zz, yy, xx], c[2] - xx)
 
     def test_background_is_zero(self, blobs):
         out = encode_cpv(blobs).data
