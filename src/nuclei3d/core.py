@@ -229,6 +229,22 @@ def face_slices(axis):
     return tuple(lo), tuple(hi)
 
 
+def face_neighbours(idx, shape):
+    """Flat indices of the six face neighbours of each flat index in ``idx``.
+
+    Returns an ``(idx.size, 6)`` array in the order -z, +z, -y, +y, -x, +x.
+    A neighbour outside the volume is replaced by the voxel itself.
+    """
+    nz, ny, nx = shape
+    z, y, x = np.unravel_index(idx, shape)
+    inside = (z > 0, z < nz - 1, y > 0, y < ny - 1, x > 0, x < nx - 1)
+    steps = (-ny * nx, ny * nx, -nx, nx, -1, 1)
+    out = np.empty((idx.size, 6), dtype=np.intp)
+    for k, (step, ok) in enumerate(zip(steps, inside)):
+        np.add(idx, ok * step, out=out[:, k])
+    return out
+
+
 def round_half_away(v):
     """Round to the nearest integer, halves away from zero; the result stays float."""
     return np.copysign(np.floor(np.abs(v) + 0.5), v)
@@ -280,39 +296,19 @@ def dilate_instances(labels, iterations):
     return LabelVolume(lab, labels.voxel_size)
 
 
-def connected_components(mask, connectivity=6):
-    """Label maximal connected foreground regions of a binary mask.
+def connected_components(mask):
+    """Label the 6-connected foreground regions of a single-channel bool ``Volume``.
 
     IDs are assigned in deterministic raster-scan first-encounter order,
     starting at 1.
-
-    Parameters
-    ----------
-    mask : Volume or ndarray
-        Single-channel binary mask with values in {0, 1}.
-    connectivity : {6, 26}
-        Face adjacency or full adjacency.
     """
-    if isinstance(mask, Volume):
-        if mask.channels != 1:
-            raise ShapeMismatchError("connected_components expects a single channel")
-        arr = mask.channel(0)
-        voxel_size = mask.voxel_size
-    else:
-        arr = np.asarray(mask)
-        voxel_size = VoxelSize()
-    if arr.ndim != 3:
-        raise ShapeMismatchError(f"mask must be 3d, got shape {arr.shape}")
-    if arr.dtype != bool and not np.isin(arr, (0, 1)).all():
-        raise ValueError("mask values must be 0 or 1")
-    if connectivity not in (6, 26):
-        raise ValueError("connectivity must be 6 or 26")
-    structure = ndi.generate_binary_structure(3, 1 if connectivity == 6 else 3)
-    lab, n = ndi.label(arr != 0, structure=structure)
+    if mask.channels != 1:
+        raise ShapeMismatchError("connected_components expects a single channel")
+    lab, n = ndi.label(mask.channel(0), structure=ndi.generate_binary_structure(3, 1))
     lab = lab.astype(np.int32)
     if n > 0:
         lab = _relabel_raster_order(lab, n)
-    return LabelVolume(lab, voxel_size)
+    return LabelVolume(lab, mask.voxel_size)
 
 
 def _relabel_raster_order(lab, n):

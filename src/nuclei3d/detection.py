@@ -3,9 +3,8 @@
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage as ndi
 
-from .core import check_number, instance_centers
+from .core import check_number, face_neighbours, instance_centers
 from .errors import ShapeMismatchError
 from .io import Detection
 
@@ -32,23 +31,36 @@ def nms_detect(pred, cfg):
     larger. Candidates are visited in raster order and dropped when an
     already-accepted detection lies within the window radius, so a tied
     plateau inside one window emits exactly its raster-first voxel.
+
+    The window maximum is taken only at candidates: voxels at or above the
+    threshold that no face neighbour exceeds, and only once no accepted
+    detection blocks them. A voxel that fails it neither is accepted nor
+    blocks, so the order of the two checks does not change the result.
     """
     if pred.channels != 1:
         raise ShapeMismatchError(f"nms expects a single channel, got {pred.channels}")
     vals = pred.channel(0).astype(np.float64, copy=False)
-    size = 2 * cfg.nms_distance + 1
-    winmax = ndi.maximum_filter(vals, size=size, mode="constant", cval=-np.inf)
-    candidates = np.argwhere((vals >= cfg.gauss_threshold) & (vals >= winmax))
+    flat = vals.ravel()
+    at = np.flatnonzero(flat >= cfg.gauss_threshold)
+    # a face neighbour outside the volume is the voxel itself, which never exceeds it
+    at = at[(flat[face_neighbours(at, vals.shape)] <= flat[at, None]).all(axis=1)]
 
     detections = []
     # True within Chebyshev distance r of an accepted detection
     blocked = np.zeros(vals.shape, dtype=bool)
     r = cfg.nms_distance
-    for z, y, x in candidates.tolist():
+    for z, y, x in zip(*(c.tolist() for c in np.unravel_index(at, vals.shape))):
         if blocked[z, y, x]:
             continue
-        blocked[max(0, z - r): z + r + 1, max(0, y - r): y + r + 1, max(0, x - r): x + r + 1] = True
-        detections.append(Detection(float(z), float(y), float(x), float(vals[z, y, x])))
+        window = (
+            slice(max(0, z - r), z + r + 1), slice(max(0, y - r), y + r + 1),
+            slice(max(0, x - r), x + r + 1),
+        )
+        v = vals[z, y, x]
+        if vals[window].max() > v:
+            continue
+        blocked[window] = True
+        detections.append(Detection(float(z), float(y), float(x), float(v)))
     return detections
 
 

@@ -119,8 +119,12 @@ def generate_phantom(cfg):
                 [rng.uniform(m, dim - 1 - m) for m, dim in zip(margin, cfg.shape)]
             )
             if cfg.allow_touching:
+                # every semi-axis is >= 1 > sqrt(3)/2, so the rounded center voxel lies
+                # inside the ellipsoid: when it is taken, the full test would reject too
+                if labels[tuple(np.rint(center).astype(np.intp))]:
+                    continue
                 zz, yy, xx = _ellipsoid_voxels(cfg.shape, center, semi)
-                if zz.size == 0 or labels[zz, yy, xx].any():
+                if labels[zz, yy, xx].any():
                     continue
                 labels[zz, yy, xx] = instance
                 placed.append((center, semi))

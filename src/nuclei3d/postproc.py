@@ -13,16 +13,15 @@ Alternatively seeds come from center-point-vector vote accumulation.
 
 The watershed is a deterministic priority flood: claims are queued with key
 (map value, insertion sequence number) and resolved lowest-first, so ties
-are FIFO. A flood cannot leave its 6-connected foreground component, so
-components holding one seed ID are filled with it in numpy, and only
-components holding two or more IDs are flooded. There the flood indexes just
-the unseeded voxels and the seed voxels next to one of them: a seed with no
-unseeded neighbour never queues a claim. Predictions may be probabilities
+are FIFO. A claim cannot leave its pocket, a 6-connected component of
+unseeded foreground, so pockets next to one seed ID are filled with it in
+numpy, and only pockets next to two or more IDs are flooded. The flood
+indexes just those pockets' voxels and the seed voxels next to them, and
+keys its heap by one int per claim. Predictions may be probabilities
 (default) or logits.
 """
 
 import heapq
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +30,7 @@ from scipy.special import expit
 
 from .core import (
     LabelVolume, Volume, VoxelSize, check_number, connected_components, dilate_instances,
-    face_slices, round_half_away, run_starts,
+    face_neighbours, round_half_away, run_starts,
 )
 from .errors import ChannelCountError, ShapeMismatchError
 from .targets import MAIN_CHANNELS, TargetBundle
@@ -158,19 +157,11 @@ def accumulate_votes(cpv_pred, fg_mask):
         raise ShapeMismatchError("cpv channels and foreground mask shapes differ")
 
     counts = np.zeros(fg.shape, dtype=np.int64)
-    zz, yy, xx = np.nonzero(fg)
-    if zz.size:
-        targets = []
-        for coords, v in zip((zz, yy, xx), vec):
-            t = coords + v[zz, yy, xx]
-            targets.append(round_half_away(t).astype(np.int64))
-        tz, ty, tx = targets
-        ok = (
-            (tz >= 0) & (tz < fg.shape[0])
-            & (ty >= 0) & (ty < fg.shape[1])
-            & (tx >= 0) & (tx < fg.shape[2])
-        )
-        np.add.at(counts, (tz[ok], ty[ok], tx[ok]), 1)
+    at = np.nonzero(fg)
+    targets = [round_half_away(c + v[at]) for c, v in zip(at, vec)]
+    # bounds are tested on the rounded floats: the int cast of a huge vector overflows
+    ok = np.logical_and.reduce([(t >= 0) & (t < n) for t, n in zip(targets, fg.shape)])
+    np.add.at(counts, tuple(t[ok].astype(np.intp) for t in targets), 1)
     return counts
 
 
@@ -191,96 +182,92 @@ def watershed(topo, seeds):
     deterministic. Foreground voxels unreachable from any seed stay
     background.
 
-    A flood never leaves its 6-connected foreground component, so a
-    component holding one seed ID is filled with that ID and a component
-    holding none stays background. Only components holding two or more IDs
-    are flooded. Dropping the other components' claims keeps the relative
-    (value, sequence) order of each component's own claims, so the labels
-    are those of one flood over the whole volume.
+    A claim only moves from a labelled voxel to an unseeded face neighbour,
+    so a flood never leaves its *pocket*: a 6-connected component of
+    unseeded foreground. A pocket next to seeds of one ID is filled with that
+    ID and a pocket next to none stays background. Only pockets next to two
+    or more IDs are flooded. Dropping the other pockets' claims keeps the
+    relative (value, sequence) order of each pocket's own claims, so the
+    labels are those of one flood over the whole volume.
 
     Seed labels are written straight into the output. The flood indexes the
-    seed voxels that have an unseeded neighbour in a flooded component, in
-    raster order, followed by those unseeded voxels. A seed voxel only ever
-    queues claims on unseeded neighbours not yet claimed, and a voxel once
-    claimed stays claimed, so a seed without an unseeded neighbour never
-    queues one. Skipping it uses no sequence number and keeps every
-    (value, sequence) order.
+    seed voxels next to a flooded pocket, in raster order, followed by the
+    flooded pockets' voxels. A seed voxel only ever queues claims on unseeded
+    neighbours not yet claimed, and a voxel once claimed stays claimed, so a
+    seed that touches no flooded pocket never queues one. Skipping it uses no
+    sequence number and keeps every (value, sequence) order.
     """
     if seeds.shape != topo.values.shape:
         raise ShapeMismatchError("seeds and topography shapes differ")
+    shape = topo.values.shape
     labels = np.where(topo.foreground, seeds.labels, 0)
     max_id = int(labels.max())
     if max_id > np.iinfo(np.int32).max:
         raise ValueError(f"seed ID {max_id} exceeds the int32 label range")
-    labels = labels.astype(np.int32, copy=False).ravel()
-    comp, n_comp = ndi.label(topo.foreground, structure=ndi.generate_binary_structure(3, 1))
-    comp = comp.ravel()
+    labels = labels.astype(np.int32, copy=False)
+    # intp pocket numbers index the per-pocket tables below without a cast
+    pocket = np.empty(shape, dtype=np.intp)
+    face = ndi.generate_binary_structure(3, 1)
+    n_pocket = ndi.label(topo.foreground & (labels == 0), structure=face, output=pocket)
+    pocket = pocket.ravel()
+    labels = labels.ravel()
 
-    # distinct (component, seed ID) pairs, one key each; every key is >= base > 0
-    at = np.flatnonzero(labels)
+    # distinct (pocket, seed ID) pairs over the seeds' face neighbours, one key
+    # each; a neighbour outside the volume is the seed itself, in pocket 0
+    at = np.flatnonzero(labels != 0)
+    nbr = pocket[face_neighbours(at, shape)]
+    row, col = np.nonzero(nbr)
     base = max_id + 1
-    keys = np.sort(comp[at].astype(np.int64) * base + labels[at])
+    keys = nbr[row, col] * base + labels[at[row]]
+    keys.sort()
     owner, ids = np.divmod(keys[run_starts(keys)], base)
-    n_ids = np.bincount(owner, minlength=n_comp + 1)
-    fill = np.zeros(n_comp + 1, dtype=np.int32)
+    n_ids = np.bincount(owner, minlength=n_pocket + 1)
+    # per pocket: its one ID, 0 next to no ID, -1 when contested
+    fill = np.where(n_ids >= 2, -1, 0).astype(np.int32)
     single = n_ids[owner] == 1
     fill[owner[single]] = ids[single]
-    out = fill[comp]
-    out[at] = labels[at]
+    out = fill[pocket]
+    out += labels
+    flooded = np.flatnonzero(out < 0)
+    del pocket  # the largest array, gone before the flood's index arrays
 
-    # unseeded voxels of components holding two or more IDs
-    unseeded = (n_ids >= 2)[comp] & (labels == 0)
-    if unseeded.any():
-        shape = topo.values.shape
-        nz, ny, nx = shape
-        # seeds with an unseeded face neighbour (which shares their component),
-        # the only seeds that queue claims, in raster order
-        touch = np.zeros(shape, dtype=bool)
-        grid = unseeded.reshape(shape)
-        for axis in range(3):
-            lo, hi = face_slices(axis)
-            touch[hi] |= grid[lo]
-            touch[lo] |= grid[hi]
-        border = np.flatnonzero(touch.ravel() & (labels != 0))
-        idx = np.concatenate((border, np.flatnonzero(unseeded)))
+    if flooded.size:
+        border = at[(fill[nbr] < 0).any(axis=1)]
         n_border = border.size
-        pos = np.full(comp.size, -1, dtype=np.intp)
-        pos[idx[n_border:]] = np.arange(n_border, idx.size)
-        z, y, x = np.unravel_index(idx, shape)
-        # -1 marks a neighbour that is never free: out of bounds, a seed or background
-        nbr = np.full((idx.size, 6), -1, dtype=np.intp)
-        steps = (-ny * nx, ny * nx, -nx, nx, -1, 1)
-        inside = (z > 0, z < nz - 1, y > 0, y < ny - 1, x > 0, x < nx - 1)
-        for k, (step, ok) in enumerate(zip(steps, inside)):
-            nbr[ok, k] = pos[idx[ok] + step]
-        del pos, touch, grid, unseeded, z, y, x  # whole-volume arrays gone before the lists below
+        idx = np.concatenate((border, flooded))
+        m = idx.size
+        pos = np.full(labels.size, -1, dtype=np.intp)
+        pos[flooded] = np.arange(n_border, m)
+        # -1 marks a neighbour that is never free: a seed, background or a voxel of a
+        # pocket filled above. A neighbour outside the volume is the voxel itself,
+        # which is labelled by the time its row is read.
+        table = pos[face_neighbours(idx, shape)].tolist()
+        # The trailing 1 is the entry that neighbour -1 reads; 0 marks a free voxel.
+        result = labels[border].tolist() + [0] * flooded.size + [1]
 
-        values = topo.values.ravel()[idx].tolist()
-        result = labels[idx].tolist()
-        # the trailing False is the entry that neighbour -1 reads
-        free = [False] * n_border + [True] * (idx.size - n_border) + [False]
-        table = nbr.tolist()
-
-        # All claims on a voxel share its map value and sequence numbers only
-        # grow, so the first claim queued for a voxel is the one resolved: it
-        # is labelled when queued and never queued again.
-        heap = []
-        seq = itertools.count()
-
-        def pops():
-            while heap:
-                yield heapq.heappop(heap)[2]
-
-        for i in itertools.chain(range(n_border), pops()):
+        # One int per heap entry, rank * m + seq with pushed[seq] = index: the
+        # border seeds take rank 0 and seq 0.., so they pop first in raster
+        # order, and a claim ranks its map value densely from 1, equal values
+        # (-0.0 and 0.0 too) sharing a rank. Pops thus follow (value, seq).
+        # All claims on a voxel share its value and sequence numbers only grow,
+        # so the first claim queued for a voxel is the one resolved: it is
+        # labelled when queued and never queued again.
+        rank = np.unique(topo.values.ravel()[flooded], return_inverse=True)[1]
+        key = [0] * n_border + ((rank + 1) * m).tolist()
+        heap = list(range(n_border))  # sorted, so already a heap
+        pushed = list(range(n_border))
+        push, pop, append = heapq.heappush, heapq.heappop, pushed.append  # local names: hot loop
+        while heap:
+            i = pushed[pop(heap) % m]
             lab = result[i]
             for a in table[i]:
-                if free[a]:
-                    free[a] = False
+                if not result[a]:
                     result[a] = lab
-                    heapq.heappush(heap, (values[a], next(seq), a))
-        out[idx] = result
+                    push(heap, key[a] + len(pushed))
+                    append(a)
+        out[flooded] = result[n_border:-1]
 
-    return LabelVolume(out.reshape(topo.values.shape), topo.voxel_size)
+    return LabelVolume(out.reshape(shape), topo.voxel_size)
 
 
 def segment(pred, cfg, logits=False):

@@ -70,19 +70,9 @@ def dilate_oracle(lab, iterations):
     return out
 
 
-def unionfind_components(mask, connectivity=6):
-    """Connected components by union-find, IDs in raster first-encounter order."""
+def unionfind_components(mask):
+    """6-connected components by union-find, IDs in raster first-encounter order."""
     mask = np.asarray(mask) != 0
-    if connectivity == 6:
-        offsets = FACE_OFFSETS
-    else:
-        offsets = [
-            (dz, dy, dx)
-            for dz in (-1, 0, 1)
-            for dy in (-1, 0, 1)
-            for dx in (-1, 0, 1)
-            if (dz, dy, dx) != (0, 0, 0)
-        ]
     parent = {}
 
     def find(a):
@@ -102,7 +92,7 @@ def unionfind_components(mask, connectivity=6):
                 if not mask[z, y, x]:
                     continue
                 parent.setdefault((z, y, x), (z, y, x))
-                for dz, dy, dx in offsets:
+                for dz, dy, dx in FACE_OFFSETS:
                     az, ay, ax = z + dz, y + dy, x + dx
                     if _in_bounds(mask.shape, az, ay, ax) and mask[az, ay, ax]:
                         parent.setdefault((az, ay, ax), (az, ay, ax))
@@ -338,6 +328,36 @@ def detection_counts_oracle(lab, detections):
     fn = len(set(lab[lab > 0].tolist())) - tp
     denom = tp + fp + fn
     return (float(tp) / denom if denom else 1.0), tp, fp, fn
+
+
+def touching_phantom_oracle(cfg, max_attempts=400):
+    """Labels of an ``allow_touching`` phantom, every attempt tested on its full ellipsoid.
+
+    Repeats the generator's draws in its order and refuses an attempt when any
+    voxel of its ellipsoid, found over the whole grid, is taken. Returns None
+    when an instance cannot be placed.
+    """
+    rng = np.random.default_rng(cfg.rng_seed)
+    grid = np.indices(cfg.shape, dtype=np.float64)
+    labels = np.zeros(cfg.shape, dtype=np.int32)
+    for instance in range(1, cfg.n_instances + 1):
+        for _ in range(max_attempts):
+            semi = rng.uniform(*cfg.radius_range, size=3)
+            margin = np.ceil(semi) + 1
+            if any(2 * m >= dim - 1 for m, dim in zip(margin, cfg.shape)):
+                continue
+            center = [rng.uniform(m, dim - 1 - m) for m, dim in zip(margin, cfg.shape)]
+            inside = (
+                ((grid[0] - center[0]) / semi[0]) ** 2
+                + ((grid[1] - center[1]) / semi[1]) ** 2
+                + ((grid[2] - center[2]) / semi[2]) ** 2
+            ) <= 1.0
+            if not labels[inside].any():
+                labels[inside] = instance
+                break
+        else:
+            return None
+    return labels
 
 
 def naive_sweep(spec):

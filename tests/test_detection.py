@@ -67,6 +67,22 @@ class TestNms:
         ]
         assert len(got) == 2 * 3 * 3
 
+    @pytest.mark.parametrize("radius", [1, 2, 3, 4])
+    def test_window_max_at_candidates_matches_oracle(self, rng, radius):
+        """Maxima on faces and corners, negative values, thresholds below every value."""
+        for shape in ((5, 9, 7), (1, 6, 11), (9, 1, 1), (4, 4, 4)):
+            vals = np.round(rng.normal(size=shape), 1)  # negative values and ties
+            vals[0, 0, 0] = vals[-1, -1, -1] = 5.0  # corners
+            vals[shape[0] // 2, 0, shape[2] // 2] = 5.0  # middle of a face
+            vals[shape[0] - 1, shape[1] // 2, 0] = 4.0  # an edge
+            plateau = np.full(shape, -0.25)
+            for v, threshold in ((vals, float(vals.min()) - 1.0), (vals, 0.0), (vals, 4.5),
+                                 (plateau, -1.0), (-vals, -0.5)):
+                dets = nms_detect(Volume(v[np.newaxis]), NmsConfig(threshold, radius))
+                got = [(int(d.z), int(d.y), int(d.x)) for d in dets]
+                assert got == window_max_oracle(v, threshold, radius)
+                assert [d.score for d in dets] == [v[k] for k in got]
+
     def test_no_two_detections_within_window(self, rng):
         vals = rng.random((10, 10, 10))
         cfg = NmsConfig(gauss_threshold=0.2, nms_distance=2)

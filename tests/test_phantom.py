@@ -13,7 +13,7 @@ from nuclei3d import (
 from nuclei3d.errors import PlacementError
 from nuclei3d.targets import BOUNDARY
 
-from oracles import FACE_OFFSETS
+from oracles import FACE_OFFSETS, touching_phantom_oracle
 
 
 def small_cfg(**overrides):
@@ -103,6 +103,20 @@ class TestGenerate:
             a, b = lab[tuple(lo)], lab[tuple(hi)]
             touching |= bool(((a > 0) & (b > 0) & (a != b)).any())
         assert touching
+
+    @pytest.mark.parametrize("radius_range", [(1.0, 1.5), (2.0, 4.0), (3.0, 6.0)])
+    def test_touching_placement_matches_full_test_oracle(self, radius_range):
+        for seed in range(4):
+            cfg = PhantomConfig(
+                shape=(16, 30, 30), n_instances=30, radius_range=radius_range,
+                allow_touching=True, rng_seed=seed,
+            )
+            expected = touching_phantom_oracle(cfg)
+            if expected is None:
+                with pytest.raises(PlacementError):
+                    generate_phantom(cfg)
+            else:
+                np.testing.assert_array_equal(generate_phantom(cfg)[0].labels, expected)
 
     def test_placement_failure(self):
         cfg = PhantomConfig(

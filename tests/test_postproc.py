@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -83,7 +84,7 @@ class TestMainSeeds:
         seeds = extract_seeds_main(bundle, cfg)
         assert len(seeds.ids()) == 2
         mask = bundle.volume.channel(0) < -0.14
-        np.testing.assert_array_equal(seeds.labels, unionfind_components(mask, 6))
+        np.testing.assert_array_equal(seeds.labels, unionfind_components(mask))
 
     def test_3label_one_hot_seeds_equal_interior(self):
         lv = ball_labels()
@@ -153,6 +154,29 @@ class TestCpvSeeds:
         vec = rng.normal(scale=2.0, size=(3, 6, 6, 6))
         got = accumulate_votes(Volume(vec), fg)
         np.testing.assert_array_equal(got, vote_count_oracle(vec, fg))
+
+    def test_huge_and_edge_votes_bounds_checked_before_the_cast(self, rng):
+        from oracles import vote_count_oracle
+
+        shape = (3, 4, 5)
+        fg = rng.random(shape) < 0.7
+        coords = np.indices(shape).astype(np.float64)
+        for axis, n in enumerate(shape):
+            # rounded target -1, 0, n - 1, n: just outside, inside, inside, outside
+            for target, inside in ((-1e30, False), (1e30, False), (-0.5, False), (-0.49, True),
+                                   (n - 0.51, True), (n - 0.5, False)):
+                vec = np.zeros((3, *shape))
+                vec[axis] = target - coords[axis]
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = accumulate_votes(Volume(vec), fg)
+                np.testing.assert_array_equal(got, vote_count_oracle(vec, fg))
+                assert got.sum() == (fg.sum() if inside else 0)
+        # huge vectors of both signs in one volume
+        vec = rng.choice([-1e30, 1e30], size=(3, *shape))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert accumulate_votes(Volume(vec), fg).sum() == 0
 
     @pytest.mark.parametrize("threshold", [-1.0, float("nan")])
     def test_bad_threshold_rejected(self, threshold):
@@ -294,6 +318,39 @@ class TestWatershed:
                 n_interior += _interior_seeds(fg, seeds).sum()
         assert n_interior > 0
 
+    def test_matches_flood_simulator_on_pockets(self, rng):
+        """Pockets of every kind, one-ID and contested ones within one component.
+
+        Map values tie within and across pockets, -0.0 and 0.0 among them.
+        """
+        seen = set()
+        for shape in [(6, 6, 6), (1, 7, 6), (5, 1, 8), (4, 6, 1), (1, 1, 12)]:
+            for k in range(12):
+                if k % 2:
+                    values = np.round(rng.random(shape), 1)
+                else:
+                    values = rng.choice([-0.0, 0.0, 0.5, -1.0], size=shape)
+                fg = rng.random(shape) < 0.8
+                seeds = (rng.integers(1, 4, size=shape) * (rng.random(shape) < 0.3)).astype(np.int32)
+                got = watershed(TopographicMap(values, fg), LabelVolume(seeds)).labels
+                np.testing.assert_array_equal(got, flood_simulator(values, fg, seeds))
+                seen |= _pocket_cases(fg, seeds)
+        assert seen == {
+            "seedless", "one id", "contested", "one id and contested in one component",
+            "seed next to several pockets",
+        }
+
+    @pytest.mark.parametrize("signs", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_signed_zeros_tie(self, signs):
+        # seed 1 queues x=1 before seed 2 queues x=3; as a tie x=1 pops first and
+        # its ID takes x=2, which -0.0 < 0.0 would give to seed 2 for one sign order
+        values = np.array([[[0.0, signs[0], 0.0, signs[1], 0.0]]])
+        fg = np.ones(values.shape, dtype=bool)
+        seeds = np.array([[[1, 0, 0, 0, 2]]], dtype=np.int32)
+        got = watershed(TopographicMap(values, fg), LabelVolume(seeds)).labels
+        np.testing.assert_array_equal(got, [[[1, 1, 1, 2, 2]]])
+        np.testing.assert_array_equal(got, flood_simulator(values, fg, seeds))
+
     @pytest.mark.parametrize("fg", [True, False])
     @pytest.mark.parametrize("seed", [0, 3])
     def test_single_voxel_volume(self, fg, seed):
@@ -321,6 +378,30 @@ def _component_cases(fg, seeds):
                 cases.add("id with two blobs in a contested component")
     if any({"single", "contested"} <= kinds for kinds in kind_by_id.values()):
         cases.add("id filled here, contested there")
+    return cases
+
+
+def _pocket_cases(fg, seeds):
+    """Which situations the pockets (6-connected unseeded foreground) of one grid show."""
+    face = ndi.generate_binary_structure(3, 1)
+    clipped = np.where(fg, seeds, 0)
+    pocket, n = ndi.label(fg & (clipped == 0), structure=face)
+    comp = ndi.label(fg, structure=face)[0]
+    cases = set()
+    kinds_by_comp = {}
+    for p in range(1, n + 1):
+        near = ndi.binary_dilation(pocket == p, structure=face)
+        ids = set(clipped[near].tolist()) - {0}
+        kind = ("seedless", "one id", "contested")[min(len(ids), 2)]
+        cases.add(kind)
+        kinds_by_comp.setdefault(int(comp[pocket == p][0]), set()).add(kind)
+    if any({"one id", "contested"} <= kinds for kinds in kinds_by_comp.values()):
+        cases.add("one id and contested in one component")
+    padded = np.pad(pocket, 1)
+    for z, y, x in zip(*np.nonzero(clipped)):
+        around = padded[z:z + 3, y:y + 3, x:x + 3][face]
+        if len(set(around.tolist()) - {0}) > 1:
+            cases.add("seed next to several pockets")
     return cases
 
 
