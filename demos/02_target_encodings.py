@@ -23,7 +23,6 @@ from nuclei3d import (
     encode_sdt,
     encode_three_label,
     generate_phantom,
-    instance_centers,
 )
 from nuclei3d.targets import BACKGROUND, BOUNDARY, INTERIOR
 
@@ -56,8 +55,8 @@ print(f"gauss peak {gauss.max():.3f} (1.0 up to center rounding), background flo
 
 # --- center point vectors -------------------------------------------------
 cpv = encode_cpv(labels)
-ids, counts, centers = instance_centers(labels)
-i, c = int(ids[0]), centers[0]
+ids, counts = labels.id_counts
+i, c = int(ids[0]), labels.centers[0]
 zz, yy, xx = np.nonzero(labels.labels == i)
 v = cpv.data[:, zz[0], yy[0], xx[0]]
 print(f"instance {i}: {counts[0]} voxels, center of mass ({c[0]:.2f}, {c[1]:.2f}, {c[2]:.2f})")

@@ -13,7 +13,6 @@ from .core import (
     connected_components,
     dilate_instances,
     erode_instances,
-    instance_centers,
 )
 from .detection import NmsConfig, centroids_from_labels, nms_detect
 from .io import (

@@ -23,7 +23,6 @@ __all__ = [
     "VoxelSize",
     "Volume",
     "LabelVolume",
-    "instance_centers",
     "erode_instances",
     "dilate_instances",
     "connected_components",
@@ -130,11 +129,13 @@ class Volume:
 
 @dataclass(frozen=True, eq=False)
 class LabelVolume:
-    """Dense 3d grid of instance IDs; 0 is background.
+    """Dense 3d grid of int32 instance IDs; 0 is background.
 
-    IDs need not be contiguous. The stored array is exposed read-only, and
-    its IDs and voxel counts are computed once; callers must not mutate the
-    array they passed in afterwards.
+    Any integer array is accepted whose IDs fit into int32, and is converted
+    to int32 unless it is int32 already. IDs need not be contiguous. The
+    stored array is exposed read-only, and its IDs, voxel counts and centers
+    are computed once; callers must not mutate the array they passed in
+    afterwards.
     """
 
     labels: np.ndarray
@@ -150,6 +151,11 @@ class LabelVolume:
             raise ValueError(f"labels must be integer, got dtype {labels.dtype}")
         if labels.min() < 0:
             raise ValueError("labels must be non-negative")
+        if labels.dtype != np.int32:
+            top = labels.max()
+            if top > np.iinfo(np.int32).max:
+                raise ValueError(f"label ID {top} exceeds the int32 range")
+            labels = labels.astype(np.int32)
         object.__setattr__(self, "labels", _readonly(labels))
 
     @property
@@ -158,12 +164,28 @@ class LabelVolume:
 
     @cached_property
     def id_counts(self):
-        """Read-only sorted positive IDs, in the labels' dtype, and their voxel counts."""
+        """Read-only sorted positive IDs (int32) and their voxel counts."""
         return tuple(map(_readonly, id_counts(self.labels)))
 
     def ids(self):
-        """Sorted array of the positive instance IDs present, in the labels' dtype."""
+        """Sorted int32 array of the positive instance IDs present."""
         return self.id_counts[0]
+
+    @cached_property
+    def centers(self):
+        """Read-only ``(n, 3)`` centers of mass, one row per ID of ``ids()``.
+
+        Each row is bit-identical to ``np.nonzero(labels == i)[k].mean()``:
+        integer coordinates sum exactly in float64 (below 2**53) in any order,
+        and ``.mean()`` is sum / n.
+        """
+        ids, counts = self.id_counts
+        flat = self.labels.ravel()
+        fg = np.flatnonzero(flat)
+        rank = np.searchsorted(ids, flat[fg])
+        coords = np.unravel_index(fg, self.shape)
+        sums = [np.bincount(rank, weights=c, minlength=ids.size) for c in coords]
+        return _readonly(np.stack(sums, axis=1) / counts[:, None])
 
     def foreground(self):
         """Boolean mask of all foreground voxels."""
@@ -173,8 +195,7 @@ class LabelVolume:
         if not isinstance(other, LabelVolume):
             return NotImplemented
         return (
-            self.labels.dtype == other.labels.dtype
-            and self.labels.shape == other.labels.shape
+            self.labels.shape == other.labels.shape
             and np.array_equal(self.labels, other.labels)
             and self.voxel_size == other.voxel_size
         )
@@ -184,8 +205,7 @@ class LabelVolume:
 
 def run_starts(ids):
     """Index of the first element of each run of equal values in sorted positive ``ids``."""
-    # a zero of the IDs' own dtype: a Python 0 would turn uint64 IDs into float64
-    return np.flatnonzero(np.diff(ids, prepend=ids.dtype.type(0)))
+    return np.flatnonzero(np.diff(ids, prepend=0))
 
 
 def id_counts(lab):
@@ -199,26 +219,6 @@ def id_counts(lab):
     ids.sort()
     starts = run_starts(ids)
     return ids[starts], np.diff(starts, append=ids.size)
-
-
-def instance_centers(labels):
-    """Sorted positive IDs, their voxel counts and ``(n, 3)`` centers of mass.
-
-    One pass over the volume. Each center is bit-identical to
-    ``np.nonzero(labels.labels == i)[k].mean()``.
-    """
-    lab = labels.labels
-    coords = np.nonzero(lab)
-    ids = lab[coords]
-    order = np.argsort(ids)
-    ids = ids[order]
-    starts = run_starts(ids)
-    counts = np.diff(starts, append=ids.size)
-    if not starts.size:
-        return ids, counts, np.zeros((0, 3))
-    # integer coordinates sum exactly in float64 (below 2**53) in any order; .mean() is sum / n
-    sums = [np.add.reduceat(c[order], starts, dtype=np.float64) for c in coords]
-    return ids[starts], counts, np.stack(sums, axis=1) / counts[:, None]
 
 
 def face_slices(axis):
@@ -281,18 +281,18 @@ def dilate_instances(labels, iterations):
     to several distinct instances is claimed by the smallest ID.
     """
     check_number("iterations", iterations, integer=True, ge=0)
-    lab = labels.labels.copy()
-    sentinel = np.iinfo(np.int64).max
+    lab = labels.labels
     for _ in range(iterations):
-        # background reads as the sentinel, so the minimum over neighbours skips it
-        src = np.where(lab > 0, lab.astype(np.int64, copy=False), sentinel)
-        candidate = np.full(lab.shape, sentinel, dtype=np.int64)
+        # ID - 1 viewed as uint32: background (0 - 1) wraps to the largest value,
+        # above every ID, so the minimum over neighbours skips it
+        src = (lab - 1).view(np.uint32)
+        candidate = np.full_like(src, np.iinfo(np.uint32).max)
         for axis in range(3):
             lo, hi = face_slices(axis)
             np.minimum(candidate[hi], src[lo], out=candidate[hi])
             np.minimum(candidate[lo], src[hi], out=candidate[lo])
-        claim = (lab == 0) & (candidate != sentinel)
-        lab[claim] = candidate[claim].astype(lab.dtype)
+        # next to no instance the candidate stays the largest value, and + 1 wraps it to 0
+        lab = np.where(lab > 0, lab, (candidate + 1).view(np.int32))
     return LabelVolume(lab, labels.voxel_size)
 
 
@@ -305,7 +305,6 @@ def connected_components(mask):
     if mask.channels != 1:
         raise ShapeMismatchError("connected_components expects a single channel")
     lab, n = ndi.label(mask.channel(0), structure=ndi.generate_binary_structure(3, 1))
-    lab = lab.astype(np.int32)
     if n > 0:
         lab = _relabel_raster_order(lab, n)
     return LabelVolume(lab, mask.voxel_size)

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_number, face_neighbours, instance_centers
+from .core import check_number, face_neighbours
 from .errors import ShapeMismatchError
 from .io import Detection
 
@@ -71,8 +71,7 @@ def centroids_from_labels(seg):
     centroid of a non-convex instance may fall outside its own voxels; it is
     emitted unmoved and may then count as a false positive.
     """
-    _, counts, centers = instance_centers(seg)
     return [
         Detection(float(z), float(y), float(x), float(n))
-        for (z, y, x), n in zip(centers, counts)
+        for (z, y, x), n in zip(seg.centers, seg.id_counts[1])
     ]

@@ -78,10 +78,7 @@ def write_volume(path, volume):
     reserved for labels.
     """
     if isinstance(volume, LabelVolume):
-        data = volume.labels
-        if data.max(initial=0) > np.iinfo(np.int32).max:
-            raise UnsupportedDtypeError("label IDs exceed i32 range")
-        data = data.astype(np.int32, copy=False)[np.newaxis]
+        data = volume.labels[np.newaxis]
         voxel_size = volume.voxel_size
     elif isinstance(volume, Volume):
         data = volume.data

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 from scipy import ndimage as ndi
 
-from .core import LabelVolume, Volume, check_number
+from .core import LabelVolume, Volume, check_number, round_half_away
 from .errors import PlacementError
 from .targets import TargetBundle
 
@@ -121,13 +121,12 @@ def generate_phantom(cfg):
             if cfg.allow_touching:
                 # every semi-axis is >= 1 > sqrt(3)/2, so the rounded center voxel lies
                 # inside the ellipsoid: when it is taken, the full test would reject too
-                if labels[tuple(np.rint(center).astype(np.intp))]:
+                if labels[tuple(round_half_away(center).astype(np.intp))]:
                     continue
                 zz, yy, xx = _ellipsoid_voxels(cfg.shape, center, semi)
                 if labels[zz, yy, xx].any():
                     continue
                 labels[zz, yy, xx] = instance
-                placed.append((center, semi))
                 break
             reach = semi.max()
             if all(
@@ -166,6 +165,9 @@ def perturb_target(bundle, noise_sigma, smoothing_sigma, rng_seed):
     Gaussian. Probability channels are clamped back to [0, 1] and the sdt
     channel to its tanh range [-1, 1]; vector channels are left free.
     """
+    check_number("noise_sigma", noise_sigma, ge=0)
+    check_number("smoothing_sigma", smoothing_sigma, ge=0)
+    check_number("rng_seed", rng_seed, integer=True, ge=0)
     rng = np.random.default_rng(rng_seed)
     data = bundle.volume.data.astype(np.float64, copy=True)
     if noise_sigma > 0:

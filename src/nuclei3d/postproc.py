@@ -202,9 +202,6 @@ def watershed(topo, seeds):
     shape = topo.values.shape
     labels = np.where(topo.foreground, seeds.labels, 0)
     max_id = int(labels.max())
-    if max_id > np.iinfo(np.int32).max:
-        raise ValueError(f"seed ID {max_id} exceeds the int32 label range")
-    labels = labels.astype(np.int32, copy=False)
     # intp pocket numbers index the per-pocket tables below without a cast
     pocket = np.empty(shape, dtype=np.intp)
     face = ndi.generate_binary_structure(3, 1)

@@ -8,14 +8,12 @@ wins; ties keep the earliest candidate in enumeration order (checkpoints in
 listed order, then the grid expanded over seed_source, seed_threshold,
 foreground_threshold, cpv_seed_threshold, dilate, each in listed order).
 
-Each stage runs once per distinct input it reads, per validation pair:
-
-    topography   foreground_threshold
-    seeds        seed_threshold (main) or cpv_seed_threshold (cpv)
-    watershed    the two above, so (seed_source, foreground_threshold,
-                 the seed source's threshold) keys the undilated result
-    dilation     dilate, applied to the undilated result
-    score        objective, ground truth and the (possibly dilated) labels
+Per validation pair, ``segment`` runs once per distinct stage key, without
+dilation: (seed_source, foreground_threshold, and seed_threshold under main
+or cpv_seed_threshold under cpv). Topography, seeds and the watershed run
+inside each such call, so topography is not shared between seed thresholds.
+Dilation is applied to the undilated result where a grid point asks for it,
+and the objective is scored once per (pair, stage key, dilate).
 
 A grid point's score is the same float as running ``segment`` and the
 objective for every grid point and pair: the floods are deterministic,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage as ndi
 
-from .core import Volume, check_number, erode_instances, face_slices, instance_centers
+from .core import Volume, check_number, erode_instances, face_slices
 
 __all__ = [
     "VARIANTS",
@@ -156,8 +156,7 @@ def encode_cpv(labels):
     lab = labels.labels
     out = np.zeros((3,) + lab.shape, dtype=np.float64)
     coords = np.nonzero(lab)
-    ids, _, centers = instance_centers(labels)
-    per_voxel = centers[np.searchsorted(ids, lab[coords])]
+    per_voxel = labels.centers[np.searchsorted(labels.ids(), lab[coords])]
     for k, c in enumerate(coords):
         out[k][coords] = per_voxel[:, k] - c
     return Volume(out, labels.voxel_size)
@@ -184,7 +183,7 @@ def encode_gauss(labels, sigma=2.0):
     x = np.arange(nx, dtype=np.float64)[None, None, :]
     best = np.full(lab.shape, np.inf)
     d2 = np.empty(lab.shape)
-    for cz, cy, cx in instance_centers(labels)[2]:
+    for cz, cy, cx in labels.centers:
         np.add((z - cz) ** 2 + (y - cy) ** 2, (x - cx) ** 2, out=d2)
         np.minimum(best, d2, out=best)
     out = np.exp(best / (-2.0 * sigma * sigma))

@@ -13,11 +13,12 @@ from nuclei3d import (
     combined_loss,
     connected_components,
     dilate_instances,
+    encode_bundle,
     encode_gauss,
     encode_sdt,
     erode_instances,
     extract_seeds_cpv,
-    instance_centers,
+    perturb_target,
     ssd_loss,
 )
 from nuclei3d.core import _relabel_raster_order
@@ -63,30 +64,44 @@ class TestContainers:
 
     def test_label_equality_is_bit_exact(self):
         a = LabelVolume(np.ones((2, 2, 2), dtype=np.int32))
-        b = LabelVolume(np.ones((2, 2, 2), dtype=np.int32))
-        c = LabelVolume(np.ones((2, 2, 2), dtype=np.int64))
+        b = LabelVolume(np.ones((2, 2, 2), dtype=np.int64))
+        c = LabelVolume(np.full((2, 2, 2), 2, dtype=np.int32))
         assert a == b and a != c
+        assert a != LabelVolume(np.ones((2, 2, 2), dtype=np.int32), VoxelSize(2.0, 1.0, 1.0))
 
 
 class TestIds:
     @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int32, np.int64, np.uint64])
     def test_matches_unique(self, rng, dtype):
-        top = np.iinfo(dtype).max
+        # any integer dtype whose IDs fit becomes int32 with the same IDs
+        top = min(np.iinfo(dtype).max, 2**31 - 1)
         for lab in (
             rng.choice(np.array([0, 1, 7, 200, top], dtype=dtype), size=(4, 5, 6)),
             np.where(rng.random((3, 4, 5)) < 0.5, rng.integers(0, 255, (3, 4, 5)), 0).astype(dtype),
             np.zeros((2, 3, 4), dtype=dtype),
         ):
-            ids = LabelVolume(lab).ids()
-            expected = np.unique(lab)[np.unique(lab) > 0]
-            assert ids.dtype == expected.dtype == dtype
-            np.testing.assert_array_equal(ids, expected)
+            lv = LabelVolume(lab)
+            assert lv.labels.dtype == lv.ids().dtype == np.int32
+            np.testing.assert_array_equal(lv.labels, lab)
+            np.testing.assert_array_equal(lv.ids(), np.unique(lab)[np.unique(lab) > 0])
+
+    def test_int32_input_is_kept_not_copied(self):
+        lab = np.array([[[3, 0, 2**31 - 1]]], dtype=np.int32)
+        assert np.shares_memory(LabelVolume(lab).labels, lab)
+
+    @pytest.mark.parametrize(
+        "top,dtype", [(2**31, np.int64), (2**31, np.uint32), (2**63 + 5, np.uint64)]
+    )
+    def test_id_beyond_int32_refused_naming_it(self, top, dtype):
+        lab = np.array([[[1, 0, top]]], dtype=dtype)
+        with pytest.raises(ValueError, match=f"label ID {top} exceeds the int32 range"):
+            LabelVolume(lab)
 
     def test_uint64_ids_that_float64_merges(self):
-        # 2**63 + 1 and 2**63 + 2 are one float64 value
+        # 2**63 + 1 and 2**63 + 2 are one float64 value; neither fits int32
         lab = np.array([[[2**63 + 2, 0, 2**63 + 1]]], dtype=np.uint64)
-        assert LabelVolume(lab).ids().tolist() == [2**63 + 1, 2**63 + 2]
-        assert instance_centers(LabelVolume(lab))[0].tolist() == [2**63 + 1, 2**63 + 2]
+        with pytest.raises(ValueError, match=f"label ID {2**63 + 2} exceeds"):
+            LabelVolume(lab)
 
     def test_ids_and_counts_are_cached_read_only(self):
         lv = LabelVolume(np.array([[[3, 0, 3, 1]]], dtype=np.int32))
@@ -97,48 +112,50 @@ class TestIds:
 
 
 class TestCenterOfMass:
-    """``instance_centers`` rows as the center of mass of one instance."""
+    """``LabelVolume.centers`` rows as the center of mass of one instance."""
 
     def test_single_voxel(self):
-        ids, counts, centers = instance_centers(make_labels({1: [(2, 3, 4)]}))
-        assert ids.tolist() == [1] and counts.tolist() == [1]
-        assert centers.tolist() == [[2.0, 3.0, 4.0]]
+        lv = make_labels({1: [(2, 3, 4)]})
+        assert lv.ids().tolist() == [1] and lv.centers.tolist() == [[2.0, 3.0, 4.0]]
 
     def test_two_voxel_midpoint(self):
-        _, counts, centers = instance_centers(make_labels({1: [(0, 0, 0), (0, 0, 2)]}))
-        assert counts.tolist() == [2] and centers.tolist() == [[0.0, 0.0, 1.0]]
+        assert make_labels({1: [(0, 0, 0), (0, 0, 2)]}).centers.tolist() == [[0.0, 0.0, 1.0]]
 
     def test_random_blob_matches_summation_oracle(self, rng):
         for _ in range(5):
             lab = np.zeros((6, 6, 6), dtype=np.int32)
             picks = rng.choice(6 * 6 * 6, size=8, replace=False)
             lab.ravel()[picks] = 7
-            ids, counts, centers = instance_centers(LabelVolume(lab))
-            assert ids.tolist() == [7] and counts.tolist() == [8]
-            np.testing.assert_allclose(centers[0], com_oracle(lab, 7), atol=1e-12)
+            lv = LabelVolume(lab)
+            assert lv.ids().tolist() == [7] and lv.centers.shape == (1, 3)
+            np.testing.assert_allclose(lv.centers[0], com_oracle(lab, 7), atol=1e-12)
 
     def test_point_symmetric_set_has_symmetric_center(self):
         lv = make_labels({1: [(1, 1, 1), (3, 3, 3), (1, 3, 1), (3, 1, 3)]})
-        assert instance_centers(lv)[2].tolist() == [[2.0, 2.0, 2.0]]
+        assert lv.centers.tolist() == [[2.0, 2.0, 2.0]]
 
 
 class TestInstanceCenters:
     def test_matches_per_instance_formula(self, rng):
         for _ in range(5):
             lab = random_blob_labels(rng, (9, 10, 11), 6)
-            # non-contiguous IDs whose order differs from raster order
-            remap = np.concatenate(([0], rng.choice(np.arange(1, 1000), lab.max(), replace=False)))
+            # non-contiguous IDs whose order differs from raster order, up to the int32 edge
+            pool = np.concatenate((np.arange(1, 1000), np.arange(2**31 - 1000, 2**31)))
+            remap = np.concatenate(([0], rng.choice(pool, lab.max(), replace=False)))
             lab = remap[lab].astype(np.int32)
             lv = LabelVolume(lab)
-            ids, counts, centers = instance_centers(lv)
-            np.testing.assert_array_equal(ids, lv.ids())
-            np.testing.assert_array_equal(counts, np.bincount(lab.ravel())[ids])
-            for i, center in zip(ids, centers):
+            assert lv.centers.shape == (lv.ids().size, 3)
+            for i, n, center in zip(*lv.id_counts, lv.centers):
+                assert n == (lab == i).sum()
                 assert center.tolist() == [k.mean() for k in np.nonzero(lab == i)]
 
+    def test_cached_read_only(self, blobs):
+        assert blobs.centers is blobs.centers
+        assert not blobs.centers.flags.writeable
+
     def test_background_only(self):
-        ids, counts, centers = instance_centers(LabelVolume(np.zeros((3, 4, 5), np.int32)))
-        assert ids.size == 0 and counts.size == 0 and centers.shape == (0, 3)
+        centers = LabelVolume(np.zeros((3, 4, 5), np.int32)).centers
+        assert centers.shape == (0, 3) and centers.dtype == np.float64
 
 
 class TestErode:
@@ -196,6 +213,21 @@ class TestDilate:
             lab = random_blob_labels(rng, (7, 7, 8), 4)
             got = dilate_instances(LabelVolume(lab), 1).labels
             np.testing.assert_array_equal(got, dilate_oracle(lab, 1))
+
+    def test_int32_edge_ids(self):
+        # the largest ID sits just below background in the uint32 view of ID - 1
+        lab = np.array([[[1, 0, 2**31 - 1, 0]]], dtype=np.int32)
+        out = dilate_instances(LabelVolume(lab), 1).labels
+        np.testing.assert_array_equal(out, [[[1, 1, 2**31 - 1, 2**31 - 1]]])
+        np.testing.assert_array_equal(out, dilate_oracle(lab, 1))
+
+    def test_ids_near_int32_edge_match_oracle(self, rng):
+        for _ in range(5):
+            lab = random_blob_labels(rng, (7, 7, 8), 4)
+            lab = np.where(lab > 0, 2**31 - lab.astype(np.int64), 0)
+            for iterations in (1, 2):
+                got = dilate_instances(LabelVolume(lab), iterations).labels
+                np.testing.assert_array_equal(got, dilate_oracle(lab, iterations))
 
     def test_open_never_enlarges(self, rng):
         for _ in range(5):
@@ -256,6 +288,13 @@ def _combined(weight):
 
 _BLOB = LabelVolume(np.pad(np.ones((1, 1, 1), np.int32), 1))
 
+
+def _perturb(**kwargs):
+    return perturb_target(
+        encode_bundle(_BLOB, "sdt"),
+        **{"noise_sigma": 0.0, "smoothing_sigma": 0.0, "rng_seed": 0, **kwargs},
+    )
+
 # (key named in the error, call with the value, refused value just past the bound or None,
 #  accepted value at or just inside the bound)
 NUMBER_PARAMETERS = {
@@ -266,6 +305,11 @@ NUMBER_PARAMETERS = {
         "noise_sigma", lambda v: _phantom(noise_sigma=v), math.nextafter(0, -1), 0.0),
     "phantom.smoothing_sigma": (
         "smoothing_sigma", lambda v: _phantom(smoothing_sigma=v), math.nextafter(0, -1), 0.0),
+    "perturb.noise_sigma": (
+        "noise_sigma", lambda v: _perturb(noise_sigma=v), math.nextafter(0, -1), 0.0),
+    "perturb.smoothing_sigma": (
+        "smoothing_sigma", lambda v: _perturb(smoothing_sigma=v), math.nextafter(0, -1), 0.0),
+    "perturb.rng_seed": ("rng_seed", lambda v: _perturb(rng_seed=v), -1, 0),
     "phantom.shape": ("shape[1]", lambda v: _phantom(shape=(8, v, 8)), 0, 1),
     "phantom.radius_range": (
         "radius_range[0]", lambda v: _phantom(radius_range=(v, 3)), math.nextafter(1, 0), 1.0),

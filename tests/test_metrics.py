@@ -55,10 +55,11 @@ class TestIouMatrix:
                 assert got[k] == pytest.approx(expected[k], abs=1e-12)
 
     def test_sparse_large_ids(self):
-        # sizes come from the sorted IDs, not from arrays indexed by ID
-        big = 2**40
-        gt = np.zeros((1, 1, 6), dtype=np.int64)
-        pred = np.zeros((1, 1, 6), dtype=np.int64)
+        # sizes come from the sorted IDs, not from arrays indexed by ID, which
+        # would need 16 GiB for the largest int32 ID
+        big = 2**31 - 1
+        gt = np.zeros((1, 1, 6), dtype=np.int32)
+        pred = np.zeros((1, 1, 6), dtype=np.int32)
         gt[0, 0, :2], gt[0, 0, 2:5] = 1, big
         pred[0, 0, :3], pred[0, 0, 3:6] = big, 1
         assert iou_matrix(LabelVolume(gt), LabelVolume(gt)) == {(1, 1): 1.0, (big, big): 1.0}

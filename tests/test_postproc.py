@@ -227,14 +227,19 @@ class TestWatershed:
     def test_seed_id_beyond_int32_refused(self):
         fg = np.ones((1, 1, 4), dtype=bool)
         seeds = np.zeros((1, 1, 4), dtype=np.int64)
-        seeds[0, 0, 0] = 2**32 + 5  # would wrap to 5 in int32
-        with pytest.raises(ValueError, match=f"seed ID {2**32 + 5} exceeds"):
-            watershed(TopographicMap(np.zeros(fg.shape), fg), LabelVolume(seeds))
-        # outside the foreground the seed is clipped away before the cast
+        seeds[0, 0, 0] = 2**31 - 1
+        out = watershed(TopographicMap(np.zeros(fg.shape), fg), LabelVolume(seeds)).labels
+        assert out.dtype == np.int32
+        np.testing.assert_array_equal(out, [[[2**31 - 1] * 4]])
+        # outside the foreground the seed is clipped away
         fg[0, 0, 0] = False
         seeds[0, 0, 1] = 7
         out = watershed(TopographicMap(np.zeros(fg.shape), fg), LabelVolume(seeds)).labels
         np.testing.assert_array_equal(out, [[[0, 7, 7, 7]]])
+        # an ID past int32 is refused by LabelVolume before any flood
+        seeds[0, 0, 0] = 2**32 + 5  # would wrap to 5 in int32
+        with pytest.raises(ValueError, match=f"label ID {2**32 + 5} exceeds"):
+            LabelVolume(seeds)
 
     def test_dumbbell_splits_at_ridge(self):
         values = np.zeros((1, 3, 7))

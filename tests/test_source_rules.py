@@ -26,3 +26,26 @@ def test_no_bare_np_unique():
             ):
                 bare.append(f"{path.name}:{node.lineno}")
     assert not bare, f"bare np.unique call(s): {', '.join(bare)}"
+
+
+def test_int32_label_range_decided_in_core_only():
+    """``np.iinfo(np.int32)`` appears only in ``core.py``.
+
+    ``LabelVolume`` converts labels to int32 and refuses an ID past that
+    range; no other module checks or casts the range again.
+    """
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "iinfo"
+                and node.args
+                and isinstance(node.args[0], ast.Attribute)
+                and node.args[0].attr == "int32"
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"np.iinfo(np.int32) outside core.py: {', '.join(found)}"

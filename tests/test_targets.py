@@ -11,7 +11,6 @@ from nuclei3d import (
     encode_gauss,
     encode_sdt,
     encode_three_label,
-    instance_centers,
     signed_boundary_distance,
 )
 from nuclei3d.targets import BACKGROUND, BOUNDARY, INTERIOR
@@ -180,8 +179,7 @@ class TestCpv:
 
     def test_matches_library_center_of_mass_exactly(self, blobs):
         out = encode_cpv(blobs).data
-        ids, _, centers = instance_centers(blobs)
-        for i, c in zip(ids, centers):
+        for i, c in zip(blobs.ids(), blobs.centers):
             zz, yy, xx = np.nonzero(blobs.labels == i)
             np.testing.assert_array_equal(out[0][zz, yy, xx], c[0] - zz)
             np.testing.assert_array_equal(out[1][zz, yy, xx], c[1] - yy)
@@ -238,7 +236,7 @@ class TestGauss:
     def _assert_matches_oracle(lab, sigma):
         labels = LabelVolume(lab)
         got = encode_gauss(labels, sigma=sigma).channel(0)
-        expected = naive_gauss(lab.shape, instance_centers(labels)[2], sigma)
+        expected = naive_gauss(lab.shape, labels.centers, sigma)
         assert got.dtype == expected.dtype == np.float64
         assert got.tobytes() == expected.tobytes()
 
