@@ -172,6 +172,13 @@ class LabelVolume:
         return self.id_counts[0]
 
     @cached_property
+    def _fg_rank(self):
+        """Flat indices of the foreground voxels and the rank of each one's ID in ``ids()``."""
+        flat = self.labels.ravel()
+        fg = np.flatnonzero(flat)
+        return _readonly(fg), _readonly(np.searchsorted(self.ids(), flat[fg]))
+
+    @cached_property
     def centers(self):
         """Read-only ``(n, 3)`` centers of mass, one row per ID of ``ids()``.
 
@@ -180,9 +187,7 @@ class LabelVolume:
         and ``.mean()`` is sum / n.
         """
         ids, counts = self.id_counts
-        flat = self.labels.ravel()
-        fg = np.flatnonzero(flat)
-        rank = np.searchsorted(ids, flat[fg])
+        fg, rank = self._fg_rank
         coords = np.unravel_index(fg, self.shape)
         sums = [np.bincount(rank, weights=c, minlength=ids.size) for c in coords]
         return _readonly(np.stack(sums, axis=1) / counts[:, None])

@@ -16,6 +16,7 @@ write/read round trip is lossless. Reports and configs are YAML with keys
 emitted in a fixed order so files diff cleanly.
 """
 
+import os
 import struct
 from typing import NamedTuple
 
@@ -98,7 +99,7 @@ def write_volume(path, volume):
         _MAGIC, _VERSION, tag, channels, nz, ny, nx,
         voxel_size.dz, voxel_size.dy, voxel_size.dx,
     )
-    payload = np.ascontiguousarray(data).astype(data.dtype.newbyteorder("<")).tobytes()
+    payload = np.ascontiguousarray(data, dtype=data.dtype.newbyteorder("<"))
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(payload)
@@ -124,13 +125,16 @@ def read_volume(path, kind=None):
             raise FormatError(f"{path}: non-positive count in header")
         dtype = _TAG_DTYPES[tag]
         expected = channels * nz * ny * nx * dtype.itemsize
-        payload = fh.read()
-    if len(payload) != expected:
+        # the file's size, not the header alone, decides whether the array is allocated
+        size = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if size == expected:
+            data = np.empty((channels, nz, ny, nx), dtype=dtype)
+            size = fh.readinto(data)
+    if size != expected:
         raise TruncatedPayloadError(
-            f"{path}: payload has {len(payload)} bytes, header declares {expected}"
+            f"{path}: payload has {size} bytes, header declares {expected}"
         )
-    data = np.frombuffer(payload, dtype=dtype).reshape(channels, nz, ny, nx)
-    data = data.astype(dtype.newbyteorder("="))
+    data = data.astype(dtype.newbyteorder("="), copy=False)
     try:
         voxel_size = VoxelSize(dz, dy, dx)
     except ValueError as exc:

@@ -52,25 +52,39 @@ def _check_same_shape(a, b, what):
         )
 
 
+def _ssd(pred, target, mask, out):
+    """Sum of squared differences, masked if ``mask`` is given; its gradient goes to ``out``.
+
+    The operations are those of ``sum(mask * diff * diff)`` and
+    ``2.0 * diff * mask`` in that order, run in place on two buffers.
+    """
+    _check_same_shape(pred, target, "ssd_loss pred/target")
+    diff = np.subtract(pred.data, target.data, out=out, dtype=np.float64)
+    if mask is None:
+        value = float(np.sum(diff * diff))
+    else:
+        if mask.channels != 1 or mask.shape != pred.shape:
+            raise ShapeMismatchError(
+                f"ssd_loss mask: shape {mask.data.shape} vs pred {pred.data.shape}"
+            )
+        m = _f64(mask)
+        sq = np.multiply(m, diff)
+        sq *= diff
+        value = float(np.sum(sq))
+    np.multiply(2.0, diff, out=diff)
+    if mask is not None:
+        diff *= m
+    return value
+
+
 def ssd_loss(pred, target, mask=None):
     """Sum of squared differences, optionally masked.
 
     ``mask`` is a single-channel binary volume broadcast across channels;
     value = sum(mask * (pred - target)^2), gradient = 2 * (pred - target) * mask.
     """
-    _check_same_shape(pred, target, "ssd_loss pred/target")
-    diff = _f64(pred) - _f64(target)
-    if mask is not None:
-        if mask.channels != 1 or mask.shape != pred.shape:
-            raise ShapeMismatchError(
-                f"ssd_loss mask: shape {mask.data.shape} vs pred {pred.data.shape}"
-            )
-        m = _f64(mask)
-        value = float(np.sum(m * diff * diff))
-        grad = 2.0 * diff * m
-    else:
-        value = float(np.sum(diff * diff))
-        grad = 2.0 * diff
+    grad = np.empty(pred.data.shape)
+    value = _ssd(pred, target, mask, grad)
     return LossResult(value, Volume(grad, pred.voxel_size))
 
 
@@ -92,15 +106,16 @@ def softmax_ce_loss(logits, target):
     cls = cls.astype(np.intp)
 
     x = _f64(logits)
-    shifted = x - x.max(axis=0, keepdims=True)
-    log_norm = np.log(np.sum(np.exp(shifted), axis=0, keepdims=True))
-    log_probs = shifted - log_norm
+    log_probs = x - x.max(axis=0, keepdims=True)
+    grad = np.exp(log_probs)
+    log_norm = np.sum(grad, axis=0, keepdims=True)
+    np.log(log_norm, out=log_norm)
+    log_probs -= log_norm
     picked = np.take_along_axis(log_probs, cls[np.newaxis], axis=0)
     value = float(-picked.sum())
 
-    grad = np.exp(log_probs)
-    one_hot = cls[np.newaxis] == np.arange(3)[:, None, None, None]
-    grad -= one_hot
+    np.exp(log_probs, out=grad)
+    grad -= cls[np.newaxis] == np.arange(3)[:, None, None, None]
     return LossResult(value, Volume(grad, logits.voxel_size))
 
 
@@ -114,8 +129,18 @@ def sigmoid_bce_loss(logits, target):
     if not np.isin(t, (0.0, 1.0)).all():
         raise InvalidClassError("binary target values must be 0 or 1")
     x = _f64(logits)
-    value = float(np.sum(np.maximum(x, 0.0) - x * t + np.log1p(np.exp(-np.abs(x)))))
-    grad = expit(x) - t
+    # sum(max(x, 0) - x * t + log1p(exp(-|x|))), one operation at a time
+    terms = np.maximum(x, 0.0)
+    grad = np.multiply(x, t)
+    terms -= grad
+    np.abs(x, out=grad)
+    np.negative(grad, out=grad)
+    np.exp(grad, out=grad)
+    np.log1p(grad, out=grad)
+    terms += grad
+    value = float(np.sum(terms))
+    expit(x, out=grad)
+    grad -= t
     return LossResult(value, Volume(grad, logits.voxel_size))
 
 
@@ -128,7 +153,14 @@ def combined_loss(main, cpv_pred, cpv_target, fg_mask, main_weight):
     gradient with the auxiliary gradient, in that channel order.
     """
     check_number("main_weight", main_weight, gt=0)
-    aux = ssd_loss(cpv_pred, cpv_target, fg_mask)
-    value = main_weight * main.value + aux.value
-    grad = np.concatenate([main_weight * _f64(main.gradient), _f64(aux.gradient)], axis=0)
+    if main.gradient.shape != cpv_pred.shape:
+        raise ShapeMismatchError(
+            f"combined_loss main gradient: shape {main.gradient.data.shape} "
+            f"vs cpv pred {cpv_pred.data.shape}"
+        )
+    main_channels = main.gradient.channels
+    grad = np.empty((main_channels + cpv_pred.channels,) + cpv_pred.shape)
+    aux_value = _ssd(cpv_pred, cpv_target, fg_mask, grad[main_channels:])
+    np.multiply(main_weight, _f64(main.gradient), out=grad[:main_channels])
+    value = main_weight * main.value + aux_value
     return LossResult(value, Volume(grad, cpv_pred.voxel_size))

@@ -164,17 +164,20 @@ def perturb_target(bundle, noise_sigma, smoothing_sigma, rng_seed):
     Adds seeded Gaussian noise, then smooths each channel with a separable
     Gaussian. Probability channels are clamped back to [0, 1] and the sdt
     channel to its tanh range [-1, 1]; vector channels are left free.
+    The noise is drawn one channel at a time, in channel order: PCG64 fills
+    an array in C order, so this is the stream of one whole-volume draw.
     """
     check_number("noise_sigma", noise_sigma, ge=0)
     check_number("smoothing_sigma", smoothing_sigma, ge=0)
     check_number("rng_seed", rng_seed, integer=True, ge=0)
     rng = np.random.default_rng(rng_seed)
-    data = bundle.volume.data.astype(np.float64, copy=True)
+    data = bundle.volume.data.astype(np.float64)
     if noise_sigma > 0:
-        data += rng.normal(0.0, noise_sigma, size=data.shape)
+        for channel in data:
+            channel += rng.normal(0.0, noise_sigma, size=channel.shape)
     if smoothing_sigma > 0:
-        for c in range(data.shape[0]):
-            data[c] = ndi.gaussian_filter(data[c], smoothing_sigma)
+        # sigma 0 leaves the channel axis alone: each channel is smoothed in 3d, in place
+        ndi.gaussian_filter(data, (0.0,) + (smoothing_sigma,) * 3, output=data)
     lo, hi = _CLAMP[bundle.variant]
     main = bundle.main_channels
     np.clip(data[:main], lo, hi, out=data[:main])

@@ -14,6 +14,7 @@ The 3-label class map itself uses 0 = background, 1 = interior,
 2 = boundary; the one-hot channels follow that class order.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,8 @@ VARIANTS = ("sdt", "3label", "affinities", "gauss")
 MAIN_CHANNELS = {"sdt": 1, "3label": 3, "affinities": 4, "gauss": 1}
 
 BACKGROUND, INTERIOR, BOUNDARY = 0, 1, 2
+
+_GAUSS_BLOCK = 16  # edge of the voxel blocks encode_gauss takes its minimum over
 
 
 @dataclass(frozen=True)
@@ -153,12 +156,11 @@ def encode_cpv(labels):
     Channels are (vz, vy, vx) in voxel units; background voxels carry the
     zero vector. Centers are computed on the un-eroded labels.
     """
-    lab = labels.labels
-    out = np.zeros((3,) + lab.shape, dtype=np.float64)
-    coords = np.nonzero(lab)
-    per_voxel = labels.centers[np.searchsorted(labels.ids(), lab[coords])]
-    for k, c in enumerate(coords):
-        out[k][coords] = per_voxel[:, k] - c
+    out = np.zeros((3,) + labels.shape, dtype=np.float64)
+    fg, rank = labels._fg_rank
+    per_voxel = labels.centers[rank]
+    for k, c in enumerate(np.unravel_index(fg, labels.shape)):
+        out[k].flat[fg] = per_voxel[:, k] - c
     return Volume(out, labels.voxel_size)
 
 
@@ -174,20 +176,34 @@ def encode_gauss(labels, sigma=2.0):
     is monotone, so that quotient gives the largest value: the two forms are
     bit-identical, ties included. With no instances d^2 stays +inf and the
     target is all +0.0.
+
+    The minimum is taken per block of 16^3 voxels over candidate centers
+    only. A block with midpoint m and half-diagonal h holds no voxel farther
+    than h from m, so if the nearest center to m lies at distance d, every
+    voxel of the block has a center within d + h, and each of its nearest
+    centers lies within d + 2h of m. The candidates are the centers within
+    d + 2h + 1 of m: the extra voxel covers the rounding of the float d^2
+    and of this test, so every center whose float d^2 is least at a voxel
+    is a candidate. The minimum over such a superset is the same float, ties
+    included, because each d^2 is the same expression of the same numbers.
     """
     check_number("sigma", sigma, gt=0)
-    lab = labels.labels
-    nz, ny, nx = lab.shape
-    z = np.arange(nz, dtype=np.float64)[:, None, None]
-    y = np.arange(ny, dtype=np.float64)[None, :, None]
-    x = np.arange(nx, dtype=np.float64)[None, None, :]
-    best = np.full(lab.shape, np.inf)
-    d2 = np.empty(lab.shape)
-    for cz, cy, cx in labels.centers:
-        np.add((z - cz) ** 2 + (y - cy) ** 2, (x - cx) ** 2, out=d2)
-        np.minimum(best, d2, out=best)
-    out = np.exp(best / (-2.0 * sigma * sigma))
-    return Volume(out[np.newaxis], labels.voxel_size)
+    centers = labels.centers
+    d2 = np.full(labels.shape, np.inf)
+    if len(centers):
+        axes = [np.arange(n, dtype=np.float64) for n in labels.shape]
+        for start in itertools.product(*(range(0, n, _GAUSS_BLOCK) for n in labels.shape)):
+            block = tuple(slice(a, a + _GAUSS_BLOCK) for a in start)
+            z, y, x = (ax[sl] for ax, sl in zip(axes, block))
+            end = np.array([z[-1], y[-1], x[-1]])
+            half = np.linalg.norm(end - start) / 2
+            dist = np.linalg.norm(centers - (end + start) / 2, axis=1)
+            cz, cy, cx = centers[dist <= dist.min() + 2 * half + 1].T[:, :, None, None, None]
+            d2[block] = (((z[:, None, None] - cz) ** 2 + (y[:, None] - cy) ** 2)
+                         + (x - cx) ** 2).min(axis=0)
+    np.divide(d2, -2.0 * sigma * sigma, out=d2)
+    np.exp(d2, out=d2)
+    return Volume(d2[np.newaxis], labels.voxel_size)
 
 
 def encode_bundle(labels, variant, with_cpv=False, tanh_scale=5.0, sigma=2.0):
@@ -208,7 +224,7 @@ def encode_bundle(labels, variant, with_cpv=False, tanh_scale=5.0, sigma=2.0):
         main = encode_gauss(labels, sigma=sigma).data
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    main = main.astype(np.float64)
+    main = main.astype(np.float64, copy=False)
     if with_cpv:
         main = np.concatenate([main, encode_cpv(labels).data], axis=0)
     return TargetBundle(Volume(main, labels.voxel_size), variant, with_cpv)

@@ -8,6 +8,8 @@ reproduce exactly.
 """
 
 import numpy as np
+from scipy import ndimage as ndi
+from scipy.special import expit
 
 FACE_OFFSETS = ((-1, 0, 0), (1, 0, 0), (0, -1, 0), (0, 1, 0), (0, 0, -1), (0, 0, 1))
 
@@ -148,6 +150,56 @@ def naive_gauss(shape, centers, sigma):
     for cz, cy, cx in centers:
         d2 = (z - cz) ** 2 + (y - cy) ** 2 + (x - cx) ** 2
         np.maximum(out, np.exp(d2 / (-2.0 * sigma * sigma)), out=out)
+    return out
+
+
+def ssd_oracle(pred, target, mask=None):
+    """Masked sum of squared differences and its gradient, one float64 expression each."""
+    diff = pred.astype(np.float64) - target.astype(np.float64)
+    if mask is None:
+        return float(np.sum(diff * diff)), 2.0 * diff
+    m = mask.astype(np.float64)
+    return float(np.sum(m * diff * diff)), 2.0 * diff * m
+
+
+def softmax_ce_oracle(logits, cls):
+    """Summed 3-class softmax cross entropy and its gradient from whole-array temporaries."""
+    x = logits.astype(np.float64)
+    shifted = x - x.max(axis=0, keepdims=True)
+    log_probs = shifted - np.log(np.sum(np.exp(shifted), axis=0, keepdims=True))
+    picked = np.take_along_axis(log_probs, cls.astype(np.intp)[np.newaxis], axis=0)
+    one_hot = cls[np.newaxis] == np.arange(3)[:, None, None, None]
+    return float(-picked.sum()), np.exp(log_probs) - one_hot
+
+
+def sigmoid_bce_oracle(logits, target):
+    """Summed stable-logits binary cross entropy and its gradient sigmoid(x) - t."""
+    x = logits.astype(np.float64)
+    t = target.astype(np.float64)
+    value = float(np.sum(np.maximum(x, 0.0) - x * t + np.log1p(np.exp(-np.abs(x)))))
+    return value, expit(x) - t
+
+
+def combined_oracle(main_value, main_grad, cpv_pred, cpv_target, fg, main_weight):
+    """Weighted main loss plus the foreground-masked vector SSD; gradients concatenated."""
+    aux_value, aux_grad = ssd_oracle(cpv_pred, cpv_target, fg)
+    grad = np.concatenate([main_weight * main_grad.astype(np.float64), aux_grad], axis=0)
+    return main_weight * main_value + aux_value, grad
+
+
+def perturb_oracle(data, main_channels, clamp, noise_sigma, smoothing_sigma, rng_seed):
+    """Noise from one whole-array PCG64 draw, then a 3d Gaussian filter per channel.
+
+    The first ``main_channels`` channels are clipped to ``clamp``.
+    """
+    rng = np.random.default_rng(rng_seed)
+    out = data.astype(np.float64, copy=True)
+    if noise_sigma > 0:
+        out += rng.normal(0.0, noise_sigma, size=out.shape)
+    if smoothing_sigma > 0:
+        for c in range(out.shape[0]):
+            out[c] = ndi.gaussian_filter(out[c], smoothing_sigma)
+    out[:main_channels] = np.clip(out[:main_channels], *clamp)
     return out
 
 

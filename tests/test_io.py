@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,29 @@ def test_truncated_payload(tmp_path):
         read_volume(path)
     path.write_bytes(raw + b"\x00\x00\x00\x00")  # one voxel too many
     with pytest.raises(TruncatedPayloadError):
+        read_volume(path)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.float32])
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_payload_one_byte_off_names_both_sizes(tmp_path, dtype, delta):
+    path = tmp_path / "v.v3dr"
+    write_volume(path, Volume(np.zeros((2, 3, 4, 5), dtype=dtype)))
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-1] if delta < 0 else raw + b"\x00")
+    expected = 120 * np.dtype(dtype).itemsize
+    message = f"payload has {expected + delta} bytes, header declares {expected}"
+    with pytest.raises(TruncatedPayloadError, match=message):
+        read_volume(path)
+
+
+def test_huge_header_counts_refused_without_allocating(tmp_path):
+    path = tmp_path / "v.v3dr"
+    write_volume(path, Volume(np.zeros((1, 2, 2, 2), dtype=np.float32)))
+    raw = bytearray(path.read_bytes())
+    raw[12:28] = struct.pack("<4I", *(2**32 - 1,) * 4)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(TruncatedPayloadError, match="payload has 32 bytes"):
         read_volume(path)
 
 

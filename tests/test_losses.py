@@ -15,6 +15,7 @@ from nuclei3d import (
 from nuclei3d.errors import InvalidClassError, ShapeMismatchError
 
 from conftest import random_blob_labels
+from oracles import combined_oracle, sigmoid_bce_oracle, softmax_ce_oracle, ssd_oracle
 
 
 def finite_difference_gradient(fn, data, h=1e-4):
@@ -199,9 +200,105 @@ class TestCombined:
         fd = finite_difference_gradient(lambda d: loss_of(d).value, full)
         assert relative_gradient_error(res.gradient.data, fd) < 1e-5
 
+    def test_main_gradient_shape_must_match_cpv(self):
+        cpv = Volume(np.zeros((3, 2, 2, 2)))
+        fg = Volume(np.ones((1, 2, 2, 2)))
+        main = ssd_loss(Volume(np.zeros((1, 1, 1, 1))), Volume(np.zeros((1, 1, 1, 1))))
+        with pytest.raises(ShapeMismatchError, match="combined_loss main gradient"):
+            combined_loss(main, cpv, cpv, fg, main_weight=1.0)
+
     def test_main_weight_must_be_positive(self, rng):
         cpv = Volume(np.zeros((3, 2, 2, 2)))
         fg = Volume(np.ones((1, 2, 2, 2)))
         main = ssd_loss(cpv, cpv)
         with pytest.raises(ValueError):
             combined_loss(main, cpv, cpv, fg, main_weight=0.0)
+
+
+# Shapes with a 1-voxel axis in each spatial position and none; channels are set per test.
+BIT_EXACT_SHAPES = [(1, 5, 7), (4, 1, 6), (3, 4, 1), (3, 4, 5)]
+
+
+def _signed_zeros(rng, data):
+    """``data`` with about a quarter of its entries set to -0.0 and another to +0.0."""
+    out = data.copy()
+    pick = rng.random(out.shape)
+    out[pick < 0.25] = -0.0
+    out[(pick >= 0.25) & (pick < 0.5)] = 0.0
+    return out
+
+
+def _logits(rng, shape, dtype=np.float64):
+    """Normal logits with -0.0, +0.0 and saturating +-800 entries."""
+    x = _signed_zeros(rng, rng.normal(scale=3.0, size=shape))
+    pick = rng.random(shape)
+    x[pick < 0.1] = 800.0
+    x[pick > 0.9] = -800.0
+    return x.astype(dtype)
+
+
+def _masks(rng, shape):
+    yield "none", None
+    yield "zeros", np.zeros(shape)
+    yield "ones", np.ones(shape)
+    yield "binary", (rng.random(shape) < 0.5).astype(np.float64)
+    yield "weights", _signed_zeros(rng, rng.random(shape) * 3.0)
+    # subnormal products: 2 * (diff * m) rounds differently from (2 * diff) * m
+    yield "subnormal", rng.random(shape) * 1e-310
+
+
+def _assert_bit_identical(result, value, grad):
+    assert np.float64(result.value).tobytes() == np.float64(value).tobytes()
+    assert result.gradient.data.dtype == grad.dtype == np.float64
+    assert result.gradient.data.tobytes() == grad.tobytes()
+
+
+class TestBitIdenticalToOracles:
+    """The in-place losses against the whole-array formulas in ``oracles``, bit for bit."""
+
+    @pytest.mark.parametrize("shape", BIT_EXACT_SHAPES)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_ssd(self, rng, shape, dtype):
+        for channels in (1, 3):
+            pred = _signed_zeros(rng, rng.normal(size=(channels,) + shape)).astype(dtype)
+            target = _signed_zeros(rng, rng.normal(size=(channels,) + shape)).astype(dtype)
+            for _, mask in _masks(rng, (1,) + shape):
+                res = ssd_loss(Volume(pred), Volume(target), None if mask is None else Volume(mask))
+                _assert_bit_identical(res, *ssd_oracle(pred, target, mask))
+
+    @pytest.mark.parametrize("shape", BIT_EXACT_SHAPES)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_softmax_ce(self, rng, shape, dtype):
+        for _ in range(3):
+            logits = _logits(rng, (3,) + shape, dtype)
+            cls = rng.integers(0, 3, size=(1,) + shape).astype(np.uint8)
+            res = softmax_ce_loss(Volume(logits), Volume(cls))
+            _assert_bit_identical(res, *softmax_ce_oracle(logits, cls[0]))
+
+    @pytest.mark.parametrize("shape", BIT_EXACT_SHAPES)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_sigmoid_bce(self, rng, shape, dtype):
+        logits = _logits(rng, (4,) + shape, dtype)
+        for target in (
+            np.zeros((4,) + shape),
+            np.ones((4,) + shape),
+            (rng.random((4,) + shape) < 0.5).astype(dtype),
+        ):
+            res = sigmoid_bce_loss(Volume(logits), Volume(target))
+            _assert_bit_identical(res, *sigmoid_bce_oracle(logits, target))
+
+    @pytest.mark.parametrize("shape", BIT_EXACT_SHAPES)
+    @pytest.mark.parametrize("main_weight", [1.0, 100.0, 3])
+    def test_combined(self, rng, shape, main_weight):
+        cls = rng.integers(0, 3, size=(1,) + shape).astype(np.uint8)
+        main = softmax_ce_loss(Volume(_logits(rng, (3,) + shape)), Volume(cls))
+        cpv_pred = _signed_zeros(rng, rng.normal(scale=4.0, size=(3,) + shape))
+        cpv_target = _signed_zeros(rng, rng.normal(scale=4.0, size=(3,) + shape))
+        for _, fg in _masks(rng, (1,) + shape):
+            if fg is None:
+                continue
+            res = combined_loss(main, Volume(cpv_pred), Volume(cpv_target), Volume(fg), main_weight)
+            expected = combined_oracle(
+                main.value, main.gradient.data, cpv_pred, cpv_target, fg, main_weight
+            )
+            _assert_bit_identical(res, *expected)

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from nuclei3d import (
+    MAIN_CHANNELS,
     PhantomConfig,
+    TargetBundle,
+    Volume,
     encode_bundle,
     encode_three_label,
     generate_phantom,
@@ -13,7 +16,7 @@ from nuclei3d import (
 from nuclei3d.errors import PlacementError
 from nuclei3d.targets import BOUNDARY
 
-from oracles import FACE_OFFSETS, touching_phantom_oracle
+from oracles import FACE_OFFSETS, perturb_oracle, touching_phantom_oracle
 
 
 def small_cfg(**overrides):
@@ -214,3 +217,25 @@ class TestPerturb:
         out = perturb_target(bundle, 0.0, 0.5, rng_seed=9)
         # negative vector components survive; a [0, 1] clamp would erase them
         assert out.volume.data[3:].min() < -1.0
+
+    @pytest.mark.parametrize("shape", [(1, 9, 11), (6, 1, 8), (5, 7, 1), (6, 9, 8)])
+    @pytest.mark.parametrize("variant,with_cpv", [
+        ("sdt", True), ("3label", True), ("affinities", False), ("gauss", False),
+    ])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bit_identical_to_oracle(self, rng, shape, variant, with_cpv, dtype):
+        channels = MAIN_CHANNELS[variant] + 3 * with_cpv
+        data = rng.normal(scale=2.0, size=(channels,) + shape)
+        pick = rng.random(data.shape)
+        data[pick < 0.2] = -0.0
+        data[pick > 0.8] = 0.0
+        data = data.astype(dtype)
+        bundle = TargetBundle(Volume(data), variant, with_cpv)
+        clamp = (-1.0, 1.0) if variant == "sdt" else (0.0, 1.0)
+        for noise, smooth in ((0.0, 0.0), (0.3, 0.0), (0.0, 0.8), (0.3, 0.8), (1e-3, 2.5)):
+            out = perturb_target(bundle, noise, smooth, rng_seed=17)
+            expected = perturb_oracle(
+                data, MAIN_CHANNELS[variant], clamp, noise, smooth, rng_seed=17
+            )
+            assert out.volume.data.dtype == np.float64
+            assert out.volume.data.tobytes() == expected.tobytes()

