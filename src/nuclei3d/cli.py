@@ -16,7 +16,7 @@ from .detection import NmsConfig, nms_detect
 from .errors import Nuclei3dError, PlacementError
 from .metrics import evaluate
 from .phantom import PhantomConfig, generate_phantom
-from .postproc import PostprocConfig, segment
+from .postproc import SEG_VARIANTS, PostprocConfig, segment
 from .sweep import load_sweep_spec, run_sweep
 from .targets import VARIANTS, encode_bundle
 
@@ -111,7 +111,7 @@ def _build_parser():
     p = sub.add_parser("segment", help="watershed instance segmentation of a prediction")
     p.add_argument("pred", help="prediction volume (.v3dr)")
     p.add_argument("out", help="output label volume (.v3dr)")
-    p.add_argument("--variant", required=True, choices=("sdt", "3label", "affinities"))
+    p.add_argument("--variant", required=True, choices=SEG_VARIANTS)
     p.add_argument("--seed-source", choices=("main", "cpv"), default="main")
     p.add_argument("--seed-threshold", type=float, default=0.0)
     p.add_argument("--fg-threshold", type=float, default=0.0)

@@ -28,6 +28,9 @@ __all__ = [
     "connected_components",
 ]
 
+# the 6-connected (face adjacency) structuring element
+FACE = ndi.generate_binary_structure(3, 1)
+
 
 def check_number(key, value, integer=False, ge=None, gt=None):
     """Return ``value`` if it is a finite real number (an integer if asked) within the bound.
@@ -119,7 +122,6 @@ class Volume:
             return NotImplemented
         return (
             self.data.dtype == other.data.dtype
-            and self.data.shape == other.data.shape
             and np.array_equal(self.data, other.data)
             and self.voxel_size == other.voxel_size
         )
@@ -200,8 +202,7 @@ class LabelVolume:
         if not isinstance(other, LabelVolume):
             return NotImplemented
         return (
-            self.labels.shape == other.labels.shape
-            and np.array_equal(self.labels, other.labels)
+            np.array_equal(self.labels, other.labels)
             and self.voxel_size == other.voxel_size
         )
 
@@ -255,6 +256,17 @@ def round_half_away(v):
     return np.copysign(np.floor(np.abs(v) + 0.5), v)
 
 
+def boundary_mask(lab):
+    """Foreground voxels with an in-bounds face neighbor of different label."""
+    diff = np.zeros(lab.shape, dtype=bool)
+    for axis in range(3):
+        lo, hi = face_slices(axis)
+        ne = lab[lo] != lab[hi]
+        diff[lo] |= ne
+        diff[hi] |= ne
+    return (lab > 0) & diff
+
+
 def erode_instances(labels, iterations):
     """Erode every instance independently with the 6-connected element.
 
@@ -263,19 +275,12 @@ def erode_instances(labels, iterations):
     Instances may vanish entirely.
     """
     check_number("iterations", iterations, integer=True, ge=0)
-    lab = labels.labels.copy()
+    lab = labels.labels
+    # voxels whose six face neighbours all lie inside the volume
+    inner = np.zeros(lab.shape, dtype=bool)
+    inner[1:-1, 1:-1, 1:-1] = True
     for _ in range(iterations):
-        if not lab.any():
-            break
-        keep = lab > 0
-        for axis in range(3):
-            lo, hi = face_slices(axis)
-            same = lab[lo] == lab[hi]
-            keep[lo] &= same
-            keep[hi] &= same
-            # the neighbour outside the volume is background
-            np.moveaxis(keep, axis, 0)[[0, -1]] = False
-        lab = np.where(keep, lab, 0)
+        lab = np.where(inner & ~boundary_mask(lab), lab, 0)
     return LabelVolume(lab, labels.voxel_size)
 
 
@@ -309,10 +314,8 @@ def connected_components(mask):
     """
     if mask.channels != 1:
         raise ShapeMismatchError("connected_components expects a single channel")
-    lab, n = ndi.label(mask.channel(0), structure=ndi.generate_binary_structure(3, 1))
-    if n > 0:
-        lab = _relabel_raster_order(lab, n)
-    return LabelVolume(lab, mask.voxel_size)
+    lab, n = ndi.label(mask.channel(0), structure=FACE)
+    return LabelVolume(_relabel_raster_order(lab, n), mask.voxel_size)
 
 
 def _relabel_raster_order(lab, n):

@@ -48,18 +48,13 @@ _MAGIC = b"V3DR"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIIIIIIddd")
 
-_DTYPE_TAGS = {
-    np.dtype(np.uint8): 0,
-    np.dtype(np.uint16): 1,
-    np.dtype(np.int32): 2,
-    np.dtype(np.float32): 3,
-}
 _TAG_DTYPES = {
     0: np.dtype("<u1"),
     1: np.dtype("<u2"),
     2: np.dtype("<i4"),
     3: np.dtype("<f4"),
 }
+_DTYPE_TAGS = {dtype.newbyteorder("="): tag for tag, dtype in _TAG_DTYPES.items()}
 
 
 class Detection(NamedTuple):
@@ -80,10 +75,8 @@ def write_volume(path, volume):
     """
     if isinstance(volume, LabelVolume):
         data = volume.labels[np.newaxis]
-        voxel_size = volume.voxel_size
     elif isinstance(volume, Volume):
         data = volume.data
-        voxel_size = volume.voxel_size
         if data.dtype == np.dtype(np.int32):
             raise UnsupportedDtypeError(
                 "i32 is reserved for label volumes; cast scalar data to f32"
@@ -93,11 +86,8 @@ def write_volume(path, volume):
     else:
         raise TypeError(f"expected Volume or LabelVolume, got {type(volume)!r}")
 
-    tag = _DTYPE_TAGS[np.dtype(data.dtype)]
-    channels, nz, ny, nx = data.shape
     header = _HEADER.pack(
-        _MAGIC, _VERSION, tag, channels, nz, ny, nx,
-        voxel_size.dz, voxel_size.dy, voxel_size.dx,
+        _MAGIC, _VERSION, _DTYPE_TAGS[data.dtype], *data.shape, *volume.voxel_size.as_tuple()
     )
     payload = np.ascontiguousarray(data, dtype=data.dtype.newbyteorder("<"))
     with open(path, "wb") as fh:
@@ -134,16 +124,15 @@ def read_volume(path, kind=None):
         raise TruncatedPayloadError(
             f"{path}: payload has {size} bytes, header declares {expected}"
         )
+    if tag == 2 and channels != 1:
+        raise FormatError(f"{path}: label volumes must be single-channel")
     data = data.astype(dtype.newbyteorder("="), copy=False)
+    # a payload fault (a negative label ID, a non-finite value) names the file too
     try:
         voxel_size = VoxelSize(dz, dy, dx)
+        return LabelVolume(data[0], voxel_size) if tag == 2 else Volume(data, voxel_size)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None
-    if tag == 2:
-        if channels != 1:
-            raise FormatError(f"{path}: label volumes must be single-channel")
-        return LabelVolume(data[0], voxel_size)
-    return Volume(data, voxel_size)
 
 
 def write_detections(path, detections):

@@ -126,16 +126,14 @@ def generate_phantom(cfg):
                 zz, yy, xx = _ellipsoid_voxels(cfg.shape, center, semi)
                 if labels[zz, yy, xx].any():
                     continue
-                labels[zz, yy, xx] = instance
-                break
-            reach = semi.max()
-            if all(
-                np.linalg.norm(center - c) >= reach + s.max() + gap for c, s in placed
-            ):
-                zz, yy, xx = _ellipsoid_voxels(cfg.shape, center, semi)
-                labels[zz, yy, xx] = instance
+            else:
+                reach = semi.max()
+                if any(np.linalg.norm(center - c) < reach + s.max() + gap for c, s in placed):
+                    continue
                 placed.append((center, semi))
-                break
+                zz, yy, xx = _ellipsoid_voxels(cfg.shape, center, semi)
+            labels[zz, yy, xx] = instance
+            break
         else:
             raise PlacementError(
                 f"placement-failure: gave up after {_MAX_ATTEMPTS} attempts "

@@ -29,8 +29,8 @@ from scipy import ndimage as ndi
 from scipy.special import expit
 
 from .core import (
-    LabelVolume, Volume, VoxelSize, check_number, connected_components, dilate_instances,
-    face_neighbours, round_half_away, run_starts,
+    FACE, LabelVolume, Volume, VoxelSize, check_number, connected_components,
+    dilate_instances, face_neighbours, round_half_away, run_starts,
 )
 from .errors import ChannelCountError, ShapeMismatchError
 from .targets import MAIN_CHANNELS, TargetBundle
@@ -46,7 +46,7 @@ __all__ = [
     "segment",
 ]
 
-_SEG_VARIANTS = ("sdt", "3label", "affinities")
+SEG_VARIANTS = ("sdt", "3label", "affinities")
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class PostprocConfig:
     dilate_result: bool = False
 
     def __post_init__(self):
-        if self.variant not in _SEG_VARIANTS:
+        if self.variant not in SEG_VARIANTS:
             raise ValueError(f"unknown segmentation variant {self.variant!r}")
         if self.seed_source not in ("main", "cpv"):
             raise ValueError(f"seed_source must be 'main' or 'cpv', got {self.seed_source!r}")
@@ -204,8 +204,7 @@ def watershed(topo, seeds):
     max_id = int(labels.max())
     # intp pocket numbers index the per-pocket tables below without a cast
     pocket = np.empty(shape, dtype=np.intp)
-    face = ndi.generate_binary_structure(3, 1)
-    n_pocket = ndi.label(topo.foreground & (labels == 0), structure=face, output=pocket)
+    n_pocket = ndi.label(topo.foreground & (labels == 0), structure=FACE, output=pocket)
     pocket = pocket.ravel()
     labels = labels.ravel()
 

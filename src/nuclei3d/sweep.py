@@ -162,7 +162,6 @@ def run_sweep(spec):
 
     scores = {}  # (pair, stage key, dilate) -> objective score
     table = []
-    best = None
     for name, pairs in spec.checkpoints:
         totals = [0.0] * len(spec.configs)
         for pair in pairs:
@@ -180,7 +179,7 @@ def run_sweep(spec):
                     scores[key] = _objective(kind, iou_t, gt, seg)
                 totals[i] += scores[key]
         for cfg, total in zip(spec.configs, totals):
-            row = {
+            table.append({
                 "checkpoint": name,
                 "seed_source": cfg.seed_source,
                 "seed_threshold": cfg.seed_threshold,
@@ -188,10 +187,7 @@ def run_sweep(spec):
                 "cpv_seed_threshold": cfg.cpv_seed_threshold,
                 "dilate": cfg.dilate_result,
                 "score": total / len(pairs),
-            }
-            table.append(row)
-            if best is None or row["score"] > best["score"]:
-                best = row
-    selected = dict(best)
-    selected["objective"] = spec.objective
+            })
+    # max keeps the first of equal scores: ties go to the earliest candidate
+    selected = dict(max(table, key=lambda row: row["score"]), objective=spec.objective)
     return SweepResult(selected, table)

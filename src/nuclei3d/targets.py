@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage as ndi
 
-from .core import Volume, check_number, erode_instances, face_slices
+from .core import Volume, boundary_mask, check_number, erode_instances, face_slices
 
 __all__ = [
     "VARIANTS",
@@ -72,17 +72,6 @@ class TargetBundle:
         return MAIN_CHANNELS[self.variant]
 
 
-def _boundary_mask(lab):
-    """Foreground voxels with an in-bounds face neighbor of different label."""
-    diff = np.zeros(lab.shape, dtype=bool)
-    for axis in range(3):
-        lo, hi = face_slices(axis)
-        ne = lab[lo] != lab[hi]
-        diff[lo] |= ne
-        diff[hi] |= ne
-    return (lab > 0) & diff
-
-
 def signed_boundary_distance(labels, anisotropic=False):
     """Signed Euclidean distance to the nearest boundary voxel.
 
@@ -100,7 +89,7 @@ def signed_boundary_distance(labels, anisotropic=False):
     """
     lab = labels.labels
     fg = lab > 0
-    boundary = _boundary_mask(lab)
+    boundary = boundary_mask(lab)
     if not boundary.any():
         dist = np.full(lab.shape, np.inf)
     else:
@@ -129,7 +118,7 @@ def encode_three_label(labels):
     lab = labels.labels
     out = np.zeros(lab.shape, dtype=np.uint8)
     out[lab > 0] = INTERIOR
-    out[_boundary_mask(lab)] = BOUNDARY
+    out[boundary_mask(lab)] = BOUNDARY
     return Volume(out[np.newaxis], labels.voxel_size)
 
 
@@ -224,7 +213,6 @@ def encode_bundle(labels, variant, with_cpv=False, tanh_scale=5.0, sigma=2.0):
         main = encode_gauss(labels, sigma=sigma).data
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    main = main.astype(np.float64, copy=False)
     if with_cpv:
         main = np.concatenate([main, encode_cpv(labels).data], axis=0)
     return TargetBundle(Volume(main, labels.voxel_size), variant, with_cpv)

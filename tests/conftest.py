@@ -24,6 +24,23 @@ def random_blob_labels(rng, shape, n_blobs, rmax=3):
     return lab
 
 
+def edge_labels(rng):
+    """Label arrays where few or no voxels have six in-bounds face neighbours.
+
+    Axes of length 1 or 2, a single voxel, blocks that fill the whole volume
+    and IDs at the top of the int32 range.
+    """
+    thin = [
+        random_blob_labels(rng, shape, 3, rmax=2)
+        for shape in ((1, 6, 7), (2, 5, 6), (5, 2, 6), (6, 5, 1), (2, 2, 2))
+    ]
+    full = [np.full(shape, i, dtype=np.int32) for shape, i in (
+        ((1, 1, 1), 7), ((1, 1, 1), 0), ((1, 3, 2), 4), ((3, 4, 5), 2), ((5, 5, 5), 2**31 - 1)
+    )]
+    top = [np.where(lab > 0, 2**31 - lab.astype(np.int64), 0) for lab in thin]
+    return thin + full + top
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

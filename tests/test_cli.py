@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nuclei3d import (
+    LabelVolume,
     NmsConfig,
     PhantomConfig,
     PostprocConfig,
@@ -421,6 +422,18 @@ def _inf_voxel_size(path):
     path.write_bytes(header)
 
 
+def _first_voxel(value):
+    """Writer of a label (int ``value``) or f32 volume file whose first voxel is ``value``."""
+    def write(path):
+        label = isinstance(value, int)
+        zeros = np.zeros((2, 3, 4), np.int32 if label else np.float32)
+        write_volume(path, LabelVolume(zeros) if label else Volume(zeros))
+        raw = bytearray(path.read_bytes())
+        raw[52:56] = struct.pack("<i" if label else "<f", value)
+        path.write_bytes(bytes(raw))
+    return write
+
+
 @pytest.mark.parametrize(
     "write,argv,expected",
     [
@@ -439,9 +452,18 @@ def _inf_voxel_size(path):
          "sigma must be a finite number > 0, got nan"),
         (_inf_voxel_size,
          ["evaluate", "{input}", "{out}"], "voxel size dz must be a finite number > 0, got inf"),
+        # a payload fault names the file: the input path ends in .in
+        (_first_voxel(-1),
+         ["evaluate", "{gt}", "{out}", "--seg", "{input}"], ".in: labels must be non-negative"),
+        (_first_voxel(math.nan),
+         ["segment", "{input}", "{out}", "--variant", "sdt"], ".in: volume values must be finite"),
+        (_first_voxel(math.inf),
+         ["detect", "{input}", "{out}", "--gauss-threshold", "0.5", "--nms-distance", "2"],
+         ".in: volume values must be finite"),
     ],
     ids=["phantom-radius-inf", "segment-cpv-threshold-inf", "sweep-threshold-text",
-         "sweep-scalar-source", "encode-sigma-nan", "evaluate-voxel-size-inf"],
+         "sweep-scalar-source", "encode-sigma-nan", "evaluate-voxel-size-inf",
+         "evaluate-seg-negative-label", "segment-nan-payload", "detect-inf-payload"],
 )
 def test_refused_value_is_one_line_error(workdir, capsys, request, write, argv, expected):
     case = request.node.callspec.id

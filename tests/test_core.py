@@ -24,7 +24,7 @@ from nuclei3d import (
 from nuclei3d.core import _relabel_raster_order
 from nuclei3d.errors import ShapeMismatchError
 
-from conftest import random_blob_labels
+from conftest import edge_labels, random_blob_labels
 from oracles import com_oracle, dilate_oracle, erode_oracle, unionfind_components
 
 
@@ -175,8 +175,8 @@ class TestErode:
         assert erode_instances(lv, 1).labels.sum() == 0
 
     def test_matches_neighborhood_oracle(self, rng):
-        for _ in range(5):
-            lab = random_blob_labels(rng, (7, 8, 7), 4)
+        random = [random_blob_labels(rng, (7, 8, 7), 4) for _ in range(5)]
+        for lab in random + edge_labels(rng):
             for iterations in (1, 2):
                 got = erode_instances(LabelVolume(lab), iterations).labels
                 np.testing.assert_array_equal(got, erode_oracle(lab, iterations))
@@ -241,6 +241,7 @@ class TestConnectedComponents:
     def test_empty_mask(self):
         out = connected_components(Volume(np.zeros((3, 3, 3), dtype=bool)))
         assert out.ids().size == 0
+        assert out == LabelVolume(np.zeros((3, 3, 3), dtype=np.int32))
 
     def test_two_disjoint_voxels_in_raster_order(self):
         mask = np.zeros((3, 3, 3), dtype=bool)

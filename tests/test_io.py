@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -25,6 +26,10 @@ from nuclei3d.errors import (
 )
 
 
+def _dtype_tag(path):
+    return struct.unpack_from("<I", path.read_bytes(), 8)[0]
+
+
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.float32])
 def test_volume_round_trip_all_dtypes(tmp_path, rng, dtype):
     data = (rng.random((2, 3, 4, 5)) * 100).astype(dtype)
@@ -32,6 +37,7 @@ def test_volume_round_trip_all_dtypes(tmp_path, rng, dtype):
     path = tmp_path / "v.v3dr"
     write_volume(path, v)
     assert read_volume(path) == v
+    assert _dtype_tag(path) == {np.uint8: 0, np.uint16: 1, np.float32: 3}[dtype]
 
 
 def test_label_round_trip(tmp_path, rng):
@@ -39,6 +45,7 @@ def test_label_round_trip(tmp_path, rng):
     lv = LabelVolume(lab, VoxelSize(2.0, 1.0, 1.0))
     path = tmp_path / "l.v3dr"
     write_volume(path, lv)
+    assert _dtype_tag(path) == 2
     got = read_volume(path)
     assert isinstance(got, LabelVolume)
     assert got == lv
@@ -130,7 +137,7 @@ def test_truncated_header(tmp_path):
 
 def test_i32_reserved_for_labels(tmp_path):
     v = Volume(np.zeros((1, 2, 2, 2), dtype=np.int32))
-    with pytest.raises(UnsupportedDtypeError):
+    with pytest.raises(UnsupportedDtypeError, match="i32 is reserved for label volumes"):
         write_volume(tmp_path / "v.v3dr", v)
 
 
@@ -146,10 +153,32 @@ def test_multichannel_i32_file_rejected(tmp_path, rng):
         read_volume(path)
 
 
-def test_f64_volume_rejected(tmp_path):
-    v = Volume(np.zeros((1, 2, 2, 2), dtype=np.float64))
-    with pytest.raises(UnsupportedDtypeError):
+@pytest.mark.parametrize("dtype", [">f4", "float64", "int64", "bool"])
+def test_unsupported_volume_dtype_rejected(tmp_path, dtype):
+    v = Volume(np.zeros((1, 2, 2, 2), dtype=dtype))
+    with pytest.raises(UnsupportedDtypeError) as info:
         write_volume(tmp_path / "v.v3dr", v)
+    assert str(info.value) == f"unsupported volume dtype {np.dtype(dtype)}"
+
+
+@pytest.mark.parametrize(
+    "volume,fmt,value,message",
+    [
+        (LabelVolume(np.zeros((2, 3, 4), np.int32)), "<i", -1, "labels must be non-negative"),
+        (Volume(np.zeros((2, 3, 4), np.float32)), "<f", math.nan, "volume values must be finite"),
+        (Volume(np.zeros((2, 3, 4), np.float32)), "<f", math.inf, "volume values must be finite"),
+    ],
+    ids=["label-negative", "f32-nan", "f32-inf"],
+)
+def test_payload_fault_is_format_error_naming_file(tmp_path, volume, fmt, value, message):
+    path = tmp_path / "v.v3dr"
+    write_volume(path, volume)
+    raw = bytearray(path.read_bytes())
+    raw[52:56] = struct.pack(fmt, value)  # the first voxel
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError) as info:
+        read_volume(path)
+    assert str(info.value) == f"{path}: {message}"
 
 
 class TestDetections:

@@ -51,6 +51,24 @@ def test_int32_label_range_decided_in_core_only():
     assert not found, f"np.iinfo(np.int32) outside core.py: {', '.join(found)}"
 
 
+def test_structuring_element_built_in_core_only():
+    """``generate_binary_structure`` appears only in ``core.py``.
+
+    ``core.FACE`` is the one 6-connected (face adjacency) element; every
+    other module uses it instead of building its own.
+    """
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr == "generate_binary_structure") or (
+                isinstance(node, ast.alias) and node.name == "generate_binary_structure"
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"generate_binary_structure outside core.py: {', '.join(found)}"
+
+
 def test_no_scipy_spatial():
     """``scipy.spatial`` is not imported anywhere in the package.
 

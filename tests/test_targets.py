@@ -13,9 +13,10 @@ from nuclei3d import (
     encode_three_label,
     signed_boundary_distance,
 )
+from nuclei3d.core import boundary_mask
 from nuclei3d.targets import BACKGROUND, BOUNDARY, INTERIOR
 
-from conftest import random_blob_labels
+from conftest import edge_labels, random_blob_labels
 from oracles import (
     boundary_oracle, com_oracle, distance_to_set_oracle, erode_oracle, naive_gauss,
 )
@@ -109,11 +110,13 @@ class TestThreeLabel:
         assert (out[:, :, 2] == BOUNDARY).all()
 
     def test_partition_and_oracle(self, rng):
-        for _ in range(5):
-            lab = random_blob_labels(rng, (7, 9, 8), 4)
+        random = [random_blob_labels(rng, (7, 9, 8), 4) for _ in range(5)]
+        for lab in random + edge_labels(rng):
+            expected = boundary_oracle(lab)
+            np.testing.assert_array_equal(boundary_mask(lab), expected)
             out = encode_three_label(LabelVolume(lab)).channel(0)
             np.testing.assert_array_equal(out != BACKGROUND, lab > 0)
-            np.testing.assert_array_equal(out == BOUNDARY, boundary_oracle(lab))
+            np.testing.assert_array_equal(out == BOUNDARY, expected)
 
 
 class TestAffinities:
