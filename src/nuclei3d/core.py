@@ -320,11 +320,18 @@ def connected_components(mask):
 
 def _relabel_raster_order(lab, n):
     # scipy does not document its ID ordering; enforce first-encounter order.
-    # Every ID 1..n occurs; its first raster index is the least foreground index.
     flat = lab.ravel()
     fg = np.flatnonzero(flat)
+    ids = flat[fg]
+    # When the running maximum of the IDs in raster order starts at 1 and
+    # rises by at most 1 per voxel, each ID first occurs where the maximum
+    # reaches it: the order holds already, checked in O(foreground).
+    top = np.maximum.accumulate(ids)
+    if not top.size or (top[0] == 1 and (np.diff(top) <= 1).all()):
+        return lab
+    # Every ID 1..n occurs; its first raster index is the least foreground index.
     first = np.full(n + 1, flat.size)
-    np.minimum.at(first, flat[fg], fg)
+    np.minimum.at(first, ids, fg)
     remap = np.zeros(n + 1, dtype=np.int32)
     remap[np.argsort(first[1:]) + 1] = np.arange(1, n + 1)
     return remap[lab]

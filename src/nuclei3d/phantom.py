@@ -142,14 +142,76 @@ def generate_phantom(cfg):
 
     intensities = rng.uniform(0.6, 1.0, size=cfg.n_instances)
     raw = np.concatenate(([0.0], intensities))[labels]
-    if cfg.smoothing_sigma > 0:
-        raw = ndi.gaussian_filter(raw, cfg.smoothing_sigma)
+    _smooth(raw[np.newaxis], cfg.smoothing_sigma)
     if cfg.noise_sigma > 0:
         raw = raw + rng.normal(0.0, cfg.noise_sigma, size=cfg.shape)
     return (
         LabelVolume(labels),
         Volume(raw.astype(np.float32)[np.newaxis]),
     )
+
+
+# Planes of at least this many voxels take _smooth's numpy z and y passes.
+_NUMPY_PLANE = 64 * 64
+
+
+def _reflect_pad(x, pad):
+    """Copy ``x`` into ``pad``, r longer at each end of axis 1, folded as scipy's 'reflect'."""
+    n = x.shape[1]
+    r = (pad.shape[1] - n) // 2
+    i = np.arange(-r, n + r) % (2 * n)  # mirrored from n on; this covers n < r too
+    fold = np.where(i < n, i, 2 * n - 1 - i)
+    pad[:, r:r + n] = x
+    pad[:, :r] = x[:, fold[:r]]
+    pad[:, r + n:] = x[:, fold[r + n:]]
+
+
+def _correlate(pad, out, tmp, w):
+    """``out`` = ``pad`` correlated with ``w`` along axis 1, in scipy's symmetric sum order."""
+    r = len(w) // 2
+    n = out.shape[1]
+    np.multiply(pad[:, r:r + n], w[r], out=out)
+    for j in range(r, 0, -1):  # outside in
+        np.add(pad[:, r - j:r - j + n], pad[:, r + j:r + j + n], out=tmp)
+        tmp *= w[r - j]
+        out += tmp
+
+
+def _smooth(data, sigma):
+    """Smooth each channel of ``data`` (c, z, y, x) with a 3d Gaussian, in place.
+
+    Bit-identical to ``ndi.gaussian_filter(channel, sigma)`` (mode 'reflect',
+    truncate 4.0); like scipy, a sigma of 1e-15 or less changes nothing.
+    ``ndi.gaussian_filter1d`` smooths x, the contiguous axis. Its passes
+    over the strided z and y axes slow down once a (y, x) plane outgrows the
+    cache, so planes of ``_NUMPY_PLANE`` voxels or more take those two passes
+    in numpy, a few planes per call. Median per call, sigma 1, on a 2-core
+    Xeon (scipy's passes -> numpy's): 6 x 32 x 128 x 128 took 128 -> 71 ms,
+    6 x 16 x 64 x 64 took 12.4 -> 8.8 ms, but 6 x 16 x 48 x 48 took 6.2 -> 7.0 ms.
+    """
+    if not sigma > 1e-15:
+        return
+    _, nz, ny, nx = data.shape
+    if ny * nx < _NUMPY_PLANE:
+        ndi.gaussian_filter1d(data, sigma, 1, output=data)
+        ndi.gaussian_filter1d(data, sigma, 2, output=data)
+    else:
+        r = int(4.0 * float(sigma) + 0.5)
+        w = np.exp(-0.5 / (sigma * sigma) * np.arange(-r, r + 1) ** 2)
+        w /= w.sum()
+        b = max(1, (1 << 15) // (ny * nx))  # planes per call: 256 KiB stays in cache
+        zpad = np.empty((1, nz + 2 * r, ny, nx))
+        ypad = np.empty((b, ny + 2 * r, nx))
+        tmp = np.empty((b, ny, nx))
+        for channel in data:
+            _reflect_pad(channel[np.newaxis], zpad)  # z reads the unsmoothed planes from here
+            for z in range(0, nz, b):
+                out = channel[z:z + b]
+                m = len(out)
+                _correlate(zpad[:, z:z + m + 2 * r], out[np.newaxis], tmp[np.newaxis, :m], w)
+                _reflect_pad(out, ypad[:m])
+                _correlate(ypad[:m], out, tmp[:m], w)
+    ndi.gaussian_filter1d(data, sigma, -1, output=data)
 
 
 # Value ranges restored after perturbation, per channel kind.
@@ -173,9 +235,7 @@ def perturb_target(bundle, noise_sigma, smoothing_sigma, rng_seed):
     if noise_sigma > 0:
         for channel in data:
             channel += rng.normal(0.0, noise_sigma, size=channel.shape)
-    if smoothing_sigma > 0:
-        # sigma 0 leaves the channel axis alone: each channel is smoothed in 3d, in place
-        ndi.gaussian_filter(data, (0.0,) + (smoothing_sigma,) * 3, output=data)
+    _smooth(data, smoothing_sigma)
     lo, hi = _CLAMP[bundle.variant]
     main = bundle.main_channels
     np.clip(data[:main], lo, hi, out=data[:main])

@@ -24,6 +24,15 @@ def random_blob_labels(rng, shape, n_blobs, rmax=3):
     return lab
 
 
+def ball_labels(shape=(9, 9, 9), center=(4, 4, 4), r=3.0, instance=1):
+    """One spherical instance of radius ``r`` voxels."""
+    z, y, x = np.ogrid[: shape[0], : shape[1], : shape[2]]
+    inside = ((z - center[0]) ** 2 + (y - center[1]) ** 2 + (x - center[2]) ** 2) <= r * r
+    lab = np.zeros(shape, dtype=np.int32)
+    lab[inside] = instance
+    return LabelVolume(lab)
+
+
 def edge_labels(rng):
     """Label arrays where few or no voxels have six in-bounds face neighbours.
 

@@ -253,6 +253,23 @@ def test_bad_encoder_parameter_is_one_line_error(workdir, capsys, variant, flag,
     assert not out.exists()
 
 
+# Both requests are refused at allocation: 3.55 PiB of labels, and a smoothing
+# kernel of 8e15 taps. Neither fits any address space, so no memory is touched.
+@pytest.mark.parametrize(
+    "name,text",
+    [
+        ("huge_shape.yaml", "shape: [100000, 100000, 100000]\nn_instances: 0\nradius_range: [2, 3]\n"),
+        ("huge_blur.yaml",
+         "shape: [16, 24, 24]\nn_instances: 1\nradius_range: [2, 3]\nsmoothing_sigma: 1.0e+15\n"),
+    ],
+)
+def test_unallocatable_phantom_is_one_line_error(workdir, capsys, name, text):
+    (workdir / name).write_text(text)
+    assert main(["phantom", str(workdir / name), str(workdir / "huge_")]) == 1
+    assert "out of memory" in _one_line_error(capsys)
+    assert not (workdir / "huge_labels.v3dr").exists()
+
+
 @pytest.mark.parametrize(
     "name,text,expected",
     [

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage as ndi
 
 from nuclei3d import (
     LabelVolume,
@@ -268,6 +269,33 @@ class TestConnectedComponents:
             shuffled = perm[expected]
             assert n > 5 and not np.array_equal(shuffled, expected)
             np.testing.assert_array_equal(_relabel_raster_order(shuffled, n), expected)
+
+    def test_raster_ordered_ids_are_kept_without_relabel(self, rng):
+        for shape in ((6, 9, 7), (1, 1, 1), (3, 1, 5)):
+            expected = unionfind_components(rng.random(shape) < 0.35)
+            assert _relabel_raster_order(expected, int(expected.max())) is expected
+
+    @pytest.mark.parametrize("ids", [[1, 3, 2], [2, 1], [1, 2, 4, 3], [3, 1, 2]])
+    def test_order_check_rejects_any_other_first_encounter(self, ids):
+        lab = np.zeros((1, 1, 2 * len(ids)), dtype=np.int32)
+        lab[0, 0, ::2] = ids
+        np.testing.assert_array_equal(
+            _relabel_raster_order(lab, len(ids))[0, 0, ::2], np.arange(1, len(ids) + 1)
+        )
+
+    def test_permuted_ndi_label_falls_back_to_relabel(self, rng, monkeypatch):
+        real_label = ndi.label
+
+        def reversed_label(mask, structure):
+            lab, n = real_label(mask, structure=structure)
+            return np.where(lab > 0, n + 1 - lab, 0).astype(np.int32), n
+
+        monkeypatch.setattr(ndi, "label", reversed_label)
+        for _ in range(5):
+            mask = rng.random((10, 10, 10)) < 0.3
+            expected = unionfind_components(mask)
+            assert expected.max() > 1  # so the reversed IDs are out of raster order
+            np.testing.assert_array_equal(connected_components(Volume(mask)).labels, expected)
 
     def test_volume_input_single_channel_only(self):
         with pytest.raises(ShapeMismatchError):

@@ -11,8 +11,8 @@ from nuclei3d import (
     nms_detect,
 )
 
+from conftest import ball_labels
 from oracles import com_oracle, window_max_oracle
-from test_targets import ball_labels
 
 
 class TestNms:

@@ -13,7 +13,7 @@ from nuclei3d import (
 )
 from nuclei3d.errors import ShapeMismatchError
 
-from conftest import random_blob_labels
+from conftest import ball_labels, random_blob_labels
 from oracles import (
     detection_counts_oracle, greedy_match_counts, iou_pairs_oracle, optimal_match_count,
 )
@@ -299,7 +299,6 @@ class TestDetectionAp:
 
     def test_centroids_of_convex_instances_are_perfect(self, rng):
         from nuclei3d import centroids_from_labels
-        from test_targets import ball_labels
 
         lv = ball_labels()
         assert detection_ap(lv, centroids_from_labels(lv))[0] == 1.0

@@ -2,7 +2,9 @@ import re
 
 import numpy as np
 import pytest
+from scipy import ndimage as ndi
 
+import nuclei3d.phantom as phantom_module
 from nuclei3d import (
     MAIN_CHANNELS,
     PhantomConfig,
@@ -239,3 +241,51 @@ class TestPerturb:
             )
             assert out.volume.data.dtype == np.float64
             assert out.volume.data.tobytes() == expected.tobytes()
+
+    # Spatial shapes with axes of length 1 and 2, and axes shorter than the kernel
+    # radius (4 at sigma 1, 10 at sigma 2.5). Every (y, x) plane here is below the
+    # numpy-pass plane size, so each case runs once on scipy's z and y passes and
+    # once forced onto numpy's.
+    MATRIX_SHAPES = [(1, 1, 1), (5, 7, 9), (3, 200, 4), (40, 1, 3), (9, 2, 17)]
+    MATRIX_SIGMAS = [1e-200, 1e-16, 0.3, 0.5, 1.0, 2.5]
+
+    @pytest.fixture(params=["scipy_passes", "numpy_passes"])
+    def passes(self, request, monkeypatch):
+        if request.param == "numpy_passes":
+            monkeypatch.setattr(phantom_module, "_NUMPY_PLANE", 1)
+        return request.param
+
+    @pytest.mark.parametrize("shape", MATRIX_SHAPES)
+    @pytest.mark.parametrize("sigma", MATRIX_SIGMAS)
+    def test_perturb_matrix_bit_identical_to_oracle(self, rng, passes, shape, sigma):
+        # sdt with CPV channels: one clipped channel and three free ones, the last all -0.0
+        data = rng.normal(scale=2.0, size=(4,) + shape)
+        data[-1] = -0.0
+        bundle = TargetBundle(Volume(data), "sdt", True)
+        for noise in (0.0, 0.3):
+            out = perturb_target(bundle, noise, sigma, rng_seed=5)
+            expected = perturb_oracle(data, 1, (-1.0, 1.0), noise, sigma, rng_seed=5)
+            assert out.volume.data.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0])
+    def test_perturb_numpy_passes_at_their_plane_size(self, rng, sigma):
+        shape = (3, 64, 70)
+        assert shape[1] * shape[2] >= phantom_module._NUMPY_PLANE
+        data = rng.normal(size=(4,) + shape)
+        out = perturb_target(TargetBundle(Volume(data), "gauss", True), 0.1, sigma, rng_seed=3)
+        expected = perturb_oracle(data, 1, (0.0, 1.0), 0.1, sigma, rng_seed=3)
+        assert out.volume.data.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(12, 48, 48), (10, 64, 64)])  # scipy's passes, numpy's
+def test_phantom_smoothing_bit_identical_to_gaussian_filter(monkeypatch, shape):
+    cfg = small_cfg(shape=shape, n_instances=5, noise_sigma=0.05, smoothing_sigma=1.3)
+    labels, raw = generate_phantom(cfg)
+
+    def scipy_smooth(data, sigma):
+        data[0] = ndi.gaussian_filter(data[0], sigma)
+
+    monkeypatch.setattr(phantom_module, "_smooth", scipy_smooth)
+    ref_labels, ref_raw = generate_phantom(cfg)
+    assert labels == ref_labels
+    assert raw.data.tobytes() == ref_raw.data.tobytes()

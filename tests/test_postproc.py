@@ -22,9 +22,8 @@ from nuclei3d import (
 )
 from nuclei3d.errors import ChannelCountError
 
-from conftest import random_blob_labels
+from conftest import ball_labels, random_blob_labels
 from oracles import flood_simulator, unionfind_components
-from test_targets import ball_labels
 
 
 def two_balls(shape=(9, 9, 17)):

@@ -1,6 +1,7 @@
 """Rules on the package source that no behavioural test would catch."""
 
 import ast
+import shutil
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "nuclei3d"
@@ -93,3 +94,43 @@ def test_no_scipy_spatial():
         f"scipy.spatial used at {', '.join(found)}: importing it adds about "
         "11.3 MiB RSS to every process that imports nuclei3d"
     )
+
+
+def gaussian_calls_outside_owner(src):
+    """Calls of ``gaussian_filter`` anywhere, or of ``gaussian_filter1d`` outside
+    ``phantom._smooth``, in the package source under ``src``."""
+    found = []
+    for path in sorted(Path(src).glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        for node in tree.body:
+            if path.name == "phantom.py" and getattr(node, "name", None) == "_smooth":
+                allowed = {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "gaussian_filter" or (name == "gaussian_filter1d" and id(node) not in allowed):
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_gaussian_smoothing_has_one_owner():
+    """Gaussian smoothing runs only in ``phantom._smooth``.
+
+    ``_smooth`` is bit-identical to ``ndi.gaussian_filter`` and chooses
+    scipy's or numpy's z and y passes by plane size; no other code calls
+    scipy's Gaussian filters.
+    """
+    found = gaussian_calls_outside_owner(SRC)
+    assert not found, f"Gaussian filter called outside phantom._smooth: {', '.join(found)}"
+
+
+def test_gaussian_owner_rule_catches_a_planted_call(tmp_path):
+    copy = tmp_path / "nuclei3d"
+    shutil.copytree(SRC, copy)
+    target = copy / "targets.py"
+    lines = target.read_text().splitlines()
+    target.write_text("\n".join(lines + ["", "", "def _blur(x):", "    return ndi.gaussian_filter1d(x, 1.0)", ""]))
+    assert gaussian_calls_outside_owner(copy) == [f"targets.py:{len(lines) + 4}"]

@@ -16,18 +16,10 @@ from nuclei3d import (
 from nuclei3d.core import boundary_mask
 from nuclei3d.targets import BACKGROUND, BOUNDARY, INTERIOR
 
-from conftest import edge_labels, random_blob_labels
+from conftest import ball_labels, edge_labels, random_blob_labels
 from oracles import (
     boundary_oracle, com_oracle, distance_to_set_oracle, erode_oracle, naive_gauss,
 )
-
-
-def ball_labels(shape=(9, 9, 9), center=(4, 4, 4), r=3.0, instance=1):
-    z, y, x = np.ogrid[: shape[0], : shape[1], : shape[2]]
-    inside = ((z - center[0]) ** 2 + (y - center[1]) ** 2 + (x - center[2]) ** 2) <= r * r
-    lab = np.zeros(shape, dtype=np.int32)
-    lab[inside] = instance
-    return LabelVolume(lab)
 
 
 class TestSdt:
