@@ -117,7 +117,8 @@ def _build_parser():
     p.add_argument("--fg-threshold", type=float, default=0.0)
     p.add_argument("--cpv-seed-threshold", type=float, default=0.0)
     p.add_argument("--dilate", action="store_true", help="dilate resulting instances once")
-    p.add_argument("--logits", action="store_true", help="apply softmax/sigmoid to the inputs")
+    p.add_argument("--logits", action="store_true",
+                   help="apply softmax (3label) or sigmoid (affinities); no effect for sdt")
     p.set_defaults(func=_cmd_segment)
 
     p = sub.add_parser("detect", help="non-maximum suppression on a blob map")

@@ -55,6 +55,18 @@ def check_number(key, value, integer=False, ge=None, gt=None):
     return value
 
 
+def check_keys(what, mapping, keys, required):
+    """Refuse (``ValueError``) all but a mapping of only ``keys`` with every ``required`` key."""
+    if not isinstance(mapping, dict):
+        raise ValueError(f"{what} must be a mapping, got {type(mapping).__name__}")
+    unknown = sorted(map(str, set(mapping) - set(keys)))
+    if unknown:
+        raise ValueError(f"unknown {what} key(s): {', '.join(unknown)}")
+    for key in required:
+        if key not in mapping:
+            raise ValueError(f"missing {what} key {key!r}")
+
+
 @dataclass(frozen=True)
 class VoxelSize:
     """Physical voxel edge lengths ``(dz, dy, dx)`` in micrometers."""

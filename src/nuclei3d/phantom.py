@@ -6,12 +6,12 @@ stream is stable across platforms, so phantom volumes are bit-reproducible
 from their config alone.
 """
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 from scipy import ndimage as ndi
 
-from .core import LabelVolume, Volume, check_number, round_half_away
+from .core import LabelVolume, Volume, check_keys, check_number, round_half_away
 from .errors import PlacementError
 from .targets import TargetBundle
 
@@ -52,19 +52,13 @@ class PhantomConfig:
                 object.__setattr__(self, f.name, value)
 
     def to_mapping(self):
-        m = asdict(self)
-        m["shape"] = list(self.shape)
-        m["radius_range"] = list(self.radius_range)
-        return m
+        return {**asdict(self), "shape": list(self.shape), "radius_range": list(self.radius_range)}
 
     @classmethod
     def from_mapping(cls, mapping):
-        """Build a config from a YAML mapping; unknown keys raise ValueError."""
-        if not isinstance(mapping, dict):
-            raise ValueError(f"phantom config must be a mapping, got {type(mapping).__name__}")
-        unknown = sorted(map(str, set(mapping) - {f.name for f in fields(cls)}))
-        if unknown:
-            raise ValueError(f"unknown phantom config key(s): {', '.join(unknown)}")
+        """Build a config from a YAML mapping; unknown or missing keys raise ValueError."""
+        required = [f.name for f in fields(cls) if f.default is MISSING]
+        check_keys("phantom config", mapping, [f.name for f in fields(cls)], required)
         return cls(**mapping)
 
 

@@ -88,16 +88,19 @@ class TopographicMap:
             raise ValueError("topography values must be finite")
 
 
-def _pred_volume(pred):
-    vol = pred.volume if isinstance(pred, TargetBundle) else pred
-    if isinstance(vol, LabelVolume):
+def _pred_volume(pred, variant):
+    if isinstance(pred, TargetBundle):
+        if pred.variant != variant:
+            raise ValueError(f"a {pred.variant!r} prediction bundle cannot be read as {variant!r}")
+        pred = pred.volume
+    if isinstance(pred, LabelVolume):
         raise ChannelCountError("expected a prediction Volume, got a label volume")
-    return vol
+    return pred
 
 
 def _main_data(pred, variant, logits):
     """Main channels as float64 probabilities, validating channel count."""
-    vol = _pred_volume(pred)
+    vol = _pred_volume(pred, variant)
     main = MAIN_CHANNELS[variant]
     if vol.channels not in (main, main + 3):
         raise ChannelCountError(
@@ -272,7 +275,7 @@ def segment(pred, cfg, logits=False):
     With ``seed_source == 'cpv'`` the prediction must carry the three vector
     channels after the variant's main channels.
     """
-    vol = _pred_volume(pred)
+    vol = _pred_volume(pred, cfg.variant)
     topo = build_topography(pred, cfg, logits=logits)
     if cfg.seed_source == "main":
         seeds = extract_seeds_main(pred, cfg, logits=logits)

@@ -4,9 +4,11 @@ A sweep spec names surrogate "checkpoints" (alternative prediction volumes
 for the same validation ground truths), a grid over post-processing
 parameters, and an objective. Every (checkpoint x grid point) combination
 is scored as the mean objective over the validation pairs, and the argmax
-wins; ties keep the earliest candidate in enumeration order (checkpoints in
-listed order, then the grid expanded over seed_source, seed_threshold,
-foreground_threshold, cpv_seed_threshold, dilate, each in listed order).
+wins; ties keep the earliest candidate in enumeration order: checkpoints in
+listed order, then the grid expanded over ``GRID_KEYS``, each in listed
+order. The grid keys are also the table's columns, between ``checkpoint``
+and ``score``, read back from ``PostprocConfig``'s fields after ``variant``,
+which follow the same order (``dilate`` is ``dilate_result``).
 
 Per validation pair, ``segment`` runs once per distinct stage key, without
 dilation: (seed_source, foreground_threshold, and seed_threshold under main
@@ -20,7 +22,7 @@ objective for every grid point and pair: the floods are deterministic,
 dilation is the call ``segment`` makes, and each total is summed in pair
 order.
 
-Spec files are YAML::
+Spec files are YAML with exactly these keys at every level::
 
     variant: 3label
     objective: seg_avap          # or seg_ap@0.5 / det_ap
@@ -39,10 +41,10 @@ Relative paths are resolved against the spec file's directory.
 """
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from pathlib import Path
 
-from .core import LabelVolume, Volume, dilate_instances
+from .core import LabelVolume, Volume, check_keys, dilate_instances
 from .detection import centroids_from_labels
 from .errors import FormatError
 from .io import read_report, read_volume
@@ -51,23 +53,27 @@ from .postproc import PostprocConfig, segment
 
 __all__ = ["SweepSpec", "SweepResult", "load_sweep_spec", "run_sweep"]
 
+GRID_KEYS = ("seed_source", "seed_threshold", "foreground_threshold", "cpv_seed_threshold", "dilate")
+
 
 @dataclass(frozen=True)
 class SweepSpec:
     variant: str
     objective: str
     checkpoints: tuple  # of (name, ((gt_path, pred_path), ...))
-    seed_sources: tuple
-    seed_thresholds: tuple
-    foreground_thresholds: tuple
-    cpv_seed_thresholds: tuple
-    dilate: tuple
+    grid: dict  # GRID_KEYS -> values; kept as tuples in GRID_KEYS order
+    scorer: object = field(init=False, repr=False, compare=False)  # (gt, seg) -> float
     configs: tuple = field(init=False, repr=False, compare=False)  # one per grid point
 
     def __post_init__(self):
-        _parse_objective(self.objective)
+        object.__setattr__(self, "scorer", _scorer(self.objective))
         if not self.checkpoints or any(not pairs for _, pairs in self.checkpoints):
             raise ValueError("sweep needs at least one checkpoint with validation pairs")
+        check_keys("grid", self.grid, GRID_KEYS, GRID_KEYS)
+        for key, values in self.grid.items():
+            if not isinstance(values, (list, tuple)):
+                raise ValueError(f"grid {key} must be a list, got {values!r}")
+        object.__setattr__(self, "grid", {key: tuple(self.grid[key]) for key in GRID_KEYS})
         # PostprocConfig checks every grid value; the product is empty iff a grid is
         configs = tuple(PostprocConfig(self.variant, *point) for point in self.grid_points())
         if not configs:
@@ -75,14 +81,8 @@ class SweepSpec:
         object.__setattr__(self, "configs", configs)
 
     def grid_points(self):
-        """Grid combinations in the normative enumeration order."""
-        return itertools.product(
-            self.seed_sources,
-            self.seed_thresholds,
-            self.foreground_thresholds,
-            self.cpv_seed_thresholds,
-            self.dilate,
-        )
+        """Grid combinations in the normative enumeration order, valued in ``GRID_KEYS`` order."""
+        return itertools.product(*(self.grid[key] for key in GRID_KEYS))
 
 
 @dataclass(frozen=True)
@@ -94,63 +94,41 @@ class SweepResult:
         return {"selected": dict(self.selected), "table": [dict(r) for r in self.table]}
 
 
-def _parse_objective(objective):
-    if objective in ("seg_avap", "det_ap"):
-        return objective, None
+def _scorer(objective):
+    """The ``(gt, seg) -> float`` score that ``objective`` names."""
+    if objective == "seg_avap":
+        return lambda gt, seg: evaluate(gt, seg=seg).av_ap
+    if objective == "det_ap":
+        return lambda gt, seg: detection_ap(gt, centroids_from_labels(seg))[0]
     if isinstance(objective, str) and objective.startswith("seg_ap@"):
         t = float(objective.split("@", 1)[1])
         if not 0 < t < 1:
             raise ValueError(f"objective IoU threshold out of range: {objective!r}")
-        return "seg_ap", t
+        return lambda gt, seg: segmentation_ap(gt, seg, t)[0]
     raise ValueError(f"unknown objective {objective!r}")
 
 
-def _grid_list(grid, key):
-    """One grid entry as a tuple; it must be a list. ``PostprocConfig`` checks the values."""
-    values = grid[key]
-    if not isinstance(values, list):
-        raise ValueError(f"grid {key} must be a list, got {values!r}")
-    return tuple(values)
+def _values(what, mapping, keys):
+    """The values of ``mapping``, which must have exactly ``keys``, in ``keys`` order."""
+    check_keys(what, mapping, keys, keys)
+    return [mapping[key] for key in keys]
 
 
 def load_sweep_spec(path):
     """Load a sweep spec YAML file, resolving paths relative to it."""
     base = Path(path).parent
-    raw = read_report(path)
     try:
+        variant, objective, entries, grid = _values(
+            "sweep spec", read_report(path), ("variant", "objective", "checkpoints", "grid")
+        )
         checkpoints = tuple(
-            (ck["name"], tuple((str(base / p["gt"]), str(base / p["pred"])) for p in ck["pairs"]))
-            for ck in raw["checkpoints"]
+            (name, tuple(tuple(str(base / p) for p in _values("pair", pair, ("gt", "pred")))
+                         for pair in pairs))
+            for name, pairs in (_values("checkpoint", ck, ("name", "pairs")) for ck in entries)
         )
-        grid = raw["grid"]
-        return SweepSpec(
-            variant=raw["variant"],
-            objective=raw["objective"],
-            checkpoints=checkpoints,
-            seed_sources=_grid_list(grid, "seed_source"),
-            seed_thresholds=_grid_list(grid, "seed_threshold"),
-            foreground_thresholds=_grid_list(grid, "foreground_threshold"),
-            cpv_seed_thresholds=_grid_list(grid, "cpv_seed_threshold"),
-            dilate=_grid_list(grid, "dilate"),
-        )
-    except KeyError as exc:
-        raise FormatError(f"{path}: sweep spec is missing key {exc.args[0]!r}") from None
+        return SweepSpec(variant, objective, checkpoints, grid)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed sweep spec: {exc}") from None
-
-
-def _stage_key(cfg):
-    """The parameters the undilated segmentation under ``cfg`` reads."""
-    seed_t = cfg.seed_threshold if cfg.seed_source == "main" else cfg.cpv_seed_threshold
-    return cfg.seed_source, cfg.foreground_threshold, seed_t
-
-
-def _objective(kind, iou_t, gt, seg):
-    if kind == "seg_avap":
-        return evaluate(gt, seg=seg).av_ap
-    if kind == "seg_ap":
-        return segmentation_ap(gt, seg, iou_t)[0]
-    return detection_ap(gt, centroids_from_labels(seg))[0]
 
 
 def run_sweep(spec):
@@ -158,7 +136,6 @@ def run_sweep(spec):
     # each distinct file is read once, in first-listed order, as the kind its role needs
     roles = (zip(pair, (LabelVolume, Volume)) for _, pairs in spec.checkpoints for pair in pairs)
     volumes = {p: read_volume(p, kind) for p, kind in dict.fromkeys(itertools.chain(*roles))}
-    kind, iou_t = _parse_objective(spec.objective)
 
     scores = {}  # (pair, stage key, dilate) -> objective score
     table = []
@@ -168,7 +145,8 @@ def run_sweep(spec):
             gt, pred = (volumes[p] for p in pair)
             undilated = None  # (stage key, labels) of the latest segment call
             for i, cfg in enumerate(spec.configs):
-                stage = _stage_key(cfg)
+                seed_t = cfg.seed_threshold if cfg.seed_source == "main" else cfg.cpv_seed_threshold
+                stage = cfg.seed_source, cfg.foreground_threshold, seed_t
                 key = (pair, stage, cfg.dilate_result)
                 if key not in scores:
                     if undilated is None or undilated[0] != stage:
@@ -176,18 +154,11 @@ def run_sweep(spec):
                     seg = undilated[1]
                     if cfg.dilate_result:
                         seg = dilate_instances(seg, 1)
-                    scores[key] = _objective(kind, iou_t, gt, seg)
+                    scores[key] = spec.scorer(gt, seg)
                 totals[i] += scores[key]
         for cfg, total in zip(spec.configs, totals):
-            table.append({
-                "checkpoint": name,
-                "seed_source": cfg.seed_source,
-                "seed_threshold": cfg.seed_threshold,
-                "foreground_threshold": cfg.foreground_threshold,
-                "cpv_seed_threshold": cfg.cpv_seed_threshold,
-                "dilate": cfg.dilate_result,
-                "score": total / len(pairs),
-            })
+            grid_values = dict(zip(GRID_KEYS, astuple(cfg)[1:]))
+            table.append({"checkpoint": name, **grid_values, "score": total / len(pairs)})
     # max keeps the first of equal scores: ties go to the earliest candidate
     selected = dict(max(table, key=lambda row: row["score"]), objective=spec.objective)
     return SweepResult(selected, table)

@@ -106,7 +106,8 @@ def encode_sdt(labels, scale=5.0, anisotropic=False):
     """
     check_number("scale", scale, gt=0)
     signed = signed_boundary_distance(labels, anisotropic=anisotropic)
-    return Volume(np.tanh(signed / scale)[np.newaxis], labels.voxel_size)
+    with np.errstate(over="ignore"):  # a tiny scale overflows to ±inf, whose tanh is ±1 exactly
+        return Volume(np.tanh(signed / scale)[np.newaxis], labels.voxel_size)
 
 
 def encode_three_label(labels):
@@ -190,7 +191,9 @@ def encode_gauss(labels, sigma=2.0):
             cz, cy, cx = centers[dist <= dist.min() + 2 * half + 1].T[:, :, None, None, None]
             d2[block] = (((z[:, None, None] - cz) ** 2 + (y[:, None] - cy) ** 2)
                          + (x - cx) ** 2).min(axis=0)
-    np.divide(d2, -2.0 * sigma * sigma, out=d2)
+    # only d^2 > 0 is divided, so an underflowed 2 sigma^2 gives -inf (exp +0.0), never 0 / -0.0
+    with np.errstate(over="ignore", divide="ignore"):
+        np.divide(d2, -2.0 * sigma * sigma, out=d2, where=d2 > 0)
     np.exp(d2, out=d2)
     return Volume(d2[np.newaxis], labels.voxel_size)
 

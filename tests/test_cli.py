@@ -22,6 +22,7 @@ from nuclei3d import (
     write_volume,
 )
 from nuclei3d.cli import main
+from nuclei3d.targets import signed_boundary_distance
 
 
 @pytest.fixture(scope="module")
@@ -253,6 +254,30 @@ def test_bad_encoder_parameter_is_one_line_error(workdir, capsys, variant, flag,
     assert not out.exists()
 
 
+# 2 sigma^2 underflows to 0 at sigma 1e-200 and is subnormal at 1e-160, where the
+# quotient overflows; so does distance / scale at scale 1e-320. The limits are exact,
+# and a numpy RuntimeWarning fails the test (pyproject.toml turns it into an error).
+@pytest.mark.parametrize(
+    "variant,flag,value",
+    [("gauss", "--sigma", "1e-200"), ("gauss", "--sigma", "1e-160"),
+     ("sdt", "--tanh-scale", "1e-320")],
+)
+def test_tiny_encoder_parameter_encodes_its_limit_silently(workdir, capsys, variant, flag, value):
+    cube = np.zeros((11, 11, 11), dtype=np.int32)
+    cube[4:7, 4:7, 4:7] = 1  # centred on voxel (5, 5, 5)
+    labels = workdir / "cube.v3dr"
+    write_volume(labels, LabelVolume(cube))
+    out = workdir / f"tiny_{variant}.v3dr"
+    assert main(["encode", str(labels), str(out), "--variant", variant, flag, value]) == 0
+    assert capsys.readouterr().err == ""
+    if variant == "gauss":
+        expected = np.zeros(cube.shape)
+        expected[5, 5, 5] = 1.0
+    else:
+        expected = np.sign(signed_boundary_distance(LabelVolume(cube)))
+    assert np.array_equal(read_volume(out).data[0], expected)
+
+
 # Both requests are refused at allocation: 3.55 PiB of labels, and a smoothing
 # kernel of 8e15 taps. Neither fits any address space, so no memory is touched.
 @pytest.mark.parametrize(
@@ -309,6 +334,8 @@ def test_unallocatable_phantom_is_one_line_error(workdir, capsys, name, text):
          "allow_touching must be true or false, got 5"),
         ("extent_bool.yaml", "shape: [true, 20, 20]\nn_instances: 1\nradius_range: [2, 3]\n",
          "shape"),
+        ("no_shape.yaml", "n_instances: 1\nradius_range: [2, 3]\n",
+         "missing phantom config key 'shape'"),
     ],
 )
 def test_bad_phantom_config_names_file_and_key(workdir, capsys, name, text, expected):
@@ -339,6 +366,44 @@ def test_sweep_spec_non_number_names_file(workdir, capsys):
     assert main(["sweep", str(workdir / "nonnumber.yaml"), str(workdir / "o.yaml")]) == 1
     err = _one_line_error(capsys)
     assert "nonnumber.yaml" in err and "'x'" in err
+
+
+def _spec_mapping():
+    return {
+        "variant": "sdt",
+        "objective": "seg_avap",
+        "checkpoints": [{"name": "only", "pairs": [{"gt": "gt.v3dr", "pred": "gt.v3dr"}]}],
+        "grid": {
+            "seed_source": ["main"], "seed_threshold": [-0.14], "foreground_threshold": [0.0],
+            "cpv_seed_threshold": [0], "dilate": [False],
+        },
+    }
+
+
+SPEC_LEVELS = {
+    "sweep spec": lambda spec: spec,
+    "grid": lambda spec: spec["grid"],
+    "checkpoint": lambda spec: spec["checkpoints"][0],
+    "pair": lambda spec: spec["checkpoints"][0]["pairs"][0],
+}
+
+
+@pytest.mark.parametrize("level", SPEC_LEVELS)
+@pytest.mark.parametrize("fault", ["unknown", "missing"])
+def test_sweep_spec_key_fault_at_each_level_names_file_and_key(workdir, capsys, level, fault):
+    spec = _spec_mapping()
+    mapping = SPEC_LEVELS[level](spec)
+    if fault == "unknown":
+        mapping["dilate_result"] = [True]
+        expected = f"unknown {level} key(s): dilate_result"
+    else:
+        key = list(mapping)[-1]
+        del mapping[key]
+        expected = f"missing {level} key {key!r}"
+    write_report(workdir / "keyfault.yaml", spec)
+    assert main(["sweep", str(workdir / "keyfault.yaml"), str(workdir / "o.yaml")]) == 1
+    err = _one_line_error(capsys)
+    assert "keyfault.yaml: malformed sweep spec: " + expected in err
 
 
 @pytest.mark.parametrize(

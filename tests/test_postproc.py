@@ -486,3 +486,12 @@ class TestSegment:
     def test_config_values_named_in_error(self, key, value, expected):
         with pytest.raises(ValueError, match=re.escape(expected)):
             PostprocConfig("sdt", **{key: value})
+
+    @pytest.mark.parametrize("call", [segment, build_topography, extract_seeds_main])
+    def test_bundle_of_another_variant_refused(self, call):
+        bundle = encode_bundle(two_balls(), "gauss")
+        expected = "a 'gauss' prediction bundle cannot be read as 'sdt'"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            call(bundle, PostprocConfig("sdt", seed_threshold=0.5))
+        # the same channel as a plain Volume carries no variant and is read as asked
+        call(bundle.volume, PostprocConfig("sdt", seed_threshold=0.5))

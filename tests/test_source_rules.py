@@ -134,3 +134,44 @@ def test_gaussian_owner_rule_catches_a_planted_call(tmp_path):
     lines = target.read_text().splitlines()
     target.write_text("\n".join(lines + ["", "", "def _blur(x):", "    return ndi.gaussian_filter1d(x, 1.0)", ""]))
     assert gaussian_calls_outside_owner(copy) == [f"targets.py:{len(lines) + 4}"]
+
+
+def grid_keys_and_config_fields(src):
+    """``sweep.GRID_KEYS``, with ``dilate`` spelled ``dilate_result``, and the field
+    names of ``postproc.PostprocConfig`` after ``variant``, read from the source under ``src``."""
+    def body(name):
+        return ast.parse((Path(src) / name).read_text(), filename=name).body
+
+    grid_keys = next(
+        ast.literal_eval(node.value) for node in body("sweep.py")
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["GRID_KEYS"]
+    )
+    config = next(
+        node for node in body("postproc.py")
+        if isinstance(node, ast.ClassDef) and node.name == "PostprocConfig"
+    )
+    fields = [node.target.id for node in config.body if isinstance(node, ast.AnnAssign)]
+    return [{"dilate": "dilate_result"}.get(k, k) for k in grid_keys], fields[1:]
+
+
+def test_grid_keys_name_postproc_config_fields_in_order():
+    """``sweep.GRID_KEYS`` follows ``PostprocConfig``'s fields after ``variant``.
+
+    The sweep builds each grid point's config positionally from the grid
+    values in ``GRID_KEYS`` order, and reads each table row back from the
+    config's fields in the same order.
+    """
+    keys, fields = grid_keys_and_config_fields(SRC)
+    assert keys == fields, f"GRID_KEYS {keys} do not follow PostprocConfig fields {fields}"
+
+
+def test_grid_key_rule_catches_swapped_fields(tmp_path):
+    copy = tmp_path / "nuclei3d"
+    shutil.copytree(SRC, copy)
+    target = copy / "postproc.py"
+    seed, fg = "    seed_threshold: float = 0.0\n", "    foreground_threshold: float = 0.0\n"
+    text = target.read_text()
+    assert seed + fg in text
+    target.write_text(text.replace(seed + fg, fg + seed))
+    keys, fields = grid_keys_and_config_fields(copy)
+    assert keys != fields and sorted(keys) == sorted(fields)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,13 @@ from nuclei3d import (
     write_report,
     write_volume,
 )
-from nuclei3d.sweep import SweepSpec
+from nuclei3d.sweep import GRID_KEYS, SweepSpec
 from oracles import naive_sweep
+
+ONE_POINT = {
+    "seed_source": ["main"], "seed_threshold": [0.7], "foreground_threshold": [0.95],
+    "cpv_seed_threshold": [0], "dilate": [False],
+}
 
 
 @pytest.fixture(scope="module")
@@ -73,11 +80,7 @@ def test_single_candidate_selected(sweep_dir):
         variant=spec.variant,
         objective="seg_ap@0.5",
         checkpoints=spec.checkpoints[:1],
-        seed_sources=("main",),
-        seed_thresholds=(0.7,),
-        foreground_thresholds=(0.95,),
-        cpv_seed_thresholds=(0,),
-        dilate=(False,),
+        grid=ONE_POINT,
     )
     result = run_sweep(single)
     assert len(result.table) == 1
@@ -91,11 +94,7 @@ def test_detection_objective_runs(sweep_dir):
         variant=spec.variant,
         objective="det_ap",
         checkpoints=spec.checkpoints,
-        seed_sources=("main",),
-        seed_thresholds=(0.7,),
-        foreground_thresholds=(0.95,),
-        cpv_seed_thresholds=(0,),
-        dilate=(False,),
+        grid=ONE_POINT,
     )
     result = run_sweep(det_spec)
     assert result.selected["score"] > 0.5
@@ -107,11 +106,7 @@ def test_tie_breaks_keep_first_candidate(sweep_dir):
         variant=spec.variant,
         objective="seg_avap",
         checkpoints=(("dup_a",) + spec.checkpoints[0][1:], ("dup_b",) + spec.checkpoints[0][1:]),
-        seed_sources=("main",),
-        seed_thresholds=(0.7,),
-        foreground_thresholds=(0.95,),
-        cpv_seed_thresholds=(0,),
-        dilate=(False,),
+        grid=ONE_POINT,
     )
     result = run_sweep(tied)
     assert result.selected["checkpoint"] == "dup_a"
@@ -130,11 +125,7 @@ def test_each_file_is_read_once(sweep_dir, monkeypatch):
         variant=spec.variant,
         objective=spec.objective,
         checkpoints=spec.checkpoints,
-        seed_sources=("main",),
-        seed_thresholds=(0.7,),
-        foreground_thresholds=(0.95,),
-        cpv_seed_thresholds=(0,),
-        dilate=(False,),
+        grid=ONE_POINT,
     )
     run_sweep(one_point)
     # three checkpoints share the two ground truths: 8 distinct files in 12 path slots
@@ -159,21 +150,40 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec(
             variant="3label", objective="seg_avap", checkpoints=(),
-            seed_sources=("main",), seed_thresholds=(0.7,),
-            foreground_thresholds=(0.95,), cpv_seed_thresholds=(0,), dilate=(False,),
+            grid=ONE_POINT,
         )
     with pytest.raises(ValueError):
         SweepSpec(
             variant="3label", objective="avap", checkpoints=(("a", (("g", "p"),)),),
-            seed_sources=("main",), seed_thresholds=(0.7,),
-            foreground_thresholds=(0.95,), cpv_seed_thresholds=(0,), dilate=(False,),
+            grid=ONE_POINT,
         )
     with pytest.raises(ValueError):
         SweepSpec(
             variant="3label", objective="seg_avap", checkpoints=(("a", (("g", "p"),)),),
-            seed_sources=("main",), seed_thresholds=(),
-            foreground_thresholds=(0.95,), cpv_seed_thresholds=(0,), dilate=(False,),
+            grid={**ONE_POINT, "seed_threshold": []},
         )
+
+
+def test_table_rows_are_checkpoint_then_grid_keys_then_score(sweep_dir):
+    result = run_sweep(load_sweep_spec(sweep_dir / "spec.yaml"))
+    assert all(tuple(row) == ("checkpoint", *GRID_KEYS, "score") for row in result.table)
+    assert tuple(result.selected) == ("checkpoint", *GRID_KEYS, "score", "objective")
+    # values are read back from each row's PostprocConfig: the YAML 0 is a float
+    assert all(type(row["cpv_seed_threshold"]) is float for row in result.table)
+
+
+@pytest.mark.parametrize(
+    "grid,expected",
+    [
+        ({k: v for k, v in ONE_POINT.items() if k != "dilate"}, "missing grid key 'dilate'"),
+        ({**ONE_POINT, "dilate_result": [True]}, "unknown grid key(s): dilate_result"),
+        ([("dilate", [False])], "grid must be a mapping, got list"),
+    ],
+    ids=["missing", "extra", "not-a-mapping"],
+)
+def test_spec_refuses_grid_keys_other_than_grid_keys(grid, expected):
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        SweepSpec("3label", "seg_avap", (("a", (("g", "p"),)),), grid)
 
 
 MEMO_GRIDS = {
@@ -207,7 +217,6 @@ def _memo_spec(root, variant, objective):
         gt_idx = idx if gt_idx is None else gt_idx
         return str(root / f"gt_{gt_idx}.v3dr"), str(root / f"{variant}_{noise}_{idx}.v3dr")
 
-    grid = MEMO_GRIDS[variant]
     return SweepSpec(
         variant=variant,
         objective=objective,
@@ -217,11 +226,8 @@ def _memo_spec(root, variant, objective):
             ("high", (pair(0.3, 0), pair(0.3, 1))),
             ("swapped", (pair(0.1, 0, gt_idx=1),)),
         ),
-        seed_sources=("main", "cpv"),
-        seed_thresholds=tuple(grid["seed_threshold"]),
-        foreground_thresholds=tuple(grid["foreground_threshold"]),
-        cpv_seed_thresholds=(4, 8),
-        dilate=(True, False),
+        grid={"seed_source": ["main", "cpv"], **MEMO_GRIDS[variant], "cpv_seed_threshold": [4, 8],
+              "dilate": [True, False]},
     )
 
 
@@ -257,8 +263,9 @@ def test_segment_runs_once_per_distinct_stage_input(memo_dir, monkeypatch):
     run_sweep(spec)
 
     pairs = {pair for _, ck_pairs in spec.checkpoints for pair in ck_pairs}
-    keys = {("main", f, s) for f in spec.foreground_thresholds for s in spec.seed_thresholds}
-    keys |= {("cpv", f, c) for f in spec.foreground_thresholds for c in spec.cpv_seed_thresholds}
+    grid = spec.grid
+    keys = {("main", f, s) for f in grid["foreground_threshold"] for s in grid["seed_threshold"]}
+    keys |= {("cpv", f, c) for f in grid["foreground_threshold"] for c in grid["cpv_seed_threshold"]}
     assert not any(cfg.dilate_result for _, cfg in calls)
     seen = [
         (cfg.seed_source, cfg.foreground_threshold,
