@@ -18,6 +18,7 @@ emitted in a fixed order so files diff cleanly.
 
 import os
 import struct
+from contextlib import contextmanager
 from typing import NamedTuple
 
 import numpy as np
@@ -28,6 +29,7 @@ from .errors import (
     BadMagicError,
     FormatError,
     MalformedRowError,
+    ShapeMismatchError,
     TruncatedPayloadError,
     UnsupportedDtypeError,
     UnsupportedVersionError,
@@ -55,6 +57,21 @@ _TAG_DTYPES = {
     3: np.dtype("<f4"),
 }
 _DTYPE_TAGS = {dtype.newbyteorder("="): tag for tag, dtype in _TAG_DTYPES.items()}
+
+
+@contextmanager
+def names_file(path, prefix=""):
+    """Re-raise a TypeError, ValueError or YAML error as FormatError("<path>: <prefix>...")."""
+    try:
+        yield
+    except (TypeError, ValueError, yaml.YAMLError) as exc:
+        raise FormatError(f"{path}: {prefix}{exc}") from None
+
+
+def check_same_shape(a_path, a, b_path, b):
+    """Refuse (``ShapeMismatchError``) volumes read from two files unless their shapes agree."""
+    if a.shape != b.shape:
+        raise ShapeMismatchError(f"{a_path} shape {a.shape} vs {b_path} shape {b.shape}")
 
 
 class Detection(NamedTuple):
@@ -128,11 +145,9 @@ def read_volume(path, kind=None):
         raise FormatError(f"{path}: label volumes must be single-channel")
     data = data.astype(dtype.newbyteorder("="), copy=False)
     # a payload fault (a negative label ID, a non-finite value) names the file too
-    try:
+    with names_file(path):
         voxel_size = VoxelSize(dz, dy, dx)
         return LabelVolume(data[0], voxel_size) if tag == 2 else Volume(data, voxel_size)
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from None
 
 
 def write_detections(path, detections):
@@ -149,7 +164,7 @@ def write_detections(path, detections):
 def read_detections(path):
     """Read a detection CSV; raises MalformedRowError naming the bad line."""
     detections = []
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii") as fh, names_file(path):
         lines = fh.read().splitlines()
     if not lines or lines[0] != "z,y,x,score":
         raise MalformedRowError(f"{path}: line 1: expected header 'z,y,x,score'")
@@ -177,8 +192,5 @@ def write_report(path, mapping):
 
 def read_report(path):
     """Read a YAML report or config file into plain Python objects."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise FormatError(f"{path}: malformed YAML: {' '.join(str(exc).split())}") from None
+    with open(path, "r", encoding="utf-8") as fh, names_file(path, "malformed YAML: "):
+        return yaml.safe_load(fh)

@@ -139,10 +139,9 @@ def generate_phantom(cfg):
     _smooth(raw[np.newaxis], cfg.smoothing_sigma)
     if cfg.noise_sigma > 0:
         raw = raw + rng.normal(0.0, cfg.noise_sigma, size=cfg.shape)
-    return (
-        LabelVolume(labels),
-        Volume(raw.astype(np.float32)[np.newaxis]),
-    )
+    with np.errstate(over="ignore"):  # Volume refuses a value that overflows to inf
+        raw = raw.astype(np.float32)
+    return LabelVolume(labels), Volume(raw[np.newaxis])
 
 
 # Planes of at least this many voxels take _smooth's numpy z and y passes.

@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 SEG_VARIANTS = ("sdt", "3label", "affinities")
+SEED_SOURCES = ("main", "cpv")
 
 
 @dataclass(frozen=True)
@@ -63,8 +64,9 @@ class PostprocConfig:
     def __post_init__(self):
         if self.variant not in SEG_VARIANTS:
             raise ValueError(f"unknown segmentation variant {self.variant!r}")
-        if self.seed_source not in ("main", "cpv"):
-            raise ValueError(f"seed_source must be 'main' or 'cpv', got {self.seed_source!r}")
+        if self.seed_source not in SEED_SOURCES:
+            choices = " or ".join(map(repr, SEED_SOURCES))
+            raise ValueError(f"seed_source must be {choices}, got {self.seed_source!r}")
         for key, ge in (
             ("seed_threshold", None), ("foreground_threshold", None), ("cpv_seed_threshold", 0)
         ):

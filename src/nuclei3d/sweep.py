@@ -46,8 +46,7 @@ from pathlib import Path
 
 from .core import LabelVolume, Volume, check_keys, dilate_instances
 from .detection import centroids_from_labels
-from .errors import FormatError
-from .io import read_report, read_volume
+from .io import check_same_shape, names_file, read_report, read_volume
 from .metrics import detection_ap, evaluate, segmentation_ap
 from .postproc import PostprocConfig, segment
 
@@ -100,12 +99,16 @@ def _scorer(objective):
         return lambda gt, seg: evaluate(gt, seg=seg).av_ap
     if objective == "det_ap":
         return lambda gt, seg: detection_ap(gt, centroids_from_labels(seg))[0]
+    unknown = ValueError(f"unknown objective {objective!r}")
     if isinstance(objective, str) and objective.startswith("seg_ap@"):
-        t = float(objective.split("@", 1)[1])
+        try:
+            t = float(objective.split("@", 1)[1])
+        except ValueError:
+            raise unknown from None
         if not 0 < t < 1:
             raise ValueError(f"objective IoU threshold out of range: {objective!r}")
         return lambda gt, seg: segmentation_ap(gt, seg, t)[0]
-    raise ValueError(f"unknown objective {objective!r}")
+    raise unknown
 
 
 def _values(what, mapping, keys):
@@ -117,7 +120,7 @@ def _values(what, mapping, keys):
 def load_sweep_spec(path):
     """Load a sweep spec YAML file, resolving paths relative to it."""
     base = Path(path).parent
-    try:
+    with names_file(path, "malformed sweep spec: "):
         variant, objective, entries, grid = _values(
             "sweep spec", read_report(path), ("variant", "objective", "checkpoints", "grid")
         )
@@ -127,8 +130,6 @@ def load_sweep_spec(path):
             for name, pairs in (_values("checkpoint", ck, ("name", "pairs")) for ck in entries)
         )
         return SweepSpec(variant, objective, checkpoints, grid)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: malformed sweep spec: {exc}") from None
 
 
 def run_sweep(spec):
@@ -136,6 +137,9 @@ def run_sweep(spec):
     # each distinct file is read once, in first-listed order, as the kind its role needs
     roles = (zip(pair, (LabelVolume, Volume)) for _, pairs in spec.checkpoints for pair in pairs)
     volumes = {p: read_volume(p, kind) for p, kind in dict.fromkeys(itertools.chain(*roles))}
+    for _, pairs in spec.checkpoints:
+        for gt_path, pred_path in pairs:
+            check_same_shape(gt_path, volumes[gt_path], pred_path, volumes[pred_path])
 
     scores = {}  # (pair, stage key, dilate) -> objective score
     table = []

@@ -116,6 +116,18 @@ def test_segment_3label_flags(workdir):
     assert len(read_volume(out).ids()) == 5
 
 
+@pytest.mark.parametrize("variant", ["sdt", "3label"])
+def test_segment_without_options_takes_library_defaults(workdir, variant):
+    pred = workdir / f"defaults_{variant}.v3dr"
+    labels = read_volume(workdir / "gt.v3dr")
+    write_volume(pred, encode_bundle(labels, variant).volume.astype(np.float32))
+    out = workdir / f"defaults_{variant}_seg.v3dr"
+    assert main(["segment", str(pred), str(out), "--variant", variant]) == 0
+    ref = workdir / f"defaults_{variant}_ref.v3dr"
+    write_volume(ref, segment(read_volume(pred), PostprocConfig(variant)))
+    assert out.read_bytes() == ref.read_bytes()
+
+
 def test_segment_cpv_source_validates_channels(workdir, capsys):
     enc_plain = workdir / "enc_sdt.v3dr"
     out = workdir / "seg_cpv.v3dr"
@@ -422,6 +434,7 @@ def test_sweep_spec_key_fault_at_each_level_names_file_and_key(workdir, capsys, 
         ("dilate", "false", "grid dilate must be a list"),
         ("variant", "sdtx", "unknown segmentation variant 'sdtx'"),
         ("objective", "5", "unknown objective 5"),
+        ("objective", "seg_ap@abc", "unknown objective 'seg_ap@abc'"),
     ],
 )
 def test_bad_sweep_spec_value_names_file_before_reading_volumes(
@@ -479,6 +492,25 @@ def test_volume_of_wrong_kind_is_one_line_error(workdir, capsys, argv, wrong, ex
     assert main([a.format(**paths) for a in argv]) == 1
     err = _one_line_error(capsys)
     assert paths[wrong].name in err and expected in err
+
+
+def _wider_cube():
+    """One cube in a label volume one voxel wider than ``gt.v3dr`` (20 x 36 x 36)."""
+    cube = np.zeros((20, 36, 37), dtype=np.int32)
+    cube[2:5, 2:5, 2:5] = 1
+    return LabelVolume(cube)
+
+
+def _shape_mismatch_sweep(path):
+    """Writer of a det_ap sweep spec pairing ``gt.v3dr`` with a wider 3label prediction."""
+    pred = encode_bundle(_wider_cube(), "3label").volume.astype(np.float32)
+    write_volume(path.with_suffix(".pred"), pred)
+    path.write_text(
+        "variant: 3label\nobjective: det_ap\n"
+        f"checkpoints: [{{name: only, pairs: [{{gt: gt.v3dr, pred: {path.stem}.pred}}]}}]\n"
+        "grid: {seed_source: [main], seed_threshold: [0.5], foreground_threshold: [0.5],"
+        " cpv_seed_threshold: [0], dilate: [false]}\n"
+    )
 
 
 def _sweep_spec(path, **grid):
@@ -542,16 +574,32 @@ def _first_voxel(value):
         (_first_voxel(math.inf),
          ["detect", "{input}", "{out}", "--gauss-threshold", "0.5", "--nms-distance", "2"],
          ".in: volume values must be finite"),
+        # the cast of the noisy raw image overflows to inf; no numpy warning may print
+        (lambda p: p.write_text("shape: [16, 32, 32]\nn_instances: 2\nradius_range: [2.0, 3.0]\n"
+                                "noise_sigma: 1.0e+300\n"),
+         ["phantom", "{input}", "{out}"], "{input}: volume values must be finite"),
+        (lambda p: p.write_text("shape: [10, 20, 20]\nn_instances: 1\nradius_range: [2, 3]\n"
+                                '"bo\\ngus": 1\n'),
+         ["phantom", "{input}", "{out}"], "{input}: unknown phantom config key(s): bo gus"),
+        (lambda p: p.write_bytes(b"z,y,x,score\n1,2,3,0.5\xe9\n"),
+         ["evaluate", "{gt}", "{out}", "--dets", "{input}"],
+         "{input}: 'ascii' codec can't decode byte 0xe9"),
+        (lambda p: write_volume(p, _wider_cube()), ["evaluate", "{gt}", "{out}", "--seg", "{input}"],
+         "{gt} shape (20, 36, 36) vs {input} shape (20, 36, 37)"),
+        (_shape_mismatch_sweep, ["sweep", "{input}", "{out}"],
+         "{gt} shape (20, 36, 36) vs {pred} shape (20, 36, 37)"),
     ],
     ids=["phantom-radius-inf", "segment-cpv-threshold-inf", "sweep-threshold-text",
          "sweep-scalar-source", "encode-sigma-nan", "evaluate-voxel-size-inf",
-         "evaluate-seg-negative-label", "segment-nan-payload", "detect-inf-payload"],
+         "evaluate-seg-negative-label", "segment-nan-payload", "detect-inf-payload",
+         "phantom-noise-overflow", "phantom-key-line-break", "evaluate-dets-non-ascii",
+         "evaluate-seg-shape-mismatch", "sweep-shape-mismatch"],
 )
 def test_refused_value_is_one_line_error(workdir, capsys, request, write, argv, expected):
     case = request.node.callspec.id
     paths = {"input": workdir / f"refused_{case}.in", "gt": workdir / "gt.v3dr",
-             "out": workdir / f"refused_{case}.out"}
+             "out": workdir / f"refused_{case}.out", "pred": workdir / f"refused_{case}.pred"}
     write(paths["input"])
     assert main([a.format(**paths) for a in argv]) == 1
-    assert expected in _one_line_error(capsys)
+    assert expected.format(**paths) in _one_line_error(capsys)
     assert not list(workdir.glob(f"refused_{case}.out*"))

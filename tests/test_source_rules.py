@@ -4,6 +4,8 @@ import ast
 import shutil
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "nuclei3d"
 
 
@@ -136,22 +138,27 @@ def test_gaussian_owner_rule_catches_a_planted_call(tmp_path):
     assert gaussian_calls_outside_owner(copy) == [f"targets.py:{len(lines) + 4}"]
 
 
+def _body(src, name):
+    return ast.parse((Path(src) / name).read_text(), filename=name).body
+
+
+def config_fields(src):
+    """The field names of ``postproc.PostprocConfig``, read from the source under ``src``."""
+    config = next(
+        node for node in _body(src, "postproc.py")
+        if isinstance(node, ast.ClassDef) and node.name == "PostprocConfig"
+    )
+    return [node.target.id for node in config.body if isinstance(node, ast.AnnAssign)]
+
+
 def grid_keys_and_config_fields(src):
     """``sweep.GRID_KEYS``, with ``dilate`` spelled ``dilate_result``, and the field
     names of ``postproc.PostprocConfig`` after ``variant``, read from the source under ``src``."""
-    def body(name):
-        return ast.parse((Path(src) / name).read_text(), filename=name).body
-
     grid_keys = next(
-        ast.literal_eval(node.value) for node in body("sweep.py")
+        ast.literal_eval(node.value) for node in _body(src, "sweep.py")
         if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["GRID_KEYS"]
     )
-    config = next(
-        node for node in body("postproc.py")
-        if isinstance(node, ast.ClassDef) and node.name == "PostprocConfig"
-    )
-    fields = [node.target.id for node in config.body if isinstance(node, ast.AnnAssign)]
-    return [{"dilate": "dilate_result"}.get(k, k) for k in grid_keys], fields[1:]
+    return [{"dilate": "dilate_result"}.get(k, k) for k in grid_keys], config_fields(src)[1:]
 
 
 def test_grid_keys_name_postproc_config_fields_in_order():
@@ -175,3 +182,64 @@ def test_grid_key_rule_catches_swapped_fields(tmp_path):
     target.write_text(text.replace(seed + fg, fg + seed))
     keys, fields = grid_keys_and_config_fields(copy)
     assert keys != fields and sorted(keys) == sorted(fields)
+
+
+def cli_restatements(src):
+    """What ``cli.py`` under ``src`` restates of the library: ``add_argument`` calls that
+    pass a literal ``default=``, and the ``segment`` option dests if they are not
+    ``PostprocConfig``'s field names plus ``logits``."""
+    found = []
+    parser = None  # the subparser that the statements in order add arguments to
+    segment_dests = []
+    for node in ast.walk(ast.parse((Path(src) / "cli.py").read_text(), filename="cli.py")):
+        if not isinstance(node, (ast.Assign, ast.Expr)) or not isinstance(node.value, ast.Call):
+            continue
+        call = node.value
+        method = getattr(call.func, "attr", None)
+        if method == "add_parser":
+            parser = call.args[0].value
+        if method != "add_argument":
+            continue
+        keywords = {k.arg: k.value for k in call.keywords}
+        try:
+            ast.literal_eval(keywords["default"])
+            found.append(f"cli.py:{call.lineno}: literal default")
+        except (KeyError, ValueError):
+            pass
+        flags = [a.value for a in call.args if a.value.startswith("--")]
+        if parser == "segment" and flags:
+            dest = keywords.get("dest")
+            segment_dests.append(dest.value if dest else flags[0][2:].replace("-", "_"))
+    if sorted(segment_dests) != sorted(config_fields(src) + ["logits"]):
+        found.append(f"segment option dests {segment_dests}")
+    return found
+
+
+def test_cli_restates_no_library_default_or_field_name():
+    """``cli.py`` leaves defaults to the library and names options after its fields.
+
+    An unset option is not passed on, so ``PostprocConfig`` and
+    ``encode_bundle`` supply their own defaults; ``_cmd_segment`` builds the
+    config from the ``segment`` options by field name.
+    """
+    found = cli_restatements(SRC)
+    assert not found, f"cli.py restates the library: {', '.join(found)}"
+
+
+@pytest.mark.parametrize(
+    "old,new,fault",
+    [
+        ('"--seed-threshold", type=float)', '"--seed-threshold", type=float, default=0.0)',
+         "literal default"),
+        ('dest="foreground_threshold"', 'dest="fg_threshold"', "segment option dests"),
+    ],
+)
+def test_cli_rule_catches_a_planted_restatement(tmp_path, old, new, fault):
+    copy = tmp_path / "nuclei3d"
+    shutil.copytree(SRC, copy)
+    target = copy / "cli.py"
+    text = target.read_text()
+    assert text.count(old) == 1
+    target.write_text(text.replace(old, new))
+    found = cli_restatements(copy)
+    assert len(found) == 1 and fault in found[0]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nuclei3d import (
+    LabelVolume,
     PhantomConfig,
     encode_bundle,
     generate_phantom,
@@ -13,6 +14,7 @@ from nuclei3d import (
     write_report,
     write_volume,
 )
+from nuclei3d.errors import ShapeMismatchError
 from nuclei3d.sweep import GRID_KEYS, SweepSpec
 from oracles import naive_sweep
 
@@ -191,6 +193,29 @@ MEMO_GRIDS = {
     "3label": {"seed_threshold": [0.6, 0.8, 0.6], "foreground_threshold": [0.5, 0.9]},
     "affinities": {"seed_threshold": [0.6, 0.8, 0.6], "foreground_threshold": [0.5, 0.9]},
 }
+
+
+@pytest.mark.parametrize("objective", ["det_ap", "seg_avap"])
+def test_pair_of_different_shapes_is_refused_before_segmenting(tmp_path, monkeypatch, objective):
+    import nuclei3d.sweep
+
+    gt = np.zeros((8, 8, 8), dtype=np.int32)
+    gt[2:5, 2:5, 2:5] = 1
+    wider = np.zeros((8, 8, 9), dtype=np.int32)
+    wider[2:5, 2:5, 2:5] = 1
+    write_volume(tmp_path / "gt.v3dr", LabelVolume(gt))
+    pred = encode_bundle(LabelVolume(wider), "3label").volume.astype(np.float32)
+    write_volume(tmp_path / "pred.v3dr", pred)
+    monkeypatch.setattr(nuclei3d.sweep, "segment", lambda *a, **k: pytest.fail("segment ran"))
+    spec = SweepSpec(
+        variant="3label",
+        objective=objective,
+        checkpoints=(("only", ((str(tmp_path / "gt.v3dr"), str(tmp_path / "pred.v3dr")),)),),
+        grid=ONE_POINT,
+    )
+    expected = f"{tmp_path / 'gt.v3dr'} shape (8, 8, 8) vs {tmp_path / 'pred.v3dr'} shape (8, 8, 9)"
+    with pytest.raises(ShapeMismatchError, match=re.escape(expected)):
+        run_sweep(spec)
 
 
 @pytest.fixture(scope="module")
