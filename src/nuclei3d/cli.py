@@ -145,7 +145,7 @@ def main(argv=None):
     try:
         return args.func(args)
     # MemoryError: numpy refuses an array too large to allocate
-    except (Nuclei3dError, OSError, ValueError, KeyError, MemoryError) as exc:
+    except (Nuclei3dError, OSError, ValueError, MemoryError) as exc:
         oom = "out of memory: " if isinstance(exc, MemoryError) else ""
         print("error:", oom + " ".join(str(exc).split()), file=sys.stderr)
         return 2 if isinstance(exc, PlacementError) else 1

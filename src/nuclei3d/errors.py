@@ -10,7 +10,7 @@ class ShapeMismatchError(Nuclei3dError):
 
 
 class ChannelCountError(Nuclei3dError):
-    """A prediction volume has the wrong number of channels for its variant."""
+    """A prediction or target bundle has the wrong number of channels for its variant."""
 
 
 class InvalidClassError(Nuclei3dError):

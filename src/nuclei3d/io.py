@@ -165,7 +165,7 @@ def read_detections(path):
     """Read a detection CSV; raises MalformedRowError naming the bad line."""
     detections = []
     with open(path, "r", encoding="ascii") as fh, names_file(path):
-        lines = fh.read().splitlines()
+        lines = fh.read().split("\n")
     if not lines or lines[0] != "z,y,x,score":
         raise MalformedRowError(f"{path}: line 1: expected header 'z,y,x,score'")
     for lineno, line in enumerate(lines[1:], start=2):

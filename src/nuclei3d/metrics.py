@@ -63,8 +63,6 @@ def iou_matrix(gt, pred):
     g = gt.labels
     p = pred.labels
     both = (g > 0) & (p > 0)
-    if not both.any():
-        return {}
     g_ids, g_size = gt.id_counts
     p_ids, p_size = pred.id_counts
     # pairs are keyed by rank in the sorted IDs, so large sparse IDs cannot overflow the key

@@ -90,25 +90,20 @@ class TopographicMap:
             raise ValueError("topography values must be finite")
 
 
-def _pred_volume(pred, variant):
+def _prediction(pred, variant):
     if isinstance(pred, TargetBundle):
         if pred.variant != variant:
             raise ValueError(f"a {pred.variant!r} prediction bundle cannot be read as {variant!r}")
-        pred = pred.volume
-    if isinstance(pred, LabelVolume):
-        raise ChannelCountError("expected a prediction Volume, got a label volume")
-    return pred
+        return pred
+    if not isinstance(pred, Volume):
+        raise ChannelCountError(f"expected a prediction Volume, got {type(pred).__name__}")
+    return TargetBundle(pred, variant, pred.channels > MAIN_CHANNELS[variant])
 
 
 def _main_data(pred, variant, logits):
-    """Main channels as float64 probabilities, validating channel count."""
-    vol = _pred_volume(pred, variant)
-    main = MAIN_CHANNELS[variant]
-    if vol.channels not in (main, main + 3):
-        raise ChannelCountError(
-            f"variant {variant!r} expects {main} or {main + 3} channels, got {vol.channels}"
-        )
-    data = vol.data[:main].astype(np.float64, copy=False)
+    """Main channels as float64 probabilities, and the prediction volume."""
+    vol = _prediction(pred, variant).volume
+    data = vol.data[:MAIN_CHANNELS[variant]].astype(np.float64, copy=False)
     if logits and variant == "3label":
         shifted = data - data.max(axis=0, keepdims=True)
         data = np.exp(shifted)
@@ -277,13 +272,13 @@ def segment(pred, cfg, logits=False):
     With ``seed_source == 'cpv'`` the prediction must carry the three vector
     channels after the variant's main channels.
     """
-    vol = _pred_volume(pred, cfg.variant)
-    topo = build_topography(pred, cfg, logits=logits)
+    bundle = _prediction(pred, cfg.variant)
+    topo = build_topography(bundle, cfg, logits=logits)
     if cfg.seed_source == "main":
-        seeds = extract_seeds_main(pred, cfg, logits=logits)
+        seeds = extract_seeds_main(bundle, cfg, logits=logits)
     else:
-        main = MAIN_CHANNELS[cfg.variant]
-        if vol.channels != main + 3:
+        vol, main = bundle.volume, bundle.main_channels
+        if not bundle.with_cpv:
             raise ChannelCountError(
                 f"cpv seeding for {cfg.variant!r} needs {main + 3} channels, got {vol.channels}"
             )

@@ -21,6 +21,7 @@ import numpy as np
 from scipy import ndimage as ndi
 
 from .core import Volume, boundary_mask, check_number, erode_instances, face_slices
+from .errors import ChannelCountError
 
 __all__ = [
     "VARIANTS",
@@ -61,10 +62,11 @@ class TargetBundle:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        expected = MAIN_CHANNELS[self.variant] + (3 if self.with_cpv else 0)
-        if self.volume.channels != expected:
-            raise ValueError(
-                f"{self.variant} bundle needs {expected} channels, got {self.volume.channels}"
+        main = MAIN_CHANNELS[self.variant]
+        if self.volume.channels != main + (3 if self.with_cpv else 0):
+            raise ChannelCountError(
+                f"variant {self.variant!r} expects {main} channels, or {main + 3} with CPV, "
+                f"got {self.volume.channels}"
             )
 
     @property

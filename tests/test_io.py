@@ -209,9 +209,11 @@ class TestDetections:
         with pytest.raises(MalformedRowError, match="line 3"):
             read_detections(path)
 
-    def test_wrong_field_count(self, tmp_path):
+    # only "\n" ends a row: "\x1c" is a line break to str.splitlines, not to the writer
+    @pytest.mark.parametrize("row", ["1,2,3", "1,2,3,4\x1c5,6,7,8"], ids=["short", "x1c"])
+    def test_wrong_field_count(self, tmp_path, row):
         path = tmp_path / "d.csv"
-        path.write_text("z,y,x,score\n1,2,3\n")
+        path.write_text(f"z,y,x,score\n{row}\n")
         with pytest.raises(MalformedRowError, match="line 2"):
             read_detections(path)
 

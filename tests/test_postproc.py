@@ -8,6 +8,7 @@ from scipy import ndimage as ndi
 from nuclei3d import (
     LabelVolume,
     PostprocConfig,
+    TargetBundle,
     TopographicMap,
     Volume,
     VoxelSize,
@@ -21,6 +22,7 @@ from nuclei3d import (
     watershed,
 )
 from nuclei3d.errors import ChannelCountError
+from nuclei3d.postproc import SEED_SOURCES
 
 from conftest import ball_labels, random_blob_labels
 from oracles import flood_simulator, unionfind_components
@@ -69,10 +71,22 @@ class TestTopography:
         np.testing.assert_allclose(a.values, b.values, atol=1e-12)
         np.testing.assert_array_equal(a.foreground, b.foreground)
 
-    def test_wrong_channel_count(self, rng):
-        cfg = PostprocConfig("3label")
-        with pytest.raises(ChannelCountError):
-            build_topography(Volume(rng.random((2, 3, 3, 3))), cfg)
+    @pytest.mark.parametrize("call", [segment, build_topography, extract_seeds_main])
+    @pytest.mark.parametrize(
+        "pred,expected",
+        [
+            (Volume(np.zeros((2, 3, 3, 3))), "variant '3label' expects 3 channels, or 6 with CPV, got 2"),
+            (Volume(np.zeros((5, 3, 3, 3))), "variant '3label' expects 3 channels, or 6 with CPV, got 5"),
+            (np.zeros((3, 3, 3, 3)), "expected a prediction Volume, got ndarray"),
+            (None, "expected a prediction Volume, got NoneType"),
+            (LabelVolume(np.zeros((3, 3, 3), dtype=np.int32)),
+             "expected a prediction Volume, got LabelVolume"),
+        ],
+        ids=["volume-2", "volume-5", "array", "none", "labels"],
+    )
+    def test_wrong_channel_count(self, call, pred, expected):
+        with pytest.raises(ChannelCountError, match=re.escape(expected)):
+            call(pred, PostprocConfig("3label"))
 
 
 class TestMainSeeds:
@@ -486,6 +500,24 @@ class TestSegment:
     def test_config_values_named_in_error(self, key, value, expected):
         with pytest.raises(ValueError, match=re.escape(expected)):
             PostprocConfig("sdt", **{key: value})
+
+    @pytest.mark.parametrize("seed_source", SEED_SOURCES)
+    def test_volume_read_as_one_bundle(self, monkeypatch, seed_source):
+        import nuclei3d.postproc
+
+        made = []
+
+        class Counting(TargetBundle):
+            def __post_init__(self):
+                made.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(nuclei3d.postproc, "TargetBundle", Counting)
+        pred = encode_bundle(two_balls(), "sdt", with_cpv=True).volume
+        cfg = PostprocConfig("sdt", seed_source=seed_source, seed_threshold=-0.14,
+                             cpv_seed_threshold=5)
+        assert len(segment(pred, cfg).ids()) == 2
+        assert len(made) == 1
 
     @pytest.mark.parametrize("call", [segment, build_topography, extract_seeds_main])
     def test_bundle_of_another_variant_refused(self, call):

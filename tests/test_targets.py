@@ -5,6 +5,8 @@ import pytest
 
 from nuclei3d import (
     LabelVolume,
+    TargetBundle,
+    Volume,
     encode_affinities,
     encode_bundle,
     encode_cpv,
@@ -14,6 +16,7 @@ from nuclei3d import (
     signed_boundary_distance,
 )
 from nuclei3d.core import boundary_mask
+from nuclei3d.errors import ChannelCountError
 from nuclei3d.targets import BACKGROUND, BOUNDARY, INTERIOR
 
 from conftest import ball_labels, edge_labels, random_blob_labels
@@ -367,3 +370,9 @@ class TestBundle:
     def test_unknown_variant(self, blobs):
         with pytest.raises(ValueError):
             encode_bundle(blobs, "voronoi")
+
+    @pytest.mark.parametrize("channels,with_cpv", [(5, False), (5, True), (3, True)])
+    def test_wrong_channel_count_names_layout(self, channels, with_cpv):
+        expected = f"variant '3label' expects 3 channels, or 6 with CPV, got {channels}"
+        with pytest.raises(ChannelCountError, match=re.escape(expected)):
+            TargetBundle(Volume(np.zeros((channels, 2, 2, 2))), "3label", with_cpv)
