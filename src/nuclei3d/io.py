@@ -162,15 +162,21 @@ def write_detections(path, detections):
 
 
 def read_detections(path):
-    """Read a detection CSV; raises MalformedRowError naming the bad line."""
+    """Read a detection CSV; raises MalformedRowError naming the bad line.
+
+    A row ends at a line feed, optionally preceded by one carriage return; a
+    carriage return anywhere else is refused.
+    """
     detections = []
-    with open(path, "r", encoding="ascii") as fh, names_file(path):
-        lines = fh.read().split("\n")
-    if not lines or lines[0] != "z,y,x,score":
+    with open(path, "r", encoding="ascii", newline="") as fh, names_file(path):
+        lines = fh.read().replace("\r\n", "\n").split("\n")
+    if lines[0] != "z,y,x,score":
         raise MalformedRowError(f"{path}: line 1: expected header 'z,y,x,score'")
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
+        if "\r" in line:
+            raise MalformedRowError(f"{path}: line {lineno}: carriage return inside the row")
         fields = line.split(",")
         if len(fields) != 4:
             raise MalformedRowError(f"{path}: line {lineno}: expected 4 fields")

@@ -13,6 +13,7 @@ from scipy.special import expit
 
 from .core import Volume, check_number
 from .errors import InvalidClassError, ShapeMismatchError
+from .targets import VARIANTS
 
 __all__ = [
     "LossResult",
@@ -36,8 +37,11 @@ def main_loss_weight(variant):
     """Main-loss weight used when combining with the auxiliary vector loss.
 
     The sdt regression loss is scaled by 100 to bring it to a magnitude
-    comparable with its auxiliary loss; all other variants use 1.
+    comparable with its auxiliary loss; all other variants use 1. An unknown
+    variant is refused with a ``ValueError``.
     """
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
     return 100.0 if variant == "sdt" else 1.0
 
 

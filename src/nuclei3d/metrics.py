@@ -65,13 +65,14 @@ def iou_matrix(gt, pred):
     both = (g > 0) & (p > 0)
     g_ids, g_size = gt.id_counts
     p_ids, p_size = pred.id_counts
-    # pairs are keyed by rank in the sorted IDs, so large sparse IDs cannot overflow the key
-    keys = np.searchsorted(g_ids, g[both]) * p_ids.size + np.searchsorted(p_ids, p[both])
+    # a pair is keyed by its raw IDs, gt ID above pred ID: both are int32, below
+    # 2**31, so the key fits an int64 and sorts by (gt ID, pred ID)
+    keys = (g[both].astype(np.int64) << 31) | p[both]
     pair, inter = np.unique(keys, return_counts=True)
-    gr, pr = np.divmod(pair, p_ids.size)
-    union = g_size[gr] + p_size[pr] - inter
+    gi, pi = pair >> 31, pair & (2**31 - 1)
+    union = g_size[np.searchsorted(g_ids, gi)] + p_size[np.searchsorted(p_ids, pi)] - inter
     # exact integer counts, so each quotient is the correctly rounded float64 IoU
-    return dict(zip(zip(g_ids[gr].tolist(), p_ids[pr].tolist()), (inter / union).tolist()))
+    return dict(zip(zip(gi.tolist(), pi.tolist()), (inter / union).tolist()))
 
 
 def segmentation_ap(gt, pred, iou_threshold):

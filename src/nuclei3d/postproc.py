@@ -14,8 +14,9 @@ Alternatively seeds come from center-point-vector vote accumulation.
 The watershed is a deterministic priority flood: claims are queued with key
 (map value, insertion sequence number) and resolved lowest-first, so ties
 are FIFO. A claim cannot leave its pocket, a 6-connected component of
-unseeded foreground, so pockets next to one seed ID are filled with it in
-numpy, and only pockets next to two or more IDs are flooded. The flood
+unseeded foreground, numbered by ``core.components`` from the indices of
+the unseeded foreground voxels. Pockets next to one seed ID are filled with
+it in numpy, and only pockets next to two or more IDs are flooded. The flood
 indexes just those pockets' voxels and the seed voxels next to them, and
 keys its heap by one int per claim. Predictions may be probabilities
 (default) or logits.
@@ -25,11 +26,10 @@ import heapq
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage as ndi
 from scipy.special import expit
 
 from .core import (
-    FACE, LabelVolume, Volume, VoxelSize, check_number, connected_components,
+    LabelVolume, Volume, VoxelSize, check_number, components, connected_components,
     dilate_instances, face_neighbours, round_half_away, run_starts,
 )
 from .errors import ChannelCountError, ShapeMismatchError
@@ -184,8 +184,10 @@ def watershed(topo, seeds):
 
     A claim only moves from a labelled voxel to an unseeded face neighbour,
     so a flood never leaves its *pocket*: a 6-connected component of
-    unseeded foreground. A pocket next to seeds of one ID is filled with that
-    ID and a pocket next to none stays background. Only pockets next to two
+    unseeded foreground. ``core.components`` numbers the pockets from the
+    indices of the unseeded foreground voxels, and only those voxels are
+    written. A pocket next to seeds of one ID is filled with that ID and a
+    pocket next to none stays background. Only pockets next to two
     or more IDs are flooded. Dropping the other pockets' claims keeps the
     relative (value, sequence) order of each pocket's own claims, so the
     labels are those of one flood over the whole volume.
@@ -202,11 +204,13 @@ def watershed(topo, seeds):
     shape = topo.values.shape
     labels = np.where(topo.foreground, seeds.labels, 0)
     max_id = int(labels.max())
-    # intp pocket numbers index the per-pocket tables below without a cast
-    pocket = np.empty(shape, dtype=np.intp)
-    n_pocket = ndi.label(topo.foreground & (labels == 0), structure=FACE, output=pocket)
-    pocket = pocket.ravel()
+    # the unseeded foreground voxels and their pockets, numbered from 1
+    u, pocket_of_u = components(topo.foreground & (labels == 0))
+    n_pocket = int(pocket_of_u.max(initial=0))
     labels = labels.ravel()
+    # intp pocket numbers, 0 off the pockets, index the per-pocket tables below without a cast
+    pocket = np.zeros(labels.size, dtype=np.intp)
+    pocket[u] = pocket_of_u
 
     # distinct (pocket, seed ID) pairs over the seeds' face neighbours, one key
     # each; a neighbour outside the volume is the seed itself, in pocket 0
@@ -222,10 +226,13 @@ def watershed(topo, seeds):
     fill = np.where(n_ids >= 2, -1, 0).astype(np.int32)
     single = n_ids[owner] == 1
     fill[owner[single]] = ids[single]
-    out = fill[pocket]
-    out += labels
-    flooded = np.flatnonzero(out < 0)
     del pocket  # the largest array, gone before the flood's index arrays
+    # seeds keep their IDs and each pocket voxel takes its pocket's fill; only
+    # pocket voxels are written, so the seed IDs read from ``labels`` below hold
+    out = labels
+    fill_u = fill[pocket_of_u]
+    out[u] = fill_u
+    flooded = u[fill_u < 0]
 
     if flooded.size:
         border = at[(fill[nbr] < 0).any(axis=1)]

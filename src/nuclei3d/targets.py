@@ -62,6 +62,8 @@ class TargetBundle:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
+        if not isinstance(self.volume, Volume):
+            raise ChannelCountError(f"expected a target Volume, got {type(self.volume).__name__}")
         main = MAIN_CHANNELS[self.variant]
         if self.volume.channels != main + (3 if self.with_cpv else 0):
             raise ChannelCountError(

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import ndimage as ndi
 
 from nuclei3d import (
     LabelVolume,
@@ -22,7 +21,7 @@ from nuclei3d import (
     perturb_target,
     ssd_loss,
 )
-from nuclei3d.core import _relabel_raster_order
+from nuclei3d.core import components
 from nuclei3d.errors import ShapeMismatchError
 
 from conftest import edge_labels, random_blob_labels
@@ -238,6 +237,45 @@ class TestDilate:
                 assert ((opened != 0) & (opened != lab)).sum() == 0
 
 
+def _u_shape():
+    """Two arms that meet only in the last row, next to a lone voxel."""
+    mask = np.zeros((3, 9, 10), dtype=bool)
+    mask[1, :, 1] = mask[1, :, 8] = mask[1, 8, 1:9] = True
+    mask[1, 0, 4] = True
+    return mask
+
+
+def _comb():
+    """Teeth joined by a spine in the last row, and a lone voxel between two teeth."""
+    mask = np.zeros((2, 8, 15), dtype=bool)
+    mask[0, :, ::2] = True
+    mask[0, 7, :] = True
+    mask[1, 0, 5] = True
+    return mask
+
+
+def _spiral():
+    """A square spiral walked inwards in one plane, and lone voxels beside its gaps."""
+    n = 13
+    plane = np.zeros((n, n), dtype=bool)
+    y = x = 0
+    plane[0, 0] = True
+    # right, down and left n - 1 steps, then up, right, down, left two fewer per pair
+    lengths = [n - 1] + [k for k in range(n - 1, 0, -2) for _ in range(2)]
+    for k, length in enumerate(lengths):
+        dy, dx = ((0, 1), (1, 0), (0, -1), (-1, 0))[k % 4]
+        for _ in range(length):
+            y, x = y + dy, x + dx
+            plane[y, x] = True
+    mask = np.zeros((3, n, n), dtype=bool)
+    mask[1] = plane
+    mask[0, 3, 3] = mask[2, 7, 5] = True
+    return mask
+
+
+LATE_JOIN_SHAPES = {"U": _u_shape, "comb": _comb, "spiral": _spiral}
+
+
 class TestConnectedComponents:
     def test_empty_mask(self):
         out = connected_components(Volume(np.zeros((3, 3, 3), dtype=bool)))
@@ -258,44 +296,67 @@ class TestConnectedComponents:
             np.testing.assert_array_equal(got.labels, unionfind_components(mask))
             assert got.voxel_size == VoxelSize(2.0, 1.0, 1.0)
 
-    def test_relabel_undoes_any_id_permutation(self, rng):
-        # ndi.label already numbers in raster order on every mask tried, so the
-        # relabel is checked directly on shuffled IDs
-        for shape in ((6, 9, 7), (11, 5, 8), (4, 12, 13)):
-            mask = rng.random(shape) < 0.35
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (4, 5, 6), (1, 7, 9), (6, 1, 8), (5, 7, 1)])
+    @pytest.mark.parametrize("full", [False, True], ids=["empty", "full"])
+    def test_empty_and_full_masks(self, shape, full):
+        mask = np.full(shape, full)
+        at, number = components(mask)
+        np.testing.assert_array_equal(at, np.arange(mask.size) if full else [])
+        np.testing.assert_array_equal(number, np.ones(at.size, np.int32))
+        assert number.dtype == np.int32
+        expected = LabelVolume(mask.astype(np.int32))
+        assert connected_components(Volume(mask)) == expected
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 9, 11), (8, 1, 10), (7, 9, 1), (1, 1, 17), (1, 13, 1), (15, 1, 1)]
+    )
+    def test_size_one_axes_match_union_find_oracle(self, rng, shape):
+        for p in (0.3, 0.6):
+            mask = rng.random(shape) < p
+            np.testing.assert_array_equal(
+                connected_components(Volume(mask)).labels, unionfind_components(mask)
+            )
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.uint8, np.int32])
+    def test_non_bool_mask_labels_its_nonzero_voxels(self, rng, dtype):
+        values = np.where(rng.random((7, 8, 9)) < 0.4, rng.integers(1, 200, (7, 8, 9)), 0)
+        mask = values.astype(dtype)
+        expected = unionfind_components(mask)
+        at, number = components(mask)
+        np.testing.assert_array_equal(at, np.flatnonzero(expected))
+        np.testing.assert_array_equal(number, expected.ravel()[at])
+        np.testing.assert_array_equal(connected_components(Volume(mask)).labels, expected)
+
+    @pytest.mark.parametrize("name", sorted(LATE_JOIN_SHAPES))
+    @pytest.mark.parametrize("axes", [(0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 2, 1)])
+    def test_later_runs_joining_earlier_components(self, name, axes):
+        # arms, teeth and rings of many runs reach their component's first run
+        # only through later runs, so the union of runs takes a second round
+        # (one where the transpose lays an arm along x); lone voxels check the
+        # numbering
+        mask = np.transpose(LATE_JOIN_SHAPES[name](), axes)
+        expected = unionfind_components(mask)
+        assert expected.max() > 1
+        np.testing.assert_array_equal(connected_components(Volume(mask)).labels, expected)
+        at, number = components(mask)
+        np.testing.assert_array_equal(number, expected.ravel()[at])
+
+    def test_masks_near_the_percolation_threshold(self, rng):
+        # branching components of many runs, which take three or four union rounds
+        for _ in range(3):
+            mask = rng.random((16, 16, 16)) < 0.33
+            np.testing.assert_array_equal(
+                connected_components(Volume(mask)).labels, unionfind_components(mask)
+            )
+
+    def test_components_match_union_find_oracle_on_random_shapes(self, rng):
+        for _ in range(40):
+            shape = tuple(rng.integers(1, 12, size=3))
+            mask = rng.random(shape) < rng.random()
             expected = unionfind_components(mask)
-            n = int(expected.max())
-            perm = np.concatenate([[0], rng.permutation(n) + 1]).astype(np.int32)
-            shuffled = perm[expected]
-            assert n > 5 and not np.array_equal(shuffled, expected)
-            np.testing.assert_array_equal(_relabel_raster_order(shuffled, n), expected)
-
-    def test_raster_ordered_ids_are_kept_without_relabel(self, rng):
-        for shape in ((6, 9, 7), (1, 1, 1), (3, 1, 5)):
-            expected = unionfind_components(rng.random(shape) < 0.35)
-            assert _relabel_raster_order(expected, int(expected.max())) is expected
-
-    @pytest.mark.parametrize("ids", [[1, 3, 2], [2, 1], [1, 2, 4, 3], [3, 1, 2]])
-    def test_order_check_rejects_any_other_first_encounter(self, ids):
-        lab = np.zeros((1, 1, 2 * len(ids)), dtype=np.int32)
-        lab[0, 0, ::2] = ids
-        np.testing.assert_array_equal(
-            _relabel_raster_order(lab, len(ids))[0, 0, ::2], np.arange(1, len(ids) + 1)
-        )
-
-    def test_permuted_ndi_label_falls_back_to_relabel(self, rng, monkeypatch):
-        real_label = ndi.label
-
-        def reversed_label(mask, structure):
-            lab, n = real_label(mask, structure=structure)
-            return np.where(lab > 0, n + 1 - lab, 0).astype(np.int32), n
-
-        monkeypatch.setattr(ndi, "label", reversed_label)
-        for _ in range(5):
-            mask = rng.random((10, 10, 10)) < 0.3
-            expected = unionfind_components(mask)
-            assert expected.max() > 1  # so the reversed IDs are out of raster order
-            np.testing.assert_array_equal(connected_components(Volume(mask)).labels, expected)
+            at, number = components(mask)
+            np.testing.assert_array_equal(at, np.flatnonzero(mask))
+            np.testing.assert_array_equal(number, expected.ravel()[at])
 
     def test_volume_input_single_channel_only(self):
         with pytest.raises(ShapeMismatchError):

@@ -217,6 +217,33 @@ class TestDetections:
         with pytest.raises(MalformedRowError, match="line 2"):
             read_detections(path)
 
+    def test_crlf_rows_read_like_lf_rows(self, tmp_path):
+        lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+        rows = ["z,y,x,score", "1,2,3,0.5", "4.5,5,6,0.25", ""]
+        lf.write_bytes("\n".join(rows).encode())
+        crlf.write_bytes("\r\n".join(rows).encode())
+        assert read_detections(crlf) == read_detections(lf) == [
+            Detection(1.0, 2.0, 3.0, 0.5), Detection(4.5, 5.0, 6.0, 0.25)
+        ]
+
+    # "\r" ends a row only right before "\n": a lone one, or a second one, is refused
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            (b"z,y,x,score\n1,2,3,4\r5,6,7,8\n", 2),
+            (b"z,y,x,score\r\n1,2,3,0.5\r\n1,2,3\r,4\r\n", 3),
+            (b"z,y,x,score\n1,2,3,4\r\r\n", 2),
+            (b"z,y,x,score\n1,2,3,4\r", 2),
+        ],
+        ids=["between-rows", "in-field", "doubled", "at-end"],
+    )
+    def test_carriage_return_inside_row_names_line(self, tmp_path, text, line):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text)
+        with pytest.raises(MalformedRowError) as info:
+            read_detections(path)
+        assert str(info.value) == f"{path}: line {line}: carriage return inside the row"
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("x,y,z,score\n")

@@ -172,6 +172,11 @@ class TestCombined:
         for variant in ("3label", "affinities", "gauss"):
             assert main_loss_weight(variant) == 1.0
 
+    @pytest.mark.parametrize("variant", ["x", "SDT", None])
+    def test_weight_of_unknown_variant_refused(self, variant):
+        with pytest.raises(ValueError, match=f"unknown variant {variant!r}"):
+            main_loss_weight(variant)
+
     def test_zero_cpv_error_reduces_to_weighted_main(self, rng):
         lab = random_blob_labels(rng, (5, 5, 5), 2)
         cpv = encode_cpv(LabelVolume(lab))

@@ -67,6 +67,25 @@ class TestIouMatrix:
             (1, big): 2 / 3, (big, big): 1 / 5, (big, 1): 2 / 4,
         }
 
+    def test_ids_up_to_int32_max_match_set_oracle(self, rng):
+        # each pair is keyed by its raw IDs, the gt ID shifted above the pred ID;
+        # the largest int32 IDs, in both volumes, must neither overflow nor collide
+        top = 2**31 - 1
+        rest = np.array([1, 2, 2**16 + 1, 2**30, 2**31 - 3, top - 1])
+
+        def large_ids(lab):
+            # blob 1 becomes the largest int32 ID, the others distinct IDs of ``rest``
+            ids = np.concatenate(([0, top], rng.permutation(rest)))
+            return ids[lab].astype(np.int32)
+
+        for _ in range(5):
+            gt = large_ids(random_blob_labels(rng, (6, 7, 8), 6))
+            pred = large_ids(random_blob_labels(rng, (6, 7, 8), 6))
+            got = iou_matrix(LabelVolume(gt), LabelVolume(pred))
+            expected = iou_pairs_oracle(gt, pred)
+            assert got == expected
+            assert list(got) == sorted(expected)
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             iou_matrix(

@@ -57,8 +57,8 @@ def test_int32_label_range_decided_in_core_only():
 def test_structuring_element_built_in_core_only():
     """``generate_binary_structure`` appears only in ``core.py``.
 
-    ``core.FACE`` is the one 6-connected (face adjacency) element; every
-    other module uses it instead of building its own.
+    ``core`` owns face adjacency (``face_slices``, ``face_neighbours`` and
+    ``components``); no other module builds its own structuring element.
     """
     found = []
     for path in sorted(SRC.glob("*.py")):
@@ -70,6 +70,58 @@ def test_structuring_element_built_in_core_only():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"generate_binary_structure outside core.py: {', '.join(found)}"
+
+
+def labelling_calls(src):
+    """Uses of scipy's ``label`` and imports of ``scipy.sparse`` in the package under ``src``."""
+    found = []
+    for path in sorted(Path(src).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [f"{node.value.id}.{node.attr}"]
+            else:
+                continue
+            if any(
+                n in ("ndi.label", "ndimage.label", "scipy.ndimage.label", "scipy.sparse")
+                or n.startswith("scipy.sparse.")
+                for n in names
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_connected_components_have_one_owner():
+    """No ``ndi.label`` and no ``scipy.sparse`` in the package.
+
+    ``core.components`` labels 6-connected components with work that grows
+    with the foreground; ``ndi.label`` scans the whole volume. Importing
+    ``scipy.sparse.csgraph`` adds about 10 MiB of resident memory.
+    """
+    found = labelling_calls(SRC)
+    assert not found, f"ndi.label or scipy.sparse in the package: {', '.join(found)}"
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "lab, n = ndi.label(mask)",
+        "from scipy.ndimage import label",
+        "from scipy.sparse.csgraph import connected_components as cc",
+        "import scipy.sparse",
+        "from scipy import sparse",
+    ],
+)
+def test_labelling_rule_catches_a_planted_use(tmp_path, line):
+    copy = tmp_path / "nuclei3d"
+    shutil.copytree(SRC, copy)
+    target = copy / "postproc.py"
+    lines = target.read_text().splitlines()
+    target.write_text("\n".join(lines + ["", "", "def _planted(mask):", f"    {line}", ""]))
+    assert labelling_calls(copy) == [f"postproc.py:{len(lines) + 4}"]
 
 
 def test_no_scipy_spatial():

@@ -376,3 +376,12 @@ class TestBundle:
         expected = f"variant '3label' expects 3 channels, or 6 with CPV, got {channels}"
         with pytest.raises(ChannelCountError, match=re.escape(expected)):
             TargetBundle(Volume(np.zeros((channels, 2, 2, 2))), "3label", with_cpv)
+
+    @pytest.mark.parametrize(
+        "volume", [np.zeros((1, 2, 2, 2)), None, LabelVolume(np.zeros((2, 2, 2), np.int32))],
+        ids=["ndarray", "None", "LabelVolume"],
+    )
+    def test_non_volume_refused_with_channel_count_error(self, volume):
+        with pytest.raises(ChannelCountError) as info:
+            TargetBundle(volume, "sdt", False)
+        assert str(info.value) == f"expected a target Volume, got {type(volume).__name__}"
