@@ -217,9 +217,12 @@ class LabelVolume:
     __hash__ = None
 
 
-def run_starts(ids):
-    """Index of the first element of each run of equal values in sorted positive ``ids``."""
-    return np.flatnonzero(np.diff(ids, prepend=0))
+def run_starts(values):
+    """Index of the first element of each run of equal values in sorted ``values``."""
+    start = np.empty(values.size, dtype=bool)
+    start[:1] = True
+    np.not_equal(values[1:], values[:-1], out=start[1:])
+    return np.flatnonzero(start)
 
 
 def id_counts(lab):

@@ -15,11 +15,13 @@ The watershed is a deterministic priority flood: claims are queued with key
 (map value, insertion sequence number) and resolved lowest-first, so ties
 are FIFO. A claim cannot leave its pocket, a 6-connected component of
 unseeded foreground, numbered by ``core.components`` from the indices of
-the unseeded foreground voxels. Pockets next to one seed ID are filled with
-it in numpy, and only pockets next to two or more IDs are flooded. The flood
-indexes just those pockets' voxels and the seed voxels next to them, and
-keys its heap by one int per claim. Predictions may be probabilities
-(default) or logits.
+the unseeded foreground voxels. The (pocket, seed ID) pairs are gathered from
+the face neighbours of the smaller side, the unseeded foreground voxels or
+the seed voxels. Pockets next to one seed ID are filled with it in numpy,
+and only pockets next to two or more IDs are flooded. The seed voxels next
+to those pockets make their claims in numpy; the flood then indexes just
+the flooded pockets' voxels and keys its heap by one int per claim.
+Predictions may be probabilities (default) or logits.
 """
 
 import heapq
@@ -77,15 +79,24 @@ class PostprocConfig:
 
 @dataclass(frozen=True)
 class TopographicMap:
-    """Scalar field flooded lowest-first plus the mask it may flood."""
+    """Scalar field flooded lowest-first plus the mask it may flood.
+
+    ``values`` is a 3d array. ``foreground`` is stored as a bool array, so a
+    nonzero voxel of any dtype is foreground.
+    """
 
     values: np.ndarray
     foreground: np.ndarray
     voxel_size: VoxelSize = VoxelSize()
 
     def __post_init__(self):
-        if self.values.shape != self.foreground.shape:
+        if not isinstance(self.values, np.ndarray) or self.values.ndim != 3:
+            got = getattr(self.values, "shape", type(self.values).__name__)
+            raise ShapeMismatchError(f"topography values must be a 3d array, got {got}")
+        fg = np.asarray(self.foreground, dtype=bool)
+        if self.values.shape != fg.shape:
             raise ShapeMismatchError("topography values and foreground shapes differ")
+        object.__setattr__(self, "foreground", fg)
         if not np.isfinite(self.values).all():
             raise ValueError("topography values must be finite")
 
@@ -156,13 +167,16 @@ def accumulate_votes(cpv_pred, fg_mask):
     if vec.shape[1:] != fg.shape:
         raise ShapeMismatchError("cpv channels and foreground mask shapes differ")
 
-    counts = np.zeros(fg.shape, dtype=np.int64)
-    at = np.nonzero(fg)
-    targets = [round_half_away(c + v[at]) for c, v in zip(at, vec)]
+    f = np.flatnonzero(fg)
+    at = np.unravel_index(f, fg.shape)
+    targets = [round_half_away(c + v) for c, v in zip(at, vec.reshape(3, -1)[:, f])]
     # bounds are tested on the rounded floats: the int cast of a huge vector overflows
     ok = np.logical_and.reduce([(t >= 0) & (t < n) for t, n in zip(targets, fg.shape)])
-    np.add.at(counts, tuple(t[ok].astype(np.intp) for t in targets), 1)
-    return counts
+    z, y, x = (t[ok].astype(np.int64) for t in targets)
+    _, ny, nx = fg.shape
+    counts = np.zeros(fg.size, dtype=np.int64)
+    np.add.at(counts, (z * ny + y) * nx + x, 1)
+    return counts.reshape(fg.shape)
 
 
 def extract_seeds_cpv(cpv_pred, fg_mask, cpv_seed_threshold):
@@ -192,41 +206,54 @@ def watershed(topo, seeds):
     relative (value, sequence) order of each pocket's own claims, so the
     labels are those of one flood over the whole volume.
 
-    Seed labels are written straight into the output. The flood indexes the
-    seed voxels next to a flooded pocket, in raster order, followed by the
-    flooded pockets' voxels. A seed voxel only ever queues claims on unseeded
-    neighbours not yet claimed, and a voxel once claimed stays claimed, so a
-    seed that touches no flooded pocket never queues one. Skipping it uses no
-    sequence number and keeps every (value, sequence) order.
+    The (pocket, seed voxel) pairs of face neighbours come from one gather
+    over the smaller side: the neighbours of the unseeded foreground voxels,
+    or those of the seed voxels. The pairs give each pocket's IDs and the
+    *border seeds*, the seed voxels next to a flooded pocket. A seed voxel
+    only ever queues claims on unseeded neighbours not yet claimed, and a
+    voxel once claimed stays claimed, so a seed that touches no flooded
+    pocket never queues one. Skipping it uses no sequence number and keeps
+    every (value, sequence) order. The border seeds pop before any claim,
+    in raster order, and their claims are made in numpy; the heap then
+    holds only the flooded pockets' voxels.
     """
     if seeds.shape != topo.values.shape:
         raise ShapeMismatchError("seeds and topography shapes differ")
     shape = topo.values.shape
     labels = np.where(topo.foreground, seeds.labels, 0)
-    max_id = int(labels.max())
     # the unseeded foreground voxels and their pockets, numbered from 1
     u, pocket_of_u = components(topo.foreground & (labels == 0))
     n_pocket = int(pocket_of_u.max(initial=0))
+    n_seeded = np.count_nonzero(topo.foreground) - u.size
     labels = labels.ravel()
-    # intp pocket numbers, 0 off the pockets, index the per-pocket tables below without a cast
-    pocket = np.zeros(labels.size, dtype=np.intp)
-    pocket[u] = pocket_of_u
 
-    # distinct (pocket, seed ID) pairs over the seeds' face neighbours, one key
-    # each; a neighbour outside the volume is the seed itself, in pocket 0
-    at = np.flatnonzero(labels != 0)
-    nbr = pocket[face_neighbours(at, shape)]
-    row, col = np.nonzero(nbr)
-    base = max_id + 1
-    keys = nbr[row, col] * base + labels[at[row]]
+    # (pocket, seed voxel) of each face-adjacent pair, gathered from the smaller
+    # side: the unseeded side alone is slower where seeds are few, as CPV seeds
+    # are. A neighbour outside the volume is the voxel itself, which is on the
+    # gathered side and so never pairs.
+    if u.size <= n_seeded:
+        nbr = face_neighbours(u, shape)
+        row, col = np.nonzero(labels[nbr] != 0)
+        pair_pocket, pair_seed = pocket_of_u[row], nbr[row, col]
+    else:
+        pocket = np.zeros(labels.size, dtype=np.intp)  # 0 off the pockets
+        pocket[u] = pocket_of_u
+        at = np.flatnonzero(labels != 0)
+        nbr = pocket[face_neighbours(at, shape)]
+        del pocket
+        row, col = np.nonzero(nbr != 0)
+        pair_pocket, pair_seed = nbr[row, col], at[row]
+    del nbr
+    # distinct (pocket, seed ID) pairs, one key each: IDs are int32, below 2**31
+    keys = pair_pocket.astype(np.int64) << 31 | labels[pair_seed]
     keys.sort()
-    owner, ids = np.divmod(keys[run_starts(keys)], base)
+    keys = keys[run_starts(keys)]
+    owner, ids = keys >> 31, keys & (2**31 - 1)
     n_ids = np.bincount(owner, minlength=n_pocket + 1)
     # per pocket: its one ID, 0 next to no ID, -1 when contested
     fill = np.where(n_ids >= 2, -1, 0).astype(np.int32)
     single = n_ids[owner] == 1
     fill[owner[single]] = ids[single]
-    del pocket  # the largest array, gone before the flood's index arrays
     # seeds keep their IDs and each pocket voxel takes its pocket's fill; only
     # pocket voxels are written, so the seed IDs read from ``labels`` below hold
     out = labels
@@ -235,30 +262,44 @@ def watershed(topo, seeds):
     flooded = u[fill_u < 0]
 
     if flooded.size:
-        border = at[(fill[nbr] < 0).any(axis=1)]
-        n_border = border.size
-        idx = np.concatenate((border, flooded))
-        m = idx.size
+        m = flooded.size
+        border = pair_seed[fill[pair_pocket] < 0]
+        border.sort()
+        border = border[run_starts(border)]
+        # flooded voxels are numbered from 0; -1 marks a neighbour that is never
+        # free: a seed, background or a voxel of a pocket filled above
         pos = np.full(labels.size, -1, dtype=np.intp)
-        pos[flooded] = np.arange(n_border, m)
-        # -1 marks a neighbour that is never free: a seed, background or a voxel of a
-        # pocket filled above. A neighbour outside the volume is the voxel itself,
-        # which is labelled by the time its row is read.
-        table = pos[face_neighbours(idx, shape)].tolist()
-        # The trailing 1 is the entry that neighbour -1 reads; 0 marks a free voxel.
-        result = labels[border].tolist() + [0] * flooded.size + [1]
+        pos[flooded] = np.arange(m)
 
-        # One int per heap entry, rank * m + seq with pushed[seq] = index: the
-        # border seeds take rank 0 and seq 0.., so they pop first in raster
-        # order, and a claim ranks its map value densely from 1, equal values
-        # (-0.0 and 0.0 too) sharing a rank. Pops thus follow (value, seq).
-        # All claims on a voxel share its value and sequence numbers only grow,
-        # so the first claim queued for a voxel is the one resolved: it is
-        # labelled when queued and never queued again.
+        # The border seeds pop first, in raster order, and each claims its free
+        # neighbours in table order. So of the claims on a flooded voxel, in
+        # (border seed, neighbour) order, the first holds, and the n-th holding
+        # claim takes sequence number n.
+        near = pos[face_neighbours(border, shape)].ravel()
+        hit = np.flatnonzero(near >= 0)
+        first = np.unique(near[hit], return_index=True)[1]
+        first.sort()
+        hit = hit[first]
+        claimed = near[hit]
+        # The trailing 1 is the entry that neighbour -1 reads; 0 marks a free voxel.
+        result = np.zeros(m + 1, dtype=labels.dtype)
+        result[m] = 1
+        result[claimed] = labels[border[hit // 6]]  # six neighbours per border seed
+
+        # One int per heap entry, rank * m + seq with pushed[seq] = voxel: a claim
+        # ranks its map value densely from 0, equal values (-0.0 and 0.0 too)
+        # sharing a rank, so pops follow (value, seq). All claims on a voxel share
+        # its value and sequence numbers only grow, so the first claim queued for
+        # a voxel is the one resolved: it is labelled when queued and never queued
+        # again, and at most m claims are queued.
         rank = np.unique(topo.values.ravel()[flooded], return_inverse=True)[1]
-        key = [0] * n_border + ((rank + 1) * m).tolist()
-        heap = list(range(n_border))  # sorted, so already a heap
-        pushed = list(range(n_border))
+        key = rank * m
+        heap = (key[claimed] + np.arange(claimed.size)).tolist()
+        heapq.heapify(heap)
+        # A neighbour outside the volume is the voxel itself, which is labelled by
+        # the time its row is read.
+        table = pos[face_neighbours(flooded, shape)].tolist()
+        result, key, pushed = result.tolist(), key.tolist(), claimed.tolist()
         push, pop, append = heapq.heappush, heapq.heappop, pushed.append  # local names: hot loop
         while heap:
             i = pushed[pop(heap) % m]
@@ -268,7 +309,7 @@ def watershed(topo, seeds):
                     result[a] = lab
                     push(heap, key[a] + len(pushed))
                     append(a)
-        out[flooded] = result[n_border:-1]
+        out[flooded] = result[:-1]
 
     return LabelVolume(out.reshape(shape), topo.voxel_size)
 

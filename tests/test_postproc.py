@@ -21,7 +21,7 @@ from nuclei3d import (
     segment,
     watershed,
 )
-from nuclei3d.errors import ChannelCountError
+from nuclei3d.errors import ChannelCountError, ShapeMismatchError
 from nuclei3d.postproc import SEED_SOURCES
 
 from conftest import ball_labels, random_blob_labels
@@ -87,6 +87,37 @@ class TestTopography:
     def test_wrong_channel_count(self, call, pred, expected):
         with pytest.raises(ChannelCountError, match=re.escape(expected)):
             call(pred, PostprocConfig("3label"))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.float64])
+    def test_any_nonzero_foreground_is_the_bool_mask(self, rng, dtype):
+        # an int foreground of 2s once read 2 & (labels == 0) == 0: nothing flooded
+        values = np.array([[[0.0, 0.5, 0.2, 0.1]]])
+        seeds = LabelVolume(np.array([[[1, 0, 0, 0]]], dtype=np.int32))
+        topo = TopographicMap(values, np.full(values.shape, 2, dtype=dtype))
+        assert topo.foreground.dtype == bool
+        np.testing.assert_array_equal(watershed(topo, seeds).labels, [[[1, 1, 1, 1]]])
+        values = np.round(rng.random((4, 5, 6)), 1)
+        mask = rng.random(values.shape) < 0.7
+        seeds = LabelVolume(rng.integers(0, 4, size=values.shape) * (rng.random(values.shape) < 0.2))
+        want = watershed(TopographicMap(values, mask), seeds).labels
+        weights = np.where(mask, rng.uniform(1.0, 3.0, size=values.shape), 0).astype(dtype)
+        got = watershed(TopographicMap(values, weights), seeds).labels
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "values,expected",
+        [
+            ([[[0.0, 1.0]]], "topography values must be a 3d array, got list"),
+            (np.zeros((1, 2)), "topography values must be a 3d array, got (1, 2)"),
+            (np.zeros((1, 1, 1, 2)), "topography values must be a 3d array, got (1, 1, 1, 2)"),
+            (None, "topography values must be a 3d array, got NoneType"),
+            (np.zeros((1, 2, 1)), "topography values and foreground shapes differ"),
+        ],
+        ids=["list", "2d", "4d", "none", "shape"],
+    )
+    def test_topography_refusals_are_typed(self, values, expected):
+        with pytest.raises(ShapeMismatchError, match=re.escape(expected)):
+            TopographicMap(values, np.ones((1, 1, 2), dtype=bool))
 
 
 class TestMainSeeds:
@@ -163,10 +194,13 @@ class TestCpvSeeds:
     def test_matches_vote_oracle(self, rng):
         from oracles import vote_count_oracle
 
-        fg = rng.random((6, 6, 6)) < 0.5
-        vec = rng.normal(scale=2.0, size=(3, 6, 6, 6))
-        got = accumulate_votes(Volume(vec), fg)
-        np.testing.assert_array_equal(got, vote_count_oracle(vec, fg))
+        # distinct extents catch a swapped axis stride in the flat vote index
+        for shape in [(6, 6, 6), (3, 5, 7), (7, 4, 2), (1, 6, 5)]:
+            fg = rng.random(shape) < 0.5
+            vec = rng.normal(scale=2.0, size=(3, *shape))
+            got = accumulate_votes(Volume(vec), fg)
+            assert got.dtype == np.int64 and got.shape == shape
+            np.testing.assert_array_equal(got, vote_count_oracle(vec, fg))
 
     def test_huge_and_edge_votes_bounds_checked_before_the_cast(self, rng):
         from oracles import vote_count_oracle
@@ -369,6 +403,51 @@ class TestWatershed:
         np.testing.assert_array_equal(got, [[[1, 1, 1, 2, 2]]])
         np.testing.assert_array_equal(got, flood_simulator(values, fg, seeds))
 
+    def test_matches_flood_simulator_from_either_side(self, rng):
+        """Pairs gathered from the unseeded voxels and from the seed voxels.
+
+        Dense seeds make the unseeded foreground the smaller side, sparse ones
+        the seed voxels; the border seeds' first claims are checked as well.
+        """
+        seen = set()
+        for shape in [(6, 6, 6), (3, 5, 7), (7, 4, 2), (1, 6, 5), (2, 1, 9)]:
+            for k in range(16):
+                values = np.round(rng.random(shape), 1)  # coarse values force ties
+                fg = rng.random(shape) < 0.85
+                density = (0.15, 0.35, 0.6, 0.75)[k % 4]
+                seeds = (rng.integers(1, 4, size=shape) * (rng.random(shape) < density)).astype(np.int32)
+                got = watershed(TopographicMap(values, fg), LabelVolume(seeds)).labels
+                np.testing.assert_array_equal(got, flood_simulator(values, fg, seeds))
+                seen |= _gather_cases(fg, seeds)
+        assert seen == {
+            "unseeded side", "seed side", "flooded voxel next to two ids",
+            "border seed on a volume face", "flooded voxel next to no seed",
+        }
+
+    def test_raster_first_border_seed_claims(self):
+        # voxel 1 = (0, 0, 1) sits between seed voxel 0, which reaches it by its
+        # last neighbour (+x), and seed voxel 3, which reaches it by its first
+        # (-z); voxel 2 likewise. The raster-first seed claims both, although
+        # its ID is the larger and its neighbour comes later in the table.
+        values = np.zeros((2, 1, 2))
+        fg = np.ones(values.shape, dtype=bool)
+        seeds = np.array([[[2, 0]], [[0, 1]]], dtype=np.int32)
+        got = watershed(TopographicMap(values, fg), LabelVolume(seeds)).labels
+        np.testing.assert_array_equal(got, [[[2, 2]], [[2, 1]]])
+        np.testing.assert_array_equal(got, flood_simulator(values, fg, seeds))
+
+    def test_claims_queued_by_border_seeds_keep_their_order(self):
+        # Both border seeds sit on volume faces. Seed 1 (x = 0) queues x = 1 and
+        # seed 2 (x = 6) queues x = 5, at the same value; x = 1 pops first, so
+        # seed 1 takes x = 2 and x = 3, reached by no border seed, before seed 2
+        # takes x = 4 at the same value.
+        values = np.array([[[0.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.0]]])
+        fg = np.ones(values.shape, dtype=bool)
+        seeds = np.array([[[1, 0, 0, 0, 0, 0, 2]]], dtype=np.int32)
+        got = watershed(TopographicMap(values, fg), LabelVolume(seeds)).labels
+        np.testing.assert_array_equal(got, [[[1, 1, 1, 1, 2, 2, 2]]])
+        np.testing.assert_array_equal(got, flood_simulator(values, fg, seeds))
+
     @pytest.mark.parametrize("fg", [True, False])
     @pytest.mark.parametrize("seed", [0, 3])
     def test_single_voxel_volume(self, fg, seed):
@@ -420,6 +499,32 @@ def _pocket_cases(fg, seeds):
         around = padded[z:z + 3, y:y + 3, x:x + 3][face]
         if len(set(around.tolist()) - {0}) > 1:
             cases.add("seed next to several pockets")
+    return cases
+
+
+def _gather_cases(fg, seeds):
+    """Which side the watershed gathers from, and what its border seeds meet."""
+    face = ndi.generate_binary_structure(3, 1)
+    clipped = np.where(fg, seeds, 0)
+    unseeded = fg & (clipped == 0)
+    cases = {"unseeded side" if unseeded.sum() <= (clipped > 0).sum() else "seed side"}
+    pocket, n = ndi.label(unseeded, structure=face)
+    flooded = np.zeros(fg.shape, dtype=bool)
+    for p in range(1, n + 1):
+        if len(set(clipped[ndi.binary_dilation(pocket == p, structure=face)].tolist()) - {0}) >= 2:
+            flooded |= pocket == p
+    padded = np.pad(clipped, 1)
+    on_face = np.ones(fg.shape, dtype=bool)
+    on_face[1:-1, 1:-1, 1:-1] = False
+    for z, y, x in zip(*np.nonzero(flooded)):
+        ids = set(padded[z:z + 3, y:y + 3, x:x + 3][face].tolist()) - {0}
+        if len(ids) >= 2:
+            cases.add("flooded voxel next to two ids")
+        if not ids:
+            cases.add("flooded voxel next to no seed")
+    border = (clipped > 0) & ndi.binary_dilation(flooded, structure=face)
+    if (border & on_face).any():
+        cases.add("border seed on a volume face")
     return cases
 
 
