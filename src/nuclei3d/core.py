@@ -185,7 +185,7 @@ class LabelVolume:
     def _fg_rank(self):
         """Flat indices of the foreground voxels and the rank of each one's ID in ``ids()``."""
         flat = self.labels.ravel()
-        fg = np.flatnonzero(flat)
+        fg = np.flatnonzero(flat != 0)  # numpy scans a bool mask faster than an int32 one
         return _readonly(fg), _readonly(np.searchsorted(self.ids(), flat[fg]))
 
     @cached_property

@@ -6,13 +6,14 @@ stream is stable across platforms, so phantom volumes are bit-reproducible
 from their config alone.
 """
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 from scipy import ndimage as ndi
 
 from .core import LabelVolume, Volume, check_keys, check_number, round_half_away
-from .errors import PlacementError
+from .errors import ChannelCountError, PlacementError
 from .targets import TargetBundle
 
 __all__ = ["PhantomConfig", "generate_phantom", "perturb_target"]
@@ -146,6 +147,9 @@ def generate_phantom(cfg):
 
 # Planes of at least this many voxels take _smooth's numpy z and y passes.
 _NUMPY_PLANE = 64 * 64
+# Voxels per slab that _smooth's numpy passes and the noise draws work on,
+# unless one (y, x) plane is larger: 256 KiB of float64 stays in cache.
+_SLAB = 1 << 15
 
 
 def _reflect_pad(x, pad):
@@ -170,33 +174,40 @@ def _correlate(pad, out, tmp, w):
         out += tmp
 
 
-def _smooth(data, sigma):
-    """Smooth each channel of ``data`` (c, z, y, x) with a 3d Gaussian, in place.
+def _smooth(channels, sigma):
+    """Smooth each 3d array of ``channels``, in place and in turn, with a 3d Gaussian.
 
     Bit-identical to ``ndi.gaussian_filter(channel, sigma)`` (mode 'reflect',
-    truncate 4.0); like scipy, a sigma of 1e-15 or less changes nothing.
-    ``ndi.gaussian_filter1d`` smooths x, the contiguous axis. Its passes
-    over the strided z and y axes slow down once a (y, x) plane outgrows the
-    cache, so planes of ``_NUMPY_PLANE`` voxels or more take those two passes
-    in numpy, a few planes per call. Median per call, sigma 1, on a 2-core
-    Xeon (scipy's passes -> numpy's): 6 x 32 x 128 x 128 took 128 -> 71 ms,
-    6 x 16 x 64 x 64 took 12.4 -> 8.8 ms, but 6 x 16 x 48 x 48 took 6.2 -> 7.0 ms.
+    truncate 4.0); like scipy, a sigma of 1e-15 or less changes nothing, but
+    every channel is still taken from ``channels``, which may be a generator
+    that adds the noise as it yields. The arrays share one shape; the work
+    buffers are allocated once, at the first. ``ndi.gaussian_filter1d``
+    smooths x, the contiguous axis, one channel at a time: its lines are
+    independent, so the bits are those of one pass over all channels. Its
+    passes over the strided z and y axes slow down once a (y, x) plane
+    outgrows the cache, so planes of ``_NUMPY_PLANE`` voxels or more take
+    those two passes in numpy, a few planes per call. Median per call, sigma
+    1, on a 2-core Xeon (scipy's passes -> numpy's): 6 x 32 x 128 x 128 took
+    128 -> 71 ms, 6 x 16 x 64 x 64 took 12.4 -> 8.8 ms, but 6 x 16 x 48 x 48
+    took 6.2 -> 7.0 ms.
     """
-    if not sigma > 1e-15:
-        return
-    _, nz, ny, nx = data.shape
-    if ny * nx < _NUMPY_PLANE:
-        ndi.gaussian_filter1d(data, sigma, 1, output=data)
-        ndi.gaussian_filter1d(data, sigma, 2, output=data)
-    else:
-        r = int(4.0 * float(sigma) + 0.5)
-        w = np.exp(-0.5 / (sigma * sigma) * np.arange(-r, r + 1) ** 2)
-        w /= w.sum()
-        b = max(1, (1 << 15) // (ny * nx))  # planes per call: 256 KiB stays in cache
-        zpad = np.empty((1, nz + 2 * r, ny, nx))
-        ypad = np.empty((b, ny + 2 * r, nx))
-        tmp = np.empty((b, ny, nx))
-        for channel in data:
+    zpad = None
+    for channel in channels:
+        if not sigma > 1e-15:
+            continue
+        nz, ny, nx = channel.shape
+        if ny * nx < _NUMPY_PLANE:
+            ndi.gaussian_filter1d(channel, sigma, 0, output=channel)
+            ndi.gaussian_filter1d(channel, sigma, 1, output=channel)
+        else:
+            if zpad is None:
+                r = int(4.0 * float(sigma) + 0.5)
+                w = np.exp(-0.5 / (sigma * sigma) * np.arange(-r, r + 1) ** 2)
+                w /= w.sum()
+                b = max(1, _SLAB // (ny * nx))
+                zpad = np.empty((1, nz + 2 * r, ny, nx))
+                ypad = np.empty((b, ny + 2 * r, nx))
+                tmp = np.empty((b, ny, nx))
             _reflect_pad(channel[np.newaxis], zpad)  # z reads the unsmoothed planes from here
             for z in range(0, nz, b):
                 out = channel[z:z + b]
@@ -204,11 +215,22 @@ def _smooth(data, sigma):
                 _correlate(zpad[:, z:z + m + 2 * r], out[np.newaxis], tmp[np.newaxis, :m], w)
                 _reflect_pad(out, ypad[:m])
                 _correlate(ypad[:m], out, tmp[:m], w)
-    ndi.gaussian_filter1d(data, sigma, -1, output=data)
+        ndi.gaussian_filter1d(channel, sigma, -1, output=channel)
 
 
 # Value ranges restored after perturbation, per channel kind.
 _CLAMP = {"sdt": (-1.0, 1.0), "3label": (0.0, 1.0), "affinities": (0.0, 1.0), "gauss": (0.0, 1.0)}
+
+
+def _add_noise(rng, channel, noise_sigma):
+    """Add ``N(0, noise_sigma)`` noise to the 3d ``channel``, a few z planes per draw.
+
+    A slab, not a channel-sized array, sits beside the smoothing buffers.
+    """
+    b = max(1, _SLAB // channel[0].size)
+    for z in range(0, len(channel), b):
+        slab = channel[z:z + b]
+        slab += rng.normal(0.0, noise_sigma, size=slab.shape)
 
 
 def perturb_target(bundle, noise_sigma, smoothing_sigma, rng_seed):
@@ -217,18 +239,37 @@ def perturb_target(bundle, noise_sigma, smoothing_sigma, rng_seed):
     Adds seeded Gaussian noise, then smooths each channel with a separable
     Gaussian. Probability channels are clamped back to [0, 1] and the sdt
     channel to its tanh range [-1, 1]; vector channels are left free.
-    The noise is drawn one channel at a time, in channel order: PCG64 fills
-    an array in C order, so this is the stream of one whole-volume draw.
+
+    With noise, one helper thread draws and adds it, channel by channel in
+    channel order and z slab by z slab, while this thread smooths the
+    channel before. PCG64 fills an array in C order and only the helper
+    draws, so the noise is the stream of one whole-volume draw, independent
+    of ``OMP_NUM_THREADS`` and of the core count. Both halves release the
+    GIL, so on two cores they overlap. An exception on either side cancels
+    the draws not yet started, joins the helper and leaves with its own type.
     """
+    if not isinstance(bundle, TargetBundle):
+        raise ChannelCountError(f"expected a TargetBundle, got {type(bundle).__name__}")
     check_number("noise_sigma", noise_sigma, ge=0)
     check_number("smoothing_sigma", smoothing_sigma, ge=0)
     check_number("rng_seed", rng_seed, integer=True, ge=0)
     rng = np.random.default_rng(rng_seed)
     data = bundle.volume.data.astype(np.float64)
     if noise_sigma > 0:
-        for channel in data:
-            channel += rng.normal(0.0, noise_sigma, size=channel.shape)
-    _smooth(data, smoothing_sigma)
+        helper = ThreadPoolExecutor(max_workers=1)
+        try:
+            drawn = [helper.submit(_add_noise, rng, channel, noise_sigma) for channel in data]
+
+            def noisy():
+                for channel, noise in zip(data, drawn):
+                    noise.result()
+                    yield channel
+
+            _smooth(noisy(), smoothing_sigma)
+        finally:
+            helper.shutdown(cancel_futures=True)
+    else:
+        _smooth(data, smoothing_sigma)
     lo, hi = _CLAMP[bundle.variant]
     main = bundle.main_channels
     np.clip(data[:main], lo, hi, out=data[:main])

@@ -1,4 +1,6 @@
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from nuclei3d import (
     generate_phantom,
     perturb_target,
 )
-from nuclei3d.errors import PlacementError
+from nuclei3d.errors import ChannelCountError, PlacementError
 from nuclei3d.targets import BOUNDARY
 
 from oracles import FACE_OFFSETS, perturb_oracle, touching_phantom_oracle
@@ -275,6 +277,81 @@ class TestPerturb:
         out = perturb_target(TargetBundle(Volume(data), "gauss", True), 0.1, sigma, rng_seed=3)
         expected = perturb_oracle(data, 1, (0.0, 1.0), 0.1, sigma, rng_seed=3)
         assert out.volume.data.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_many_channels_with_noise_at_numpy_plane_size(self, rng, order):
+        # noise drawn on the helper in z slabs, each channel smoothed after it lands;
+        # a Fortran-ordered volume keeps its layout through astype
+        data = np.asarray(rng.random((MAIN_CHANNELS["affinities"] + 3, 5, 64, 70)), order=order)
+        out = perturb_target(TargetBundle(Volume(data), "affinities", True), 0.2, 1.0, rng_seed=8)
+        expected = perturb_oracle(data, MAIN_CHANNELS["affinities"], (0.0, 1.0), 0.2, 1.0, 8)
+        assert out.volume.data.tobytes() == expected.tobytes()
+
+    def test_concurrent_callers_under_fast_thread_switching(self, rng):
+        # four callers, each with its own helper, on fewer cores; a draw read before
+        # it landed, or a draw from another caller's stream, changes the bytes
+        data = rng.random((4, 6, 9, 8))
+        bundle = TargetBundle(Volume(data), "sdt", True)
+        expected = [perturb_oracle(data, 1, (-1.0, 1.0), 0.3, 0.8, seed) for seed in range(4)]
+        got = [None] * 4
+
+        def call(seed):
+            for _ in range(25):
+                got[seed] = perturb_target(bundle, 0.3, 0.8, rng_seed=seed).volume.data.tobytes()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call, args=(seed,)) for seed in range(4)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert got == [e.tobytes() for e in expected]
+
+    def test_helper_thread_is_joined(self, bundle):
+        before = threading.active_count()
+        perturb_target(bundle, 0.1, 1.0, rng_seed=9)
+        assert threading.active_count() == before
+
+    def test_smoothing_failure_joins_helper_and_keeps_its_type(self, bundle, monkeypatch):
+        def smooth_then_fail(channels, sigma):
+            for c, _ in enumerate(channels):
+                if c == 1:
+                    raise MemoryError("planted")
+
+        monkeypatch.setattr(phantom_module, "_smooth", smooth_then_fail)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="planted"):
+            perturb_target(bundle, 0.1, 1.0, rng_seed=9)
+        assert threading.active_count() == before
+
+    def test_noise_failure_is_reraised(self, bundle, monkeypatch):
+        class Planted(Exception):
+            pass
+
+        def fail_on_third(rng, channel, noise_sigma):
+            calls.append(channel)
+            if len(calls) == 3:
+                raise Planted("third draw")
+
+        calls = []
+        monkeypatch.setattr(phantom_module, "_add_noise", fail_on_third)
+        before = threading.active_count()
+        with pytest.raises(Planted, match="third draw"):
+            perturb_target(bundle, 0.1, 1.0, rng_seed=9)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize(
+        "target", [np.zeros((3, 4, 4, 4)), Volume(np.zeros((3, 4, 4, 4))), None]
+    )
+    def test_non_bundle_is_typed_refusal(self, target):
+        name = type(target).__name__
+        with pytest.raises(ChannelCountError, match=f"expected a TargetBundle, got {name}$"):
+            perturb_target(target, 0.1, 1.0, rng_seed=9)
 
 
 @pytest.mark.parametrize("shape", [(12, 48, 48), (10, 64, 64)])  # scipy's passes, numpy's
