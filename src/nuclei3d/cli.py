@@ -13,7 +13,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import io
-from .core import LabelVolume, Volume
+from .core import LabelVolume, Volume, check_same_shape
 from .detection import NmsConfig, nms_detect
 from .errors import Nuclei3dError, PlacementError
 from .metrics import evaluate
@@ -63,7 +63,7 @@ def _cmd_evaluate(args):
     gt = io.read_volume(args.gt, LabelVolume)
     seg = io.read_volume(args.seg, LabelVolume) if args.seg else None
     if seg is not None:
-        io.check_same_shape(args.gt, gt, args.seg, seg)
+        check_same_shape(args.gt, gt.shape, args.seg, seg.shape)
     dets = io.read_detections(args.dets) if args.dets else None
     report = evaluate(gt, seg=seg, detections=dets)
     io.write_report(args.out, report.to_mapping())

@@ -51,6 +51,12 @@ def check_number(key, value, integer=False, ge=None, gt=None):
     return value
 
 
+def check_same_shape(a_name, a_shape, b_name, b_shape):
+    """Refuse (``ShapeMismatchError``) two shapes that differ, naming both sides."""
+    if a_shape != b_shape:
+        raise ShapeMismatchError(f"{a_name} shape {a_shape} vs {b_name} shape {b_shape}")
+
+
 def check_keys(what, mapping, keys, required):
     """Refuse (``ValueError``) all but a mapping of only ``keys`` with every ``required`` key."""
     if not isinstance(mapping, dict):

@@ -29,7 +29,6 @@ from .errors import (
     BadMagicError,
     FormatError,
     MalformedRowError,
-    ShapeMismatchError,
     TruncatedPayloadError,
     UnsupportedDtypeError,
     UnsupportedVersionError,
@@ -66,12 +65,6 @@ def names_file(path, prefix=""):
         yield
     except (TypeError, ValueError, yaml.YAMLError) as exc:
         raise FormatError(f"{path}: {prefix}{exc}") from None
-
-
-def check_same_shape(a_path, a, b_path, b):
-    """Refuse (``ShapeMismatchError``) volumes read from two files unless their shapes agree."""
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"{a_path} shape {a.shape} vs {b_path} shape {b.shape}")
 
 
 class Detection(NamedTuple):

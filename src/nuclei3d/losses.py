@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .core import Volume, check_number
+from .core import Volume, check_number, check_same_shape
 from .errors import InvalidClassError, ShapeMismatchError
 from .targets import VARIANTS
 
@@ -49,28 +49,18 @@ def _f64(volume):
     return volume.data.astype(np.float64, copy=False)
 
 
-def _check_same_shape(a, b, what):
-    if a.data.shape != b.data.shape:
-        raise ShapeMismatchError(
-            f"{what}: shape {a.data.shape} vs {b.data.shape}"
-        )
-
-
 def _ssd(pred, target, mask, out):
     """Sum of squared differences, masked if ``mask`` is given; its gradient goes to ``out``.
 
     The operations are those of ``sum(mask * diff * diff)`` and
     ``2.0 * diff * mask`` in that order, run in place on two buffers.
     """
-    _check_same_shape(pred, target, "ssd_loss pred/target")
+    check_same_shape("ssd_loss pred", pred.data.shape, "target", target.data.shape)
     diff = np.subtract(pred.data, target.data, out=out, dtype=np.float64)
     if mask is None:
         value = float(np.sum(diff * diff))
     else:
-        if mask.channels != 1 or mask.shape != pred.shape:
-            raise ShapeMismatchError(
-                f"ssd_loss mask: shape {mask.data.shape} vs pred {pred.data.shape}"
-            )
+        check_same_shape("ssd_loss mask", mask.data.shape, "one pred channel", (1,) + pred.shape)
         m = _f64(mask)
         sq = np.multiply(m, diff)
         sq *= diff
@@ -100,10 +90,9 @@ def softmax_ce_loss(logits, target):
     """
     if logits.channels != 3:
         raise ShapeMismatchError(f"expected 3 logit channels, got {logits.channels}")
-    if target.channels != 1 or target.shape != logits.shape:
-        raise ShapeMismatchError(
-            f"target shape {target.data.shape} does not match logits {logits.data.shape}"
-        )
+    check_same_shape(
+        "softmax_ce_loss target", target.data.shape, "one logit channel", (1,) + logits.shape
+    )
     cls = target.channel(0)
     if not np.isin(cls, (0, 1, 2)).all():
         raise InvalidClassError("3-label target values must be 0, 1 or 2")
@@ -128,7 +117,7 @@ def sigmoid_bce_loss(logits, target):
 
     Uses the stable logits formulation; gradient is sigmoid(logits) - target.
     """
-    _check_same_shape(logits, target, "sigmoid_bce_loss logits/target")
+    check_same_shape("sigmoid_bce_loss logits", logits.data.shape, "target", target.data.shape)
     t = _f64(target)
     if not np.isin(t, (0.0, 1.0)).all():
         raise InvalidClassError("binary target values must be 0 or 1")
@@ -157,11 +146,7 @@ def combined_loss(main, cpv_pred, cpv_target, fg_mask, main_weight):
     gradient with the auxiliary gradient, in that channel order.
     """
     check_number("main_weight", main_weight, gt=0)
-    if main.gradient.shape != cpv_pred.shape:
-        raise ShapeMismatchError(
-            f"combined_loss main gradient: shape {main.gradient.data.shape} "
-            f"vs cpv pred {cpv_pred.data.shape}"
-        )
+    check_same_shape("combined_loss main gradient", main.gradient.shape, "cpv pred", cpv_pred.shape)
     main_channels = main.gradient.channels
     grad = np.empty((main_channels + cpv_pred.channels,) + cpv_pred.shape)
     aux_value = _ssd(cpv_pred, cpv_target, fg_mask, grad[main_channels:])

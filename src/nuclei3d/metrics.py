@@ -10,8 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import id_counts, round_half_away
-from .errors import ShapeMismatchError
+from .core import check_same_shape, id_counts, round_half_away
 
 __all__ = [
     "IOU_THRESHOLDS",
@@ -58,8 +57,7 @@ class EvalReport:
 
 def iou_matrix(gt, pred):
     """IoU per overlapping (gt_id, pred_id) pair, as a sparse dict."""
-    if gt.shape != pred.shape:
-        raise ShapeMismatchError(f"gt shape {gt.shape} vs pred shape {pred.shape}")
+    check_same_shape("gt", gt.shape, "pred", pred.shape)
     g = gt.labels
     p = pred.labels
     both = (g > 0) & (p > 0)

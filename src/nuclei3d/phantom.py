@@ -8,6 +8,7 @@ from their config alone.
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields
+from itertools import repeat
 
 import numpy as np
 from scipy import ndimage as ndi
@@ -153,14 +154,12 @@ _SLAB = 1 << 15
 
 
 def _reflect_pad(x, pad):
-    """Copy ``x`` into ``pad``, r longer at each end of axis 1, folded as scipy's 'reflect'."""
+    """Copy ``x`` into ``pad``, r <= n longer at each end of axis 1, as scipy's 'reflect'."""
     n = x.shape[1]
     r = (pad.shape[1] - n) // 2
-    i = np.arange(-r, n + r) % (2 * n)  # mirrored from n on; this covers n < r too
-    fold = np.where(i < n, i, 2 * n - 1 - i)
     pad[:, r:r + n] = x
-    pad[:, :r] = x[:, fold[:r]]
-    pad[:, r + n:] = x[:, fold[r + n:]]
+    pad[:, :r] = x[:, :r][:, ::-1]
+    pad[:, r + n:] = x[:, n - r:][:, ::-1]
 
 
 def _correlate(pad, out, tmp, w):
@@ -178,30 +177,33 @@ def _smooth(channels, sigma):
     """Smooth each 3d array of ``channels``, in place and in turn, with a 3d Gaussian.
 
     Bit-identical to ``ndi.gaussian_filter(channel, sigma)`` (mode 'reflect',
-    truncate 4.0); like scipy, a sigma of 1e-15 or less changes nothing, but
-    every channel is still taken from ``channels``, which may be a generator
-    that adds the noise as it yields. The arrays share one shape; the work
-    buffers are allocated once, at the first. ``ndi.gaussian_filter1d``
-    smooths x, the contiguous axis, one channel at a time: its lines are
-    independent, so the bits are those of one pass over all channels. Its
-    passes over the strided z and y axes slow down once a (y, x) plane
-    outgrows the cache, so planes of ``_NUMPY_PLANE`` voxels or more take
-    those two passes in numpy, a few planes per call. Median per call, sigma
-    1, on a 2-core Xeon (scipy's passes -> numpy's): 6 x 32 x 128 x 128 took
-    128 -> 71 ms, 6 x 16 x 64 x 64 took 12.4 -> 8.8 ms, but 6 x 16 x 48 x 48
-    took 6.2 -> 7.0 ms.
+    truncate 4.0, so a kernel radius r = int(4 sigma + 0.5)); like scipy, a
+    sigma of 1e-15 or less changes nothing, but every channel is still taken
+    from ``channels``, which may be a generator that adds the noise as it
+    yields. The arrays share one shape; the work buffers are allocated once,
+    at the first. ``ndi.gaussian_filter1d`` smooths x, the contiguous axis,
+    one channel at a time: its lines are independent, so the bits are those
+    of one pass over all channels. Its passes over the strided z and y axes
+    slow down once a (y, x) plane outgrows the cache, so planes of
+    ``_NUMPY_PLANE`` voxels or more take those two passes in numpy, a few
+    planes per call, if r <= min(nz, ny). The numpy z pass pads a channel
+    copy by r planes at each end, so that bound keeps its buffer within
+    three channels; a larger r takes scipy's passes, which buffer a few
+    lines at a time. Median per call, sigma 1, on a 2-core Xeon (scipy's
+    passes -> numpy's): 6 x 32 x 128 x 128 took 128 -> 71 ms, 6 x 16 x 64 x
+    64 took 12.4 -> 8.8 ms, but 6 x 16 x 48 x 48 took 6.2 -> 7.0 ms.
     """
+    r = int(4.0 * float(sigma) + 0.5)
     zpad = None
     for channel in channels:
         if not sigma > 1e-15:
             continue
         nz, ny, nx = channel.shape
-        if ny * nx < _NUMPY_PLANE:
+        if ny * nx < _NUMPY_PLANE or r > min(nz, ny):
             ndi.gaussian_filter1d(channel, sigma, 0, output=channel)
             ndi.gaussian_filter1d(channel, sigma, 1, output=channel)
         else:
             if zpad is None:
-                r = int(4.0 * float(sigma) + 0.5)
                 w = np.exp(-0.5 / (sigma * sigma) * np.arange(-r, r + 1) ** 2)
                 w /= w.sum()
                 b = max(1, _SLAB // (ny * nx))
@@ -240,13 +242,16 @@ def perturb_target(bundle, noise_sigma, smoothing_sigma, rng_seed):
     Gaussian. Probability channels are clamped back to [0, 1] and the sdt
     channel to its tanh range [-1, 1]; vector channels are left free.
 
-    With noise, one helper thread draws and adds it, channel by channel in
-    channel order and z slab by z slab, while this thread smooths the
-    channel before. PCG64 fills an array in C order and only the helper
-    draws, so the noise is the stream of one whole-volume draw, independent
-    of ``OMP_NUM_THREADS`` and of the core count. Both halves release the
-    GIL, so on two cores they overlap. An exception on either side cancels
-    the draws not yet started, joins the helper and leaves with its own type.
+    With noise, ``Executor.map`` on a one-thread pool submits every channel's
+    draw at once, in channel order; the helper adds each draw z slab by z
+    slab, while this thread smooths the channel before, taking each channel
+    once ``map`` yields its draw. PCG64 fills an array in C order and only
+    the helper draws, so the noise is the stream of one whole-volume draw,
+    independent of ``OMP_NUM_THREADS`` and of the core count. Both halves
+    release the GIL, so on two cores they overlap. ``_smooth`` says which
+    passes run at which plane size and kernel radius. An exception on either
+    side cancels the draws not yet started, joins the helper and leaves with
+    its own type.
     """
     if not isinstance(bundle, TargetBundle):
         raise ChannelCountError(f"expected a TargetBundle, got {type(bundle).__name__}")
@@ -255,21 +260,15 @@ def perturb_target(bundle, noise_sigma, smoothing_sigma, rng_seed):
     check_number("rng_seed", rng_seed, integer=True, ge=0)
     rng = np.random.default_rng(rng_seed)
     data = bundle.volume.data.astype(np.float64)
-    if noise_sigma > 0:
-        helper = ThreadPoolExecutor(max_workers=1)
-        try:
-            drawn = [helper.submit(_add_noise, rng, channel, noise_sigma) for channel in data]
-
-            def noisy():
-                for channel, noise in zip(data, drawn):
-                    noise.result()
-                    yield channel
-
-            _smooth(noisy(), smoothing_sigma)
-        finally:
-            helper.shutdown(cancel_futures=True)
-    else:
-        _smooth(data, smoothing_sigma)
+    channels = data
+    helper = ThreadPoolExecutor(max_workers=1)  # its thread starts at the first draw
+    try:
+        if noise_sigma > 0:
+            drawn = helper.map(_add_noise, repeat(rng), data, repeat(noise_sigma))
+            channels = (c for c, _ in zip(data, drawn))
+        _smooth(channels, smoothing_sigma)
+    finally:
+        helper.shutdown(cancel_futures=True)
     lo, hi = _CLAMP[bundle.variant]
     main = bundle.main_channels
     np.clip(data[:main], lo, hi, out=data[:main])

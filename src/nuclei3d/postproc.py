@@ -10,18 +10,8 @@ Seed rules: sdt thresholds the map strictly below the (negative) seed
 threshold; 3label keeps P(interior) >= threshold; affinities keeps voxels
 where at least two of the three affinity channels reach the threshold.
 Alternatively seeds come from center-point-vector vote accumulation.
-
-The watershed is a deterministic priority flood: claims are queued with key
-(map value, insertion sequence number) and resolved lowest-first, so ties
-are FIFO. A claim cannot leave its pocket, a 6-connected component of
-unseeded foreground, numbered by ``core.components`` from the indices of
-the unseeded foreground voxels. The (pocket, seed ID) pairs are gathered from
-the face neighbours of the smaller side, the unseeded foreground voxels or
-the seed voxels. Pockets next to one seed ID are filled with it in numpy,
-and only pockets next to two or more IDs are flooded. The seed voxels next
-to those pockets make their claims in numpy; the flood then indexes just
-the flooded pockets' voxels and keys its heap by one int per claim.
-Predictions may be probabilities (default) or logits.
+Predictions may be probabilities (default) or logits. The seeds grow into
+the foreground by the deterministic priority flood of :func:`watershed`.
 """
 
 import heapq
@@ -31,8 +21,8 @@ import numpy as np
 from scipy.special import expit
 
 from .core import (
-    LabelVolume, Volume, VoxelSize, check_number, components, connected_components,
-    dilate_instances, face_neighbours, round_half_away, run_starts,
+    LabelVolume, Volume, VoxelSize, check_number, check_same_shape, components,
+    connected_components, dilate_instances, face_neighbours, round_half_away, run_starts,
 )
 from .errors import ChannelCountError, ShapeMismatchError
 from .targets import MAIN_CHANNELS, TargetBundle
@@ -94,8 +84,7 @@ class TopographicMap:
             got = getattr(self.values, "shape", type(self.values).__name__)
             raise ShapeMismatchError(f"topography values must be a 3d array, got {got}")
         fg = np.asarray(self.foreground, dtype=bool)
-        if self.values.shape != fg.shape:
-            raise ShapeMismatchError("topography values and foreground shapes differ")
+        check_same_shape("topography values", self.values.shape, "foreground", fg.shape)
         object.__setattr__(self, "foreground", fg)
         if not np.isfinite(self.values).all():
             raise ValueError("topography values must be finite")
@@ -164,8 +153,7 @@ def accumulate_votes(cpv_pred, fg_mask):
         raise ChannelCountError(f"cpv prediction must be a 3-channel Volume, got {got}")
     vec = cpv_pred.data.astype(np.float64, copy=False)
     fg = np.asarray(fg_mask, dtype=bool)
-    if vec.shape[1:] != fg.shape:
-        raise ShapeMismatchError("cpv channels and foreground mask shapes differ")
+    check_same_shape("cpv channels", vec.shape[1:], "foreground mask", fg.shape)
 
     f = np.flatnonzero(fg)
     at = np.unravel_index(f, fg.shape)
@@ -217,8 +205,7 @@ def watershed(topo, seeds):
     in raster order, and their claims are made in numpy; the heap then
     holds only the flooded pockets' voxels.
     """
-    if seeds.shape != topo.values.shape:
-        raise ShapeMismatchError("seeds and topography shapes differ")
+    check_same_shape("seeds", seeds.shape, "topography", topo.values.shape)
     shape = topo.values.shape
     labels = np.where(topo.foreground, seeds.labels, 0)
     # the unseeded foreground voxels and their pockets, numbered from 1

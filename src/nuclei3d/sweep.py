@@ -44,9 +44,9 @@ import itertools
 from dataclasses import astuple, dataclass, field, replace
 from pathlib import Path
 
-from .core import LabelVolume, Volume, check_keys, dilate_instances
+from .core import LabelVolume, Volume, check_keys, check_same_shape, dilate_instances
 from .detection import centroids_from_labels
-from .io import check_same_shape, names_file, read_report, read_volume
+from .io import names_file, read_report, read_volume
 from .metrics import detection_ap, evaluate, segmentation_ap
 from .postproc import PostprocConfig, segment
 
@@ -139,7 +139,7 @@ def run_sweep(spec):
     volumes = {p: read_volume(p, kind) for p, kind in dict.fromkeys(itertools.chain(*roles))}
     for _, pairs in spec.checkpoints:
         for gt_path, pred_path in pairs:
-            check_same_shape(gt_path, volumes[gt_path], pred_path, volumes[pred_path])
+            check_same_shape(gt_path, volumes[gt_path].shape, pred_path, volumes[pred_path].shape)
 
     scores = {}  # (pair, stage key, dilate) -> objective score
     table = []

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -222,6 +224,32 @@ class TestCombined:
 
 # Shapes with a 1-voxel axis in each spatial position and none; channels are set per test.
 BIT_EXACT_SHAPES = [(1, 5, 7), (4, 1, 6), (3, 4, 1), (3, 4, 5)]
+
+
+def _zeros(*shape):
+    return Volume(np.zeros(shape))
+
+
+@pytest.mark.parametrize(
+    "call,expected",
+    [
+        (lambda: ssd_loss(_zeros(1, 2, 2, 2), _zeros(2, 2, 2, 2)),
+         "ssd_loss pred shape (1, 2, 2, 2) vs target shape (2, 2, 2, 2)"),
+        (lambda: ssd_loss(_zeros(2, 2, 2, 2), _zeros(2, 2, 2, 2), _zeros(2, 2, 2, 2)),
+         "ssd_loss mask shape (2, 2, 2, 2) vs one pred channel shape (1, 2, 2, 2)"),
+        (lambda: softmax_ce_loss(_zeros(3, 2, 2, 2), _zeros(2, 2, 2, 2)),
+         "softmax_ce_loss target shape (2, 2, 2, 2) vs one logit channel shape (1, 2, 2, 2)"),
+        (lambda: sigmoid_bce_loss(_zeros(2, 2, 2, 3), _zeros(2, 2, 2, 2)),
+         "sigmoid_bce_loss logits shape (2, 2, 2, 3) vs target shape (2, 2, 2, 2)"),
+        (lambda: combined_loss(ssd_loss(_zeros(1, 1, 1, 1), _zeros(1, 1, 1, 1)), _zeros(3, 2, 2, 2),
+                               _zeros(3, 2, 2, 2), _zeros(1, 2, 2, 2), main_weight=1.0),
+         "combined_loss main gradient shape (1, 1, 1) vs cpv pred shape (2, 2, 2)"),
+    ],
+    ids=["ssd-target", "ssd-mask-channels", "softmax-target-channels", "bce-target", "combined"],
+)
+def test_shape_refusals_name_both_sides(call, expected):
+    with pytest.raises(ShapeMismatchError, match=f"^{re.escape(expected)}$"):
+        call()
 
 
 def _signed_zeros(rng, data):

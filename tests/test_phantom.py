@@ -1,6 +1,7 @@
 import re
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -245,9 +246,11 @@ class TestPerturb:
             assert out.volume.data.tobytes() == expected.tobytes()
 
     # Spatial shapes with axes of length 1 and 2, and axes shorter than the kernel
-    # radius (4 at sigma 1, 10 at sigma 2.5). Every (y, x) plane here is below the
-    # numpy-pass plane size, so each case runs once on scipy's z and y passes and
-    # once forced onto numpy's.
+    # radius r (1 at sigma 0.3, 2 at 0.5, 4 at 1, 10 at 2.5). Every (y, x) plane here
+    # is below the numpy-pass plane size, so each case runs on scipy's z and y passes,
+    # and again with the plane size forced down, which takes numpy's passes where
+    # r <= min(nz, ny): r == n at sigma 0.3 on (1, 1, 1) and (40, 1, 3), and at 0.5
+    # on (9, 2, 17), is the padding's widest reflection.
     MATRIX_SHAPES = [(1, 1, 1), (5, 7, 9), (3, 200, 4), (40, 1, 3), (9, 2, 17)]
     MATRIX_SIGMAS = [1e-200, 1e-16, 0.3, 0.5, 1.0, 2.5]
 
@@ -329,6 +332,33 @@ class TestPerturb:
             perturb_target(bundle, 0.1, 1.0, rng_seed=9)
         assert threading.active_count() == before
 
+    def test_smoothing_failure_cancels_the_draws_not_started(self, monkeypatch):
+        # channel 1's smoothing fails while channel 2's draw runs: that draw is
+        # joined, and channels 3 to 6 are never drawn
+        data = np.arange(7.0).repeat(2 * 3 * 4).reshape(7, 2, 3, 4)  # channel c holds c
+        bundle = TargetBundle(Volume(data), "affinities", True)
+        drawing_2, calls = threading.Event(), []
+
+        def record(rng, channel, noise_sigma):
+            calls.append(int(channel[0, 0, 0]))
+            if calls[-1] == 2:
+                drawing_2.set()
+                threading.Event().wait(timeout=1.0)
+
+        def smooth_then_fail(channels, sigma):
+            for c, _ in enumerate(channels):
+                if c == 1:
+                    drawing_2.wait(timeout=10)
+                    raise MemoryError("planted")
+
+        monkeypatch.setattr(phantom_module, "_add_noise", record)
+        monkeypatch.setattr(phantom_module, "_smooth", smooth_then_fail)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="planted"):
+            perturb_target(bundle, 0.1, 1.0, rng_seed=9)
+        assert calls == [0, 1, 2]
+        assert threading.active_count() == before
+
     def test_noise_failure_is_reraised(self, bundle, monkeypatch):
         class Planted(Exception):
             pass
@@ -352,6 +382,21 @@ class TestPerturb:
         name = type(target).__name__
         with pytest.raises(ChannelCountError, match=f"expected a TargetBundle, got {name}$"):
             perturb_target(target, 0.1, 1.0, rng_seed=9)
+
+
+# r = 4 takes numpy's z and y passes; r = 100 and 400 exceed nz and take scipy's
+@pytest.mark.parametrize("sigma", [1.0, 25.0, 100.0])
+def test_smoothing_buffers_are_bounded_by_the_channel(sigma):
+    channel = np.random.default_rng(2).random((1, 32, 128, 128))
+    expected = ndi.gaussian_filter(channel[0], sigma)
+    tracemalloc.start()
+    try:
+        phantom_module._smooth(channel, sigma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * channel.nbytes
+    assert channel[0].tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(12, 48, 48), (10, 64, 64)])  # scipy's passes, numpy's

@@ -111,7 +111,7 @@ class TestTopography:
             (np.zeros((1, 2)), "topography values must be a 3d array, got (1, 2)"),
             (np.zeros((1, 1, 1, 2)), "topography values must be a 3d array, got (1, 1, 1, 2)"),
             (None, "topography values must be a 3d array, got NoneType"),
-            (np.zeros((1, 2, 1)), "topography values and foreground shapes differ"),
+            (np.zeros((1, 2, 1)), "topography values shape (1, 2, 1) vs foreground shape (1, 1, 2)"),
         ],
         ids=["list", "2d", "4d", "none", "shape"],
     )

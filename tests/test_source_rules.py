@@ -124,6 +124,68 @@ def test_labelling_rule_catches_a_planted_use(tmp_path, line):
     assert labelling_calls(copy) == [f"postproc.py:{len(lines) + 4}"]
 
 
+def shape_refusals_outside_owner(src):
+    """``if`` statements in the package under ``src``, outside ``core.check_same_shape``,
+    that compare a ``.shape`` with ``!=`` and raise ``ShapeMismatchError`` in their body."""
+    found = []
+    for path in sorted(Path(src).glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = set()
+        for node in tree.body:
+            if path.name == "core.py" and getattr(node, "name", None) == "check_same_shape":
+                owner = {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.If) or id(node) in owner:
+                continue
+            compares_shape = any(
+                isinstance(c, ast.Compare)
+                and any(isinstance(op, ast.NotEq) for op in c.ops)
+                and any(
+                    isinstance(a, ast.Attribute) and a.attr == "shape"
+                    for operand in (c.left, *c.comparators) for a in ast.walk(operand)
+                )
+                for c in ast.walk(node.test)
+            )
+            raised = (
+                r.exc.func for stmt in node.body for r in ast.walk(stmt)
+                if isinstance(r, ast.Raise) and isinstance(r.exc, ast.Call)
+            )
+            raises = any(
+                "ShapeMismatchError" in (getattr(f, "id", None), getattr(f, "attr", None)) for f in raised
+            )
+            if compares_shape and raises:
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_shape_agreement_has_one_owner():
+    """Only ``core.check_same_shape`` refuses two shapes that differ.
+
+    Every comparison of a prediction with its ground truth, or of a loss
+    input with its target, rests on one rule and one message form, which
+    names both sides and their shapes.
+    """
+    found = shape_refusals_outside_owner(SRC)
+    assert not found, f"shape refusal outside core.check_same_shape: {', '.join(found)}"
+
+
+@pytest.mark.parametrize(
+    "test,raiser",
+    [
+        ("a.shape != b.shape", "ShapeMismatchError"),
+        ("a.ndim != 4 or a.shape[1:] != b.shape", "errors.ShapeMismatchError"),
+    ],
+)
+def test_shape_rule_catches_a_planted_refusal(tmp_path, test, raiser):
+    copy = tmp_path / "nuclei3d"
+    shutil.copytree(SRC, copy)
+    target = copy / "losses.py"
+    lines = target.read_text().splitlines()
+    planted = ["def _planted(a, b):", f"    if {test}:", f'        raise {raiser}("differ")']
+    target.write_text("\n".join(lines + ["", ""] + planted + [""]))
+    assert shape_refusals_outside_owner(copy) == [f"losses.py:{len(lines) + 4}"]
+
+
 def test_no_scipy_spatial():
     """``scipy.spatial`` is not imported anywhere in the package.
 
