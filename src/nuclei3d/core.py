@@ -17,7 +17,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import ShapeMismatchError
+from .errors import ChannelCountError, ShapeMismatchError
 
 __all__ = [
     "VoxelSize",
@@ -223,6 +223,16 @@ class LabelVolume:
     __hash__ = None
 
 
+def check_volume(name, value, kind=Volume, channels=None):
+    """Return ``value`` if a ``kind`` with ``channels`` channels (any if None); else refuse it."""
+    is_kind = isinstance(value, kind)
+    if not is_kind or (channels is not None and value.channels != channels):
+        want = " ".join(filter(None, (name, channels and f"{channels}-channel", kind.__name__)))
+        got = f"{value.channels} channels" if is_kind else type(value).__name__
+        raise ChannelCountError(f"expected a {want}, got {got}")
+    return value
+
+
 def run_starts(values):
     """Index of the first element of each run of equal values in sorted ``values``."""
     start = np.empty(values.size, dtype=bool)
@@ -292,7 +302,7 @@ def erode_instances(labels, iterations):
     Instances may vanish entirely.
     """
     check_number("iterations", iterations, integer=True, ge=0)
-    lab = labels.labels
+    lab = check_volume("labels", labels, LabelVolume).labels
     # voxels whose six face neighbours all lie inside the volume
     inner = np.zeros(lab.shape, dtype=bool)
     inner[1:-1, 1:-1, 1:-1] = True
@@ -308,7 +318,7 @@ def dilate_instances(labels, iterations):
     to several distinct instances is claimed by the smallest ID.
     """
     check_number("iterations", iterations, integer=True, ge=0)
-    lab = labels.labels
+    lab = check_volume("labels", labels, LabelVolume).labels
     for _ in range(iterations):
         # ID - 1 viewed as uint32: background (0 - 1) wraps to the largest value,
         # above every ID, so the minimum over neighbours skips it
@@ -328,9 +338,7 @@ def connected_components(mask):
 
     IDs are assigned in raster-scan first-encounter order, starting at 1.
     """
-    if mask.channels != 1:
-        raise ShapeMismatchError("connected_components expects a single channel")
-    data = mask.channel(0)
+    data = check_volume("mask", mask, channels=1).channel(0)
     at, number = components(data)
     lab = np.zeros(data.size, dtype=np.int32)
     lab[at] = number

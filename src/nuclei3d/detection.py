@@ -4,8 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_number, face_neighbours
-from .errors import ShapeMismatchError
+from .core import LabelVolume, check_number, check_volume, face_neighbours
 from .io import Detection
 
 __all__ = ["NmsConfig", "nms_detect", "centroids_from_labels"]
@@ -37,9 +36,7 @@ def nms_detect(pred, cfg):
     detection blocks them. A voxel that fails it neither is accepted nor
     blocks, so the order of the two checks does not change the result.
     """
-    if pred.channels != 1:
-        raise ShapeMismatchError(f"nms expects a single channel, got {pred.channels}")
-    vals = pred.channel(0).astype(np.float64, copy=False)
+    vals = check_volume("blob map", pred, channels=1).channel(0).astype(np.float64, copy=False)
     flat = vals.ravel()
     at = np.flatnonzero(flat >= cfg.gauss_threshold)
     # a face neighbour outside the volume is the voxel itself, which never exceeds it
@@ -73,5 +70,5 @@ def centroids_from_labels(seg):
     """
     return [
         Detection(float(z), float(y), float(x), float(n))
-        for (z, y, x), n in zip(seg.centers, seg.id_counts[1])
+        for (z, y, x), n in zip(check_volume("seg", seg, LabelVolume).centers, seg.id_counts[1])
     ]

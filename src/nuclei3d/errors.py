@@ -6,11 +6,11 @@ class Nuclei3dError(Exception):
 
 
 class ShapeMismatchError(Nuclei3dError):
-    """Arrays that must agree in shape or channel count do not."""
+    """Two shapes that must agree do not."""
 
 
-class ChannelCountError(Nuclei3dError):
-    """A prediction or target bundle has the wrong number of channels for its variant."""
+class ChannelCountError(ShapeMismatchError):
+    """One argument is not the volume kind asked for, or has the wrong channel count."""
 
 
 class InvalidClassError(Nuclei3dError):

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 import yaml
 
-from .core import LabelVolume, Volume, VoxelSize
+from .core import LabelVolume, Volume, VoxelSize, check_volume
 from .errors import (
     BadMagicError,
     FormatError,
@@ -76,6 +76,14 @@ class Detection(NamedTuple):
     score: float
 
 
+def check_detections(detections):
+    """``detections`` as an ``(n, 4)`` float64 array; refuses (``ValueError``) a non-finite one."""
+    rows = np.array(detections, dtype=np.float64).reshape(-1, 4)
+    if not np.isfinite(rows).all():
+        raise ValueError("detections must be finite")
+    return rows
+
+
 def write_volume(path, volume):
     """Write a Volume or LabelVolume; round trips bit-exactly.
 
@@ -85,16 +93,14 @@ def write_volume(path, volume):
     """
     if isinstance(volume, LabelVolume):
         data = volume.labels[np.newaxis]
-    elif isinstance(volume, Volume):
-        data = volume.data
+    else:
+        data = check_volume("scalar", volume).data
         if data.dtype == np.dtype(np.int32):
             raise UnsupportedDtypeError(
                 "i32 is reserved for label volumes; cast scalar data to f32"
             )
         if data.dtype not in _DTYPE_TAGS:
             raise UnsupportedDtypeError(f"unsupported volume dtype {data.dtype}")
-    else:
-        raise TypeError(f"expected Volume or LabelVolume, got {type(volume)!r}")
 
     header = _HEADER.pack(
         _MAGIC, _VERSION, _DTYPE_TAGS[data.dtype], *data.shape, *volume.voxel_size.as_tuple()
@@ -145,8 +151,7 @@ def read_volume(path, kind=None):
 
 def write_detections(path, detections):
     """Write detections as CSV, sorted by descending score (stable)."""
-    if not all(np.isfinite(d).all() for d in map(np.asarray, detections)):
-        raise ValueError("detections must be finite")
+    check_detections(detections)
     rows = sorted(detections, key=lambda d: -d.score)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("z,y,x,score\n")

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .core import Volume, check_number, check_same_shape
-from .errors import InvalidClassError, ShapeMismatchError
+from .core import Volume, check_number, check_same_shape, check_volume
+from .errors import InvalidClassError
 from .targets import VARIANTS
 
 __all__ = [
@@ -55,12 +55,14 @@ def _ssd(pred, target, mask, out):
     The operations are those of ``sum(mask * diff * diff)`` and
     ``2.0 * diff * mask`` in that order, run in place on two buffers.
     """
-    check_same_shape("ssd_loss pred", pred.data.shape, "target", target.data.shape)
+    target_shape = check_volume("target", target).data.shape
+    check_same_shape("ssd_loss pred", pred.data.shape, "target", target_shape)
     diff = np.subtract(pred.data, target.data, out=out, dtype=np.float64)
     if mask is None:
         value = float(np.sum(diff * diff))
     else:
-        check_same_shape("ssd_loss mask", mask.data.shape, "one pred channel", (1,) + pred.shape)
+        mask_shape = check_volume("mask", mask).data.shape
+        check_same_shape("ssd_loss mask", mask_shape, "one pred channel", (1,) + pred.shape)
         m = _f64(mask)
         sq = np.multiply(m, diff)
         sq *= diff
@@ -77,7 +79,7 @@ def ssd_loss(pred, target, mask=None):
     ``mask`` is a single-channel binary volume broadcast across channels;
     value = sum(mask * (pred - target)^2), gradient = 2 * (pred - target) * mask.
     """
-    grad = np.empty(pred.data.shape)
+    grad = np.empty(check_volume("pred", pred).data.shape)
     value = _ssd(pred, target, mask, grad)
     return LossResult(value, Volume(grad, pred.voxel_size))
 
@@ -88,11 +90,9 @@ def softmax_ce_loss(logits, target):
     ``target`` is the single-channel class map with values in {0, 1, 2}.
     Gradient is softmax(logits) - one_hot(target).
     """
-    if logits.channels != 3:
-        raise ShapeMismatchError(f"expected 3 logit channels, got {logits.channels}")
-    check_same_shape(
-        "softmax_ce_loss target", target.data.shape, "one logit channel", (1,) + logits.shape
-    )
+    one_channel = (1,) + check_volume("logits", logits, channels=3).shape
+    target_shape = check_volume("target", target).data.shape
+    check_same_shape("softmax_ce_loss target", target_shape, "one logit channel", one_channel)
     cls = target.channel(0)
     if not np.isin(cls, (0, 1, 2)).all():
         raise InvalidClassError("3-label target values must be 0, 1 or 2")
@@ -117,7 +117,8 @@ def sigmoid_bce_loss(logits, target):
 
     Uses the stable logits formulation; gradient is sigmoid(logits) - target.
     """
-    check_same_shape("sigmoid_bce_loss logits", logits.data.shape, "target", target.data.shape)
+    check_same_shape("sigmoid_bce_loss logits", check_volume("logits", logits).data.shape,
+                     "target", check_volume("target", target).data.shape)
     t = _f64(target)
     if not np.isin(t, (0.0, 1.0)).all():
         raise InvalidClassError("binary target values must be 0 or 1")
@@ -146,6 +147,7 @@ def combined_loss(main, cpv_pred, cpv_target, fg_mask, main_weight):
     gradient with the auxiliary gradient, in that channel order.
     """
     check_number("main_weight", main_weight, gt=0)
+    check_volume("cpv pred", cpv_pred)
     check_same_shape("combined_loss main gradient", main.gradient.shape, "cpv pred", cpv_pred.shape)
     main_channels = main.gradient.channels
     grad = np.empty((main_channels + cpv_pred.channels,) + cpv_pred.shape)

@@ -10,7 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_same_shape, id_counts, round_half_away
+from .core import (
+    LabelVolume, check_number, check_same_shape, check_volume, id_counts, round_half_away,
+)
+from .io import check_detections
 
 __all__ = [
     "IOU_THRESHOLDS",
@@ -57,9 +60,9 @@ class EvalReport:
 
 def iou_matrix(gt, pred):
     """IoU per overlapping (gt_id, pred_id) pair, as a sparse dict."""
-    check_same_shape("gt", gt.shape, "pred", pred.shape)
-    g = gt.labels
-    p = pred.labels
+    g = check_volume("gt", gt, LabelVolume).labels
+    p = check_volume("pred", pred, LabelVolume).labels
+    check_same_shape("gt", g.shape, "pred", p.shape)
     both = (g > 0) & (p > 0)
     g_ids, g_size = gt.id_counts
     p_ids, p_size = pred.id_counts
@@ -83,7 +86,7 @@ def segmentation_ap(gt, pred, iou_threshold):
     -------
     (ap, tp, fp, fn)
     """
-    if not 0 < iou_threshold < 1:
+    if not 0 < check_number("iou_threshold", iou_threshold) < 1:
         raise ValueError("iou_threshold must be in (0, 1)")
     matched = _matched_ious(iou_matrix(gt, pred))
     return _ap_counts(sum(iou > iou_threshold for iou in matched), gt.ids().size, pred.ids().size)
@@ -128,11 +131,8 @@ def detection_ap(gt, detections):
     -------
     (ap, tp, fp, fn)
     """
-    lab = gt.labels
-    pts = np.array([(d.z, d.y, d.x) for d in detections], dtype=np.float64).reshape(-1, 3)
-    if not np.isfinite(pts).all():
-        raise ValueError("detections must be finite")
-    pts = round_half_away(pts)
+    lab = check_volume("gt", gt, LabelVolume).labels
+    pts = round_half_away(check_detections(detections)[:, :3])
     inside = ((pts >= 0) & (pts < lab.shape)).all(axis=1)
     hit = lab[tuple(pts[inside].astype(np.intp).T)]
     # one TP per distinct instance hit; every other detection is a FP
@@ -142,6 +142,7 @@ def detection_ap(gt, detections):
 
 def evaluate(gt, seg=None, detections=None):
     """Fill an EvalReport for whichever predictions are supplied."""
+    check_volume("gt", gt, LabelVolume)
     ap_per_iou = seg_counts = av_ap = None
     det_ap = det_counts = None
     if seg is not None:

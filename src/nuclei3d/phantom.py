@@ -13,8 +13,8 @@ from itertools import repeat
 import numpy as np
 from scipy import ndimage as ndi
 
-from .core import LabelVolume, Volume, check_keys, check_number, round_half_away
-from .errors import ChannelCountError, PlacementError
+from .core import LabelVolume, Volume, check_keys, check_number, check_volume, round_half_away
+from .errors import PlacementError
 from .targets import TargetBundle
 
 __all__ = ["PhantomConfig", "generate_phantom", "perturb_target"]
@@ -52,6 +52,7 @@ class PhantomConfig:
                 # numpy scalars become Python numbers, which the YAML report can write
                 value = f.type(check_number(f.name, value, integer=f.type is int, ge=0))
                 object.__setattr__(self, f.name, value)
+        _check_smoothing(self.smoothing_sigma)
 
     def to_mapping(self):
         return {**asdict(self), "shape": list(self.shape), "radius_range": list(self.radius_range)}
@@ -140,10 +141,21 @@ def generate_phantom(cfg):
     raw = np.concatenate(([0.0], intensities))[labels]
     _smooth(raw[np.newaxis], cfg.smoothing_sigma)
     if cfg.noise_sigma > 0:
-        raw = raw + rng.normal(0.0, cfg.noise_sigma, size=cfg.shape)
+        _add_noise(rng, raw, cfg.noise_sigma)
     with np.errstate(over="ignore"):  # Volume refuses a value that overflows to inf
         raw = raw.astype(np.float32)
     return LabelVolume(labels), Volume(raw[np.newaxis])
+
+
+# Below this sigma the kernel radius r = int(4 sigma + 0.5) stays under 2**58 on 64 bits, so
+# numpy can size the 2r + 1 taps; np.arange rounds the length, so the bound keeps a margin.
+_MAX_SIGMA = (np.iinfo(np.intp).max // 32 + 1) / 4
+
+
+def _check_smoothing(sigma):
+    """Refuse (``ValueError``) a smoothing sigma below 0, or one whose kernel numpy cannot size."""
+    if check_number("smoothing_sigma", sigma, ge=0) >= _MAX_SIGMA:
+        raise ValueError(f"smoothing_sigma must be < {_MAX_SIGMA:.17g}, got {sigma!r}")
 
 
 # Planes of at least this many voxels take _smooth's numpy z and y passes.
@@ -253,10 +265,9 @@ def perturb_target(bundle, noise_sigma, smoothing_sigma, rng_seed):
     side cancels the draws not yet started, joins the helper and leaves with
     its own type.
     """
-    if not isinstance(bundle, TargetBundle):
-        raise ChannelCountError(f"expected a TargetBundle, got {type(bundle).__name__}")
+    check_volume("", bundle, TargetBundle)
     check_number("noise_sigma", noise_sigma, ge=0)
-    check_number("smoothing_sigma", smoothing_sigma, ge=0)
+    _check_smoothing(smoothing_sigma)
     check_number("rng_seed", rng_seed, integer=True, ge=0)
     rng = np.random.default_rng(rng_seed)
     data = bundle.volume.data.astype(np.float64)

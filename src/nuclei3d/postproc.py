@@ -21,10 +21,10 @@ import numpy as np
 from scipy.special import expit
 
 from .core import (
-    LabelVolume, Volume, VoxelSize, check_number, check_same_shape, components,
+    LabelVolume, Volume, VoxelSize, check_number, check_same_shape, check_volume, components,
     connected_components, dilate_instances, face_neighbours, round_half_away, run_starts,
 )
-from .errors import ChannelCountError, ShapeMismatchError
+from .errors import ShapeMismatchError
 from .targets import MAIN_CHANNELS, TargetBundle
 
 __all__ = [
@@ -90,32 +90,32 @@ class TopographicMap:
             raise ValueError("topography values must be finite")
 
 
-def _prediction(pred, variant):
-    if isinstance(pred, TargetBundle):
-        if pred.variant != variant:
-            raise ValueError(f"a {pred.variant!r} prediction bundle cannot be read as {variant!r}")
-        return pred
-    if not isinstance(pred, Volume):
-        raise ChannelCountError(f"expected a prediction Volume, got {type(pred).__name__}")
-    return TargetBundle(pred, variant, pred.channels > MAIN_CHANNELS[variant])
+def _prediction(pred, cfg):
+    """``pred`` as a bundle of ``cfg``'s variant; its kind is checked before ``cfg`` is read."""
+    if not isinstance(pred, TargetBundle):
+        check_volume("prediction", pred)
+        return TargetBundle(pred, cfg.variant, pred.channels > MAIN_CHANNELS[cfg.variant])
+    if pred.variant != cfg.variant:
+        raise ValueError(f"a {pred.variant!r} prediction bundle cannot be read as {cfg.variant!r}")
+    return pred
 
 
-def _main_data(pred, variant, logits):
+def _main_data(pred, cfg, logits):
     """Main channels as float64 probabilities, and the prediction volume."""
-    vol = _prediction(pred, variant).volume
-    data = vol.data[:MAIN_CHANNELS[variant]].astype(np.float64, copy=False)
-    if logits and variant == "3label":
+    vol = _prediction(pred, cfg).volume
+    data = vol.data[:MAIN_CHANNELS[cfg.variant]].astype(np.float64, copy=False)
+    if logits and cfg.variant == "3label":
         shifted = data - data.max(axis=0, keepdims=True)
         data = np.exp(shifted)
         data /= data.sum(axis=0, keepdims=True)
-    elif logits and variant == "affinities":
+    elif logits and cfg.variant == "affinities":
         data = expit(data)
     return data, vol
 
 
 def build_topography(pred, cfg, logits=False):
     """Build the watershed map and foreground mask for one variant."""
-    data, vol = _main_data(pred, cfg.variant, logits)
+    data, vol = _main_data(pred, cfg, logits)
     if cfg.variant == "sdt":
         values = data[0]
         fg = values <= cfg.foreground_threshold
@@ -130,7 +130,7 @@ def build_topography(pred, cfg, logits=False):
 
 def extract_seeds_main(pred, cfg, logits=False):
     """Seed regions from the main prediction channels, labeled 6-connected."""
-    data, vol = _main_data(pred, cfg.variant, logits)
+    data, vol = _main_data(pred, cfg, logits)
     if cfg.variant == "sdt":
         mask = data[0] < cfg.seed_threshold
     elif cfg.variant == "3label":
@@ -148,10 +148,7 @@ def accumulate_votes(cpv_pred, fg_mask):
     discarded. The counter total therefore equals the number of foreground
     voxels whose vote lands in bounds.
     """
-    if not isinstance(cpv_pred, Volume) or cpv_pred.channels != 3:
-        got = getattr(cpv_pred, "channels", type(cpv_pred).__name__)
-        raise ChannelCountError(f"cpv prediction must be a 3-channel Volume, got {got}")
-    vec = cpv_pred.data.astype(np.float64, copy=False)
+    vec = check_volume("cpv", cpv_pred, channels=3).data.astype(np.float64, copy=False)
     fg = np.asarray(fg_mask, dtype=bool)
     check_same_shape("cpv channels", vec.shape[1:], "foreground mask", fg.shape)
 
@@ -205,8 +202,8 @@ def watershed(topo, seeds):
     in raster order, and their claims are made in numpy; the heap then
     holds only the flooded pockets' voxels.
     """
-    check_same_shape("seeds", seeds.shape, "topography", topo.values.shape)
-    shape = topo.values.shape
+    shape = check_volume("", topo, TopographicMap).values.shape
+    check_same_shape("seeds", check_volume("seed", seeds, LabelVolume).shape, "topography", shape)
     labels = np.where(topo.foreground, seeds.labels, 0)
     # the unseeded foreground voxels and their pockets, numbered from 1
     u, pocket_of_u = components(topo.foreground & (labels == 0))
@@ -307,16 +304,13 @@ def segment(pred, cfg, logits=False):
     With ``seed_source == 'cpv'`` the prediction must carry the three vector
     channels after the variant's main channels.
     """
-    bundle = _prediction(pred, cfg.variant)
+    bundle = _prediction(pred, cfg)
     topo = build_topography(bundle, cfg, logits=logits)
     if cfg.seed_source == "main":
         seeds = extract_seeds_main(bundle, cfg, logits=logits)
     else:
         vol, main = bundle.volume, bundle.main_channels
-        if not bundle.with_cpv:
-            raise ChannelCountError(
-                f"cpv seeding for {cfg.variant!r} needs {main + 3} channels, got {vol.channels}"
-            )
+        check_volume(f"cpv-seeded {cfg.variant}", vol, channels=main + 3)
         cpv = Volume(vol.data[main:], vol.voxel_size)
         seeds = extract_seeds_cpv(cpv, topo.foreground, cfg.cpv_seed_threshold)
     out = watershed(topo, seeds)

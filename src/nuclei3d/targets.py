@@ -20,7 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage as ndi
 
-from .core import Volume, boundary_mask, check_number, erode_instances, face_slices
+from .core import (
+    LabelVolume, Volume, boundary_mask, check_number, check_volume, erode_instances, face_slices,
+)
 from .errors import ChannelCountError
 
 __all__ = [
@@ -62,8 +64,7 @@ class TargetBundle:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if not isinstance(self.volume, Volume):
-            raise ChannelCountError(f"expected a target Volume, got {type(self.volume).__name__}")
+        check_volume("target", self.volume)
         main = MAIN_CHANNELS[self.variant]
         if self.volume.channels != main + (3 if self.with_cpv else 0):
             raise ChannelCountError(
@@ -91,7 +92,7 @@ def signed_boundary_distance(labels, anisotropic=False):
         Measure distance in physical units using the label volume's voxel
         size instead of voxel units.
     """
-    lab = labels.labels
+    lab = check_volume("labels", labels, LabelVolume).labels
     fg = lab > 0
     boundary = boundary_mask(lab)
     if not boundary.any():
@@ -120,7 +121,7 @@ def encode_three_label(labels):
     Boundary is every foreground voxel with a 6-connected in-bounds neighbor
     that is background or belongs to a different instance.
     """
-    lab = labels.labels
+    lab = check_volume("labels", labels, LabelVolume).labels
     out = np.zeros(lab.shape, dtype=np.uint8)
     out[lab > 0] = INTERIOR
     out[boundary_mask(lab)] = BOUNDARY
@@ -150,7 +151,7 @@ def encode_cpv(labels):
     Channels are (vz, vy, vx) in voxel units; background voxels carry the
     zero vector. Centers are computed on the un-eroded labels.
     """
-    out = np.zeros((3,) + labels.shape, dtype=np.float64)
+    out = np.zeros((3,) + check_volume("labels", labels, LabelVolume).shape, dtype=np.float64)
     fg, rank = labels._fg_rank
     per_voxel = labels.centers[rank]
     for k, c in enumerate(np.unravel_index(fg, labels.shape)):
@@ -182,7 +183,7 @@ def encode_gauss(labels, sigma=2.0):
     included, because each d^2 is the same expression of the same numbers.
     """
     check_number("sigma", sigma, gt=0)
-    centers = labels.centers
+    centers = check_volume("labels", labels, LabelVolume).centers
     d2 = np.full(labels.shape, np.inf)
     if len(centers):
         axes = [np.arange(n, dtype=np.float64) for n in labels.shape]

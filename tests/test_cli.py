@@ -307,6 +307,18 @@ def test_unallocatable_phantom_is_one_line_error(workdir, capsys, name, text):
     assert not (workdir / "huge_labels.v3dr").exists()
 
 
+@pytest.mark.parametrize("sigma", ["1.0e+308", "1.0e+300"])
+def test_unsizable_smoothing_kernel_is_one_line_error_naming_the_key(workdir, capsys, sigma):
+    name = "huge_kernel.yaml"
+    (workdir / name).write_text(
+        f"shape: [16, 24, 24]\nn_instances: 1\nradius_range: [2, 3]\nsmoothing_sigma: {sigma}\n"
+    )
+    assert main(["phantom", str(workdir / name), str(workdir / "huge_")]) == 1
+    err = _one_line_error(capsys)
+    assert name in err and f"smoothing_sigma must be < 72057594037927936, got {float(sigma)!r}" in err
+    assert not (workdir / "huge_labels.v3dr").exists()
+
+
 @pytest.mark.parametrize(
     "name,text,expected",
     [

@@ -18,6 +18,7 @@ from nuclei3d import (
 )
 from nuclei3d.errors import (
     BadMagicError,
+    ChannelCountError,
     FormatError,
     MalformedRowError,
     TruncatedPayloadError,
@@ -151,6 +152,15 @@ def test_multichannel_i32_file_rejected(tmp_path, rng):
     path.write_bytes(bytes(raw))
     with pytest.raises(FormatError):
         read_volume(path)
+
+
+@pytest.mark.parametrize("volume", [np.zeros((1, 2, 2, 2), np.float32), None, "v"])
+def test_write_volume_refuses_a_non_volume(tmp_path, volume):
+    path = tmp_path / "v.v3dr"
+    with pytest.raises(ChannelCountError) as info:
+        write_volume(path, volume)
+    assert str(info.value) == f"expected a scalar Volume, got {type(volume).__name__}"
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("dtype", [">f4", "float64", "int64", "bool"])

@@ -10,6 +10,7 @@ from nuclei3d import (
     evaluate,
     iou_matrix,
     segmentation_ap,
+    write_detections,
 )
 from nuclei3d.errors import ShapeMismatchError
 
@@ -164,6 +165,18 @@ class TestSegmentationAp:
         with pytest.raises(ValueError):
             segmentation_ap(lv, lv, 0.0)
 
+    @pytest.mark.parametrize("threshold", [None, "x", float("nan"), True])
+    def test_non_number_threshold_names_the_key(self, threshold):
+        lv = labels_from(np.ones((2, 2, 2)))
+        with pytest.raises(ValueError, match="^iou_threshold must be a finite number, got "):
+            segmentation_ap(lv, lv, threshold)
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.0, -0.5, 2])
+    def test_threshold_outside_the_open_interval_is_refused(self, threshold):
+        lv = labels_from(np.ones((2, 2, 2)))
+        with pytest.raises(ValueError, match=r"^iou_threshold must be in \(0, 1\)$"):
+            segmentation_ap(lv, lv, threshold)
+
 
 def _row_layout(rng):
     """Short runs of IDs along rows: small-integer IoUs, so ties and k/10 values abound."""
@@ -315,6 +328,14 @@ class TestDetectionAp:
         p[axis] = bad
         with pytest.raises(ValueError, match="detections must be finite"):
             detection_ap(self.make_gt(), [Detection(2, 2, 2, 1.0), Detection(*p, 0.5)])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_score_rejected_as_by_the_csv_writer(self, tmp_path, bad):
+        dets = [Detection(2, 2, 2, 1.0), Detection(1.0, 1.0, 1.0, bad)]
+        with pytest.raises(ValueError, match="^detections must be finite$"):
+            detection_ap(self.make_gt(), dets)
+        with pytest.raises(ValueError, match="^detections must be finite$"):
+            write_detections(tmp_path / "d.csv", dets)
 
     def test_centroids_of_convex_instances_are_perfect(self, rng):
         from nuclei3d import centroids_from_labels

@@ -1,3 +1,5 @@
+import hashlib
+import math
 import re
 import sys
 import threading
@@ -156,6 +158,20 @@ class TestGenerate:
         kwargs[key] = value
         with pytest.raises(ValueError, match=re.escape(expected)):
             PhantomConfig(**kwargs)
+
+    def test_noisy_smoothed_phantom_bits_are_pinned(self):
+        # z slabs of noise, drawn in C order, are the stream of one whole-volume draw
+        cfg = PhantomConfig(
+            shape=(16, 64, 64), n_instances=6, radius_range=(3.0, 6.0), rng_seed=7,
+            noise_sigma=0.05, smoothing_sigma=0.8,
+        )
+        labels, raw = generate_phantom(cfg)
+        assert hashlib.sha256(raw.data.tobytes()).hexdigest() == (
+            "b2fc93718a6d95a2a6638a4903d3fc0084599b0ecb3c23e3fcba57b93f2acaba"
+        )
+        assert hashlib.sha256(labels.labels.tobytes()).hexdigest() == (
+            "54df58cffd9f652015d3990408cd08f519c084dd6138cccf70a624535c961f48"
+        )
 
     def test_numpy_scalars_are_plain_numbers(self):
         cfg = PhantomConfig(
@@ -382,6 +398,26 @@ class TestPerturb:
         name = type(target).__name__
         with pytest.raises(ChannelCountError, match=f"expected a TargetBundle, got {name}$"):
             perturb_target(target, 0.1, 1.0, rng_seed=9)
+
+
+# From 2**56 on the kernel radius int(4 sigma + 0.5) reaches 2**58 and numpy cannot size
+# its 2r + 1 float64 taps: once int() overflowed (1e308) or numpy named no key (1e300).
+@pytest.mark.parametrize("sigma", [2.0**56, 1e300, 1e308, sys.float_info.max])
+def test_huge_smoothing_sigma_is_refused_naming_the_key(sigma):
+    expected = f"smoothing_sigma must be < 72057594037927936, got {sigma!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        small_cfg(smoothing_sigma=sigma)
+    bundle = encode_bundle(generate_phantom(small_cfg(n_instances=1))[0], "sdt")
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        perturb_target(bundle, 0.0, sigma, 0)
+
+
+def test_largest_accepted_smoothing_sigma_is_out_of_memory():
+    # numpy sizes the kernel and refuses to allocate its 4 EiB; no memory is touched
+    sigma = math.nextafter(2.0**56, 0)
+    bundle = encode_bundle(generate_phantom(small_cfg(n_instances=1))[0], "sdt")
+    with pytest.raises(MemoryError):
+        perturb_target(bundle, 0.0, sigma, 0)
 
 
 # r = 4 takes numpy's z and y passes; r = 100 and 400 exceed nz and take scipy's

@@ -562,6 +562,23 @@ class TestSegment:
         seg = segment(encode_bundle(lv, "sdt", with_cpv=True), cfg)
         assert len(seg.ids()) == 2
 
+    @pytest.mark.parametrize("variant,main", [("sdt", 1), ("3label", 3), ("affinities", 4)])
+    def test_cpv_seeding_names_the_channels_it_needs(self, variant, main):
+        cfg = PostprocConfig(variant, seed_source="cpv", cpv_seed_threshold=5)
+        expected = f"expected a cpv-seeded {variant} {main + 3}-channel Volume, got {main} channels"
+        with pytest.raises(ChannelCountError, match=f"^{re.escape(expected)}$"):
+            segment(encode_bundle(two_balls(), variant), cfg)
+
+    @pytest.mark.parametrize("topo,seeds,expected", [
+        (np.zeros((2, 2, 2)), LabelVolume(np.zeros((2, 2, 2), np.int32)),
+         "expected a TopographicMap, got ndarray"),
+        (TopographicMap(np.zeros((2, 2, 2)), np.ones((2, 2, 2))), np.zeros((2, 2, 2), np.int32),
+         "expected a seed LabelVolume, got ndarray"),
+    ], ids=["topography", "seeds"])
+    def test_watershed_refuses_wrong_kinds(self, topo, seeds, expected):
+        with pytest.raises(ChannelCountError, match=f"^{re.escape(expected)}$"):
+            watershed(topo, seeds)
+
     def test_all_background_gives_empty_segmentation(self):
         lv = LabelVolume(np.zeros((4, 4, 4), dtype=np.int32))
         cfg = PostprocConfig("sdt", seed_threshold=-0.14, foreground_threshold=0.0)

@@ -357,3 +357,94 @@ def test_cli_rule_catches_a_planted_restatement(tmp_path, old, new, fault):
     target.write_text(text.replace(old, new))
     found = cli_restatements(copy)
     assert len(found) == 1 and fault in found[0]
+
+
+VOLUME_KINDS = {"Volume", "LabelVolume", "TargetBundle", "TopographicMap"}
+VOLUME_REFUSALS = {"ChannelCountError", "ShapeMismatchError", "TypeError"}
+
+
+def _names(node):
+    """The names and attribute names read anywhere in ``node``."""
+    return {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node)}
+
+
+def volume_refusals_outside_owner(src):
+    """``if`` statements in the package under ``src``, outside ``core.check_volume``, that test
+    ``isinstance`` on a volume kind or read a channel count (``.channels``, ``.with_cpv``) and
+    raise a ``ChannelCountError``, ``ShapeMismatchError`` or ``TypeError`` in their own branches.
+
+    ``TargetBundle.__post_init__`` may read a channel count: its variant-layout check names
+    the layout of the variant, which no other function refuses.
+    """
+    found = []
+    for path in sorted(Path(src).glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner, layout = set(), set()
+        for node in ast.walk(tree):
+            if path.name == "core.py" and getattr(node, "name", None) == "check_volume":
+                owner = {id(n) for n in ast.walk(node)}
+            if path.name == "targets.py" and getattr(node, "name", None) == "TargetBundle":
+                init = next(n for n in node.body if getattr(n, "name", None) == "__post_init__")
+                layout = {id(n) for n in ast.walk(init)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.If) or id(node) in owner:
+                continue
+            kind_test = any(
+                isinstance(c, ast.Call) and getattr(c.func, "id", None) == "isinstance"
+                and len(c.args) == 2 and _names(c.args[1]) & VOLUME_KINDS
+                for c in ast.walk(node.test)
+            )
+            count_test = id(node) not in layout and _names(node.test) & {"channels", "with_cpv"}
+            # an ``elif`` is an ``if`` of its own, visited in turn
+            branches = node.body + ([] if [type(s) for s in node.orelse] == [ast.If] else node.orelse)
+            raises = any(
+                isinstance(r, ast.Raise) and r.exc is not None
+                and _names(getattr(r.exc, "func", r.exc)) & VOLUME_REFUSALS
+                for stmt in branches for r in ast.walk(stmt)
+            )
+            if (kind_test or count_test) and raises:
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_volume_arguments_have_one_owner():
+    """Only ``core.check_volume`` refuses a volume argument of the wrong kind or channel count.
+
+    Every such refusal is a ``ChannelCountError`` with one message form, which names the
+    role, channel count and kind asked for and the type or channel count given.
+    """
+    found = volume_refusals_outside_owner(SRC)
+    assert not found, f"volume refusal outside core.check_volume: {', '.join(found)}"
+
+
+@pytest.mark.parametrize(
+    "test,raiser",
+    [
+        ("not isinstance(v, Volume)", "TypeError"),
+        ("not isinstance(v, (LabelVolume, TopographicMap))", "ShapeMismatchError"),
+        ("v.channels != 3", "errors.ChannelCountError"),
+        ("not v.with_cpv", "ChannelCountError"),
+    ],
+)
+def test_volume_rule_catches_a_planted_refusal(tmp_path, test, raiser):
+    copy = tmp_path / "nuclei3d"
+    shutil.copytree(SRC, copy)
+    target = copy / "metrics.py"
+    lines = target.read_text().splitlines()
+    planted = ["def _planted(v):", f"    if {test}:", f'        raise {raiser}("wrong volume")']
+    target.write_text("\n".join(lines + ["", ""] + planted + [""]))
+    assert volume_refusals_outside_owner(copy) == [f"metrics.py:{len(lines) + 4}"]
+
+
+def test_volume_rule_names_an_else_branch_refusal(tmp_path):
+    copy = tmp_path / "nuclei3d"
+    shutil.copytree(SRC, copy)
+    target = copy / "io.py"
+    lines = target.read_text().splitlines()
+    planted = [
+        "def _planted(v):", "    if isinstance(v, LabelVolume):", "        return 1",
+        "    elif isinstance(v, Volume):", "        return 2", "    else:",
+        "        raise TypeError(type(v))",
+    ]
+    target.write_text("\n".join(lines + ["", ""] + planted + [""]))
+    assert volume_refusals_outside_owner(copy) == [f"io.py:{len(lines) + 6}"]
