@@ -51,6 +51,15 @@ def check_number(key, value, integer=False, ge=None, gt=None):
     return value
 
 
+def check_finite(what, values):
+    """Return ``values`` if bool, integer or finite floating; else refuse it, naming ``what``."""
+    if values.dtype.kind not in "biuf":
+        raise ValueError(f"{what} must be real numbers, got dtype {values.dtype}")
+    if values.dtype.kind == "f" and not np.isfinite(values).all():
+        raise ValueError(f"{what} must be finite")
+    return values
+
+
 def check_same_shape(a_name, a_shape, b_name, b_shape):
     """Refuse (``ShapeMismatchError``) two shapes that differ, naming both sides."""
     if a_shape != b_shape:
@@ -111,9 +120,7 @@ class Volume:
             raise ShapeMismatchError(
                 f"volume data must be a non-empty (c, z, y, x) array, got shape {data.shape}"
             )
-        if np.issubdtype(data.dtype, np.floating) and not np.isfinite(data).all():
-            raise ValueError("volume values must be finite")
-        object.__setattr__(self, "data", _readonly(data))
+        object.__setattr__(self, "data", _readonly(check_finite("volume values", data)))
 
     @property
     def channels(self):
@@ -129,7 +136,9 @@ class Volume:
         return self.data[c]
 
     def astype(self, dtype):
-        return Volume(self.data.astype(dtype), self.voxel_size)
+        # a narrowing cast that overflows gives inf, which the finiteness check refuses
+        with np.errstate(over="ignore"):
+            return Volume(self.data.astype(dtype), self.voxel_size)
 
     def __eq__(self, other):
         if not isinstance(other, Volume):
@@ -239,6 +248,16 @@ def run_starts(values):
     start[:1] = True
     np.not_equal(values[1:], values[:-1], out=start[1:])
     return np.flatnonzero(start)
+
+
+def pair_counts(a, b):
+    """The ``a``, ``b`` (int64) and count of each distinct pair of two arrays of values
+    in ``[0, 2**31)``, sorted by ``(a, b)``: each pair is one int64 key, ``a`` above ``b``."""
+    keys = a.astype(np.int64) << 31 | b
+    keys.sort()
+    starts = run_starts(keys)
+    pairs = keys[starts]
+    return pairs >> 31, pairs & (2**31 - 1), np.diff(starts, append=keys.size)
 
 
 def id_counts(lab):

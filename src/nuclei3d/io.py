@@ -16,6 +16,7 @@ write/read round trip is lossless. Reports and configs are YAML with keys
 emitted in a fixed order so files diff cleanly.
 """
 
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -24,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 import yaml
 
-from .core import LabelVolume, Volume, VoxelSize, check_volume
+from .core import LabelVolume, Volume, VoxelSize, check_finite, check_volume
 from .errors import (
     BadMagicError,
     FormatError,
@@ -77,11 +78,14 @@ class Detection(NamedTuple):
 
 
 def check_detections(detections):
-    """``detections`` as an ``(n, 4)`` float64 array; refuses (``ValueError``) a non-finite one."""
-    rows = np.array(detections, dtype=np.float64).reshape(-1, 4)
-    if not np.isfinite(rows).all():
-        raise ValueError("detections must be finite")
-    return rows
+    """``detections`` as ``(n, 4)`` float64 rows ``(z, y, x, score)``, ``(0, 4)`` if empty;
+    refuses (``ValueError``) any other shape, such as a flat list, and a non-finite value."""
+    rows = np.array(detections, dtype=np.float64)
+    if rows.shape == (0,):
+        rows = rows.reshape(0, 4)
+    if rows.ndim != 2 or rows.shape[1] != 4:
+        raise ValueError(f"detections must be (z, y, x, score) rows, got shape {rows.shape}")
+    return check_finite("detections", rows)
 
 
 def write_volume(path, volume):
@@ -151,12 +155,12 @@ def read_volume(path, kind=None):
 
 def write_detections(path, detections):
     """Write detections as CSV, sorted by descending score (stable)."""
-    check_detections(detections)
-    rows = sorted(detections, key=lambda d: -d.score)
+    rows = check_detections(detections)
+    rows = rows[np.argsort(-rows[:, 3], kind="stable")]
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("z,y,x,score\n")
-        for d in rows:
-            fh.write(f"{d.z:.17g},{d.y:.17g},{d.x:.17g},{d.score:.17g}\n")
+        for z, y, x, score in rows.tolist():
+            fh.write(f"{z:.17g},{y:.17g},{x:.17g},{score:.17g}\n")
 
 
 def read_detections(path):
@@ -182,7 +186,7 @@ def read_detections(path):
             values = [float(f) for f in fields]
         except ValueError:
             raise MalformedRowError(f"{path}: line {lineno}: non-numeric field") from None
-        if not all(np.isfinite(values)):
+        if not all(map(math.isfinite, values)):
             raise MalformedRowError(f"{path}: line {lineno}: non-finite value")
         detections.append(Detection(*values))
     return detections

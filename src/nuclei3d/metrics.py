@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    LabelVolume, check_number, check_same_shape, check_volume, id_counts, round_half_away,
+    LabelVolume, check_number, check_same_shape, check_volume, id_counts, pair_counts,
+    round_half_away,
 )
 from .io import check_detections
 
@@ -66,11 +67,7 @@ def iou_matrix(gt, pred):
     both = (g > 0) & (p > 0)
     g_ids, g_size = gt.id_counts
     p_ids, p_size = pred.id_counts
-    # a pair is keyed by its raw IDs, gt ID above pred ID: both are int32, below
-    # 2**31, so the key fits an int64 and sorts by (gt ID, pred ID)
-    keys = (g[both].astype(np.int64) << 31) | p[both]
-    pair, inter = np.unique(keys, return_counts=True)
-    gi, pi = pair >> 31, pair & (2**31 - 1)
+    gi, pi, inter = pair_counts(g[both], p[both])
     union = g_size[np.searchsorted(g_ids, gi)] + p_size[np.searchsorted(p_ids, pi)] - inter
     # exact integer counts, so each quotient is the correctly rounded float64 IoU
     return dict(zip(zip(gi.tolist(), pi.tolist()), (inter / union).tolist()))
@@ -132,12 +129,13 @@ def detection_ap(gt, detections):
     (ap, tp, fp, fn)
     """
     lab = check_volume("gt", gt, LabelVolume).labels
-    pts = round_half_away(check_detections(detections)[:, :3])
+    rows = check_detections(detections)
+    pts = round_half_away(rows[:, :3])
     inside = ((pts >= 0) & (pts < lab.shape)).all(axis=1)
     hit = lab[tuple(pts[inside].astype(np.intp).T)]
     # one TP per distinct instance hit; every other detection is a FP
     tp = id_counts(hit)[0].size
-    return _ap_counts(tp, gt.ids().size, len(detections))
+    return _ap_counts(tp, gt.ids().size, len(rows))
 
 
 def evaluate(gt, seg=None, detections=None):

@@ -21,8 +21,9 @@ import numpy as np
 from scipy.special import expit
 
 from .core import (
-    LabelVolume, Volume, VoxelSize, check_number, check_same_shape, check_volume, components,
-    connected_components, dilate_instances, face_neighbours, round_half_away, run_starts,
+    LabelVolume, Volume, VoxelSize, check_finite, check_number, check_same_shape, check_volume,
+    components, connected_components, dilate_instances, face_neighbours, pair_counts,
+    round_half_away, run_starts,
 )
 from .errors import ShapeMismatchError
 from .targets import MAIN_CHANNELS, TargetBundle
@@ -86,8 +87,7 @@ class TopographicMap:
         fg = np.asarray(self.foreground, dtype=bool)
         check_same_shape("topography values", self.values.shape, "foreground", fg.shape)
         object.__setattr__(self, "foreground", fg)
-        if not np.isfinite(self.values).all():
-            raise ValueError("topography values must be finite")
+        check_finite("topography values", self.values)
 
 
 def _prediction(pred, cfg):
@@ -159,9 +159,7 @@ def accumulate_votes(cpv_pred, fg_mask):
     ok = np.logical_and.reduce([(t >= 0) & (t < n) for t, n in zip(targets, fg.shape)])
     z, y, x = (t[ok].astype(np.int64) for t in targets)
     _, ny, nx = fg.shape
-    counts = np.zeros(fg.size, dtype=np.int64)
-    np.add.at(counts, (z * ny + y) * nx + x, 1)
-    return counts.reshape(fg.shape)
+    return np.bincount((z * ny + y) * nx + x, minlength=fg.size).reshape(fg.shape)
 
 
 def extract_seeds_cpv(cpv_pred, fg_mask, cpv_seed_threshold):
@@ -228,11 +226,7 @@ def watershed(topo, seeds):
         row, col = np.nonzero(nbr != 0)
         pair_pocket, pair_seed = nbr[row, col], at[row]
     del nbr
-    # distinct (pocket, seed ID) pairs, one key each: IDs are int32, below 2**31
-    keys = pair_pocket.astype(np.int64) << 31 | labels[pair_seed]
-    keys.sort()
-    keys = keys[run_starts(keys)]
-    owner, ids = keys >> 31, keys & (2**31 - 1)
+    owner, ids, _ = pair_counts(pair_pocket, labels[pair_seed])
     n_ids = np.bincount(owner, minlength=n_pocket + 1)
     # per pocket: its one ID, 0 next to no ID, -1 when contested
     fill = np.where(n_ids >= 2, -1, 0).astype(np.int32)

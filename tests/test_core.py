@@ -8,6 +8,7 @@ from nuclei3d import (
     NmsConfig,
     PhantomConfig,
     PostprocConfig,
+    TopographicMap,
     Volume,
     VoxelSize,
     combined_loss,
@@ -21,7 +22,7 @@ from nuclei3d import (
     perturb_target,
     ssd_loss,
 )
-from nuclei3d.core import components
+from nuclei3d.core import components, pair_counts
 from nuclei3d.errors import ShapeMismatchError
 
 from conftest import edge_labels, random_blob_labels
@@ -50,6 +51,47 @@ class TestContainers:
         data[0, 0, 0, 0] = np.nan
         with pytest.raises(ValueError):
             Volume(data)
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float_refused_by_volume_and_map_alike(self, dtype, bad):
+        data = np.zeros((2, 2, 2), dtype=dtype)
+        data[1, 0, 1] = bad
+        with pytest.raises(ValueError, match="^volume values must be finite$"):
+            Volume(data)
+        with pytest.raises(ValueError, match="^topography values must be finite$"):
+            TopographicMap(data, np.ones(data.shape, dtype=bool))
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            np.full((2, 2, 2), complex(np.nan, 0.0)),
+            np.full((2, 2, 2), 1 + 0j),
+            np.full((2, 2, 2), 1.0, dtype=object),
+            np.full((2, 2, 2), "1.0"),
+        ],
+        ids=["complex-nan", "complex", "object", "str"],
+    )
+    def test_non_real_dtype_refused_by_volume_and_map_alike(self, data):
+        for what, make in (
+            ("volume values", Volume),
+            ("topography values", lambda v: TopographicMap(v, np.ones(v.shape, dtype=bool))),
+        ):
+            with pytest.raises(ValueError) as info:
+                make(data)
+            assert type(info.value) is ValueError
+            assert str(info.value) == f"{what} must be real numbers, got dtype {data.dtype}"
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int32, np.int64, np.float32])
+    def test_real_dtypes_accepted_by_volume_and_map_alike(self, dtype):
+        data = np.ones((2, 2, 2), dtype=dtype)
+        assert Volume(data).data.dtype == dtype
+        assert TopographicMap(data, data).values.dtype == dtype
+
+    def test_overflowing_cast_is_the_finiteness_refusal_alone(self):
+        # the overflow warning of the cast would raise first under error::RuntimeWarning
+        with pytest.raises(ValueError, match="^volume values must be finite$"):
+            Volume(np.full((7, 7, 7), 1e300)).astype(np.float32)
 
     def test_volume_read_only(self):
         v = Volume(np.zeros((1, 2, 2, 2), dtype=np.float32))
@@ -109,6 +151,37 @@ class TestIds:
         assert ids.tolist() == [1, 3] and counts.tolist() == [1, 2]
         assert lv.id_counts is lv.id_counts and lv.ids() is ids
         assert not ids.flags.writeable and not counts.flags.writeable
+
+
+class TestPairCounts:
+    """``core.pair_counts`` against ``np.unique(..., return_counts=True)`` on the pairs."""
+
+    @staticmethod
+    def unique_pairs(a, b):
+        pairs, counts = np.unique(np.stack([a, b], axis=1).astype(np.int64), axis=0,
+                                  return_counts=True)
+        return pairs[:, 0], pairs[:, 1], counts
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 500])
+    def test_matches_unique_with_range_ends(self, rng, n):
+        values = np.array([0, 1, 2, 2**31 - 2, 2**31 - 1], dtype=np.int32)
+        a, b = rng.choice(values, size=n), rng.choice(values, size=n)
+        got = pair_counts(a, b)
+        for g, w in zip(got, self.unique_pairs(a, b)):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+
+    def test_matches_unique_on_random_pairs_and_leaves_inputs(self, rng):
+        a = rng.integers(0, 2**31, size=2000).astype(np.int32)
+        b = rng.integers(0, 2**31, size=2000).astype(np.int32)
+        a[:500], b[:500] = a[500:1000], b[500:1000]  # repeated pairs
+        a_before, b_before = a.copy(), b.copy()
+        got = pair_counts(a, b)
+        for g, w in zip(got, self.unique_pairs(a, b)):
+            np.testing.assert_array_equal(g, w)
+        assert got[2].sum() == a.size
+        np.testing.assert_array_equal(a, a_before)
+        np.testing.assert_array_equal(b, b_before)
 
 
 class TestCenterOfMass:

@@ -213,6 +213,47 @@ class TestDetections:
         scores = [d.score for d in read_detections(path)]
         assert scores == sorted(scores, reverse=True)
 
+    def test_array_rows_write_the_csv_of_the_detection_list(self, tmp_path, rng):
+        dets = [Detection(*map(float, rng.random(3) * 9), float(s)) for s in rng.random(8)]
+        dets += [Detection(4.0, 5.0, 6.0, dets[2].score), Detection(0.1 + 0.2, -0.0, 1e-17, 0.5)]
+        for path, value in (
+            (tmp_path / "list.csv", dets),
+            (tmp_path / "array.csv", np.array(dets)),
+            (tmp_path / "tuples.csv", [tuple(d) for d in dets]),
+        ):
+            write_detections(path, value)
+        want = (tmp_path / "list.csv").read_bytes()
+        assert (tmp_path / "array.csv").read_bytes() == want
+        assert (tmp_path / "tuples.csv").read_bytes() == want
+        # stable order by descending score, 17 significant digits
+        rows = sorted(dets, key=lambda d: -d.score)
+        lines = [f"{d.z:.17g},{d.y:.17g},{d.x:.17g},{d.score:.17g}" for d in rows]
+        assert want.decode() == "\n".join(["z,y,x,score", *lines, ""])
+
+    @pytest.mark.parametrize("empty", [(), np.zeros((0, 4))], ids=["tuple", "array"])
+    def test_empty_detections_write_the_header_alone(self, tmp_path, empty):
+        path = tmp_path / "d.csv"
+        write_detections(path, empty)
+        assert path.read_text() == "z,y,x,score\n"
+
+    @pytest.mark.parametrize(
+        "value,shape",
+        [
+            ([3, 3, 3, 1, 0, 0, 0, 1], (8,)),
+            (np.ones((1, 2, 4)), (1, 2, 4)),
+            ([(1.0, 2.0, 3.0)], (1, 3)),
+            (np.zeros((0, 3)), (0, 3)),
+            (5.0, ()),
+        ],
+        ids=["flat", "3d", "3-columns", "empty-3-columns", "scalar"],
+    )
+    def test_detections_of_other_shapes_refused_naming_it(self, tmp_path, value, shape):
+        path = tmp_path / "d.csv"
+        with pytest.raises(ValueError) as info:
+            write_detections(path, value)
+        assert str(info.value) == f"detections must be (z, y, x, score) rows, got shape {shape}"
+        assert not path.exists()
+
     def test_malformed_row_names_line(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("z,y,x,score\n1,2,3,0.5\n1,2,oops,0.5\n")

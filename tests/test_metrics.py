@@ -337,6 +337,25 @@ class TestDetectionAp:
         with pytest.raises(ValueError, match="^detections must be finite$"):
             write_detections(tmp_path / "d.csv", dets)
 
+    def test_rows_of_an_array_or_tuples_count_as_detections(self):
+        dets = [Detection(2, 2, 2, 1.0), Detection(2, 2, 8, 0.9), Detection(0, 0, 0, 0.5)]
+        want = detection_ap(self.make_gt(), dets)
+        assert want == (2 / 3, 2, 1, 0)
+        assert detection_ap(self.make_gt(), np.array(dets)) == want
+        assert detection_ap(self.make_gt(), [tuple(d) for d in dets]) == want
+        assert detection_ap(self.make_gt(), np.zeros((0, 4))) == detection_ap(self.make_gt(), [])
+
+    @pytest.mark.parametrize(
+        "value,shape",
+        [([2, 2, 2, 1, 0, 0, 0, 1], (8,)), (np.full((1, 2, 4), 2.0), (1, 2, 4))],
+        ids=["flat", "3d"],
+    )
+    def test_detections_of_other_shapes_refused(self, value, shape):
+        message = f"detections must be (z, y, x, score) rows, got shape {shape}"
+        with pytest.raises(ValueError) as info:
+            detection_ap(self.make_gt(), value)
+        assert str(info.value) == message
+
     def test_centroids_of_convex_instances_are_perfect(self, rng):
         from nuclei3d import centroids_from_labels
 

@@ -31,27 +31,113 @@ def test_no_bare_np_unique():
     assert not bare, f"bare np.unique call(s): {', '.join(bare)}"
 
 
-def test_int32_label_range_decided_in_core_only():
-    """``np.iinfo(np.int32)`` appears only in ``core.py``.
-
-    ``LabelVolume`` converts labels to int32 and refuses an ID past that
-    range; no other module checks or casts the range again.
-    """
+def int32_range_uses(src):
+    """Uses of the int32 ID range outside ``core.py`` in the package under ``src``:
+    ``np.iinfo(np.int32)``, a shift by 31 bits (``<< 31``, ``>> 31``) and ``2**31``."""
     found = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(Path(src).glob("*.py")):
         if path.name == "core.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if (
+            iinfo = (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
                 and node.func.attr == "iinfo"
                 and node.args
                 and isinstance(node.args[0], ast.Attribute)
                 and node.args[0].attr == "int32"
+            )
+            bits = isinstance(node, ast.BinOp) and isinstance(node.right, ast.Constant) and (
+                (isinstance(node.op, (ast.LShift, ast.RShift)) and node.right.value == 31)
+                or (
+                    isinstance(node.op, ast.Pow) and node.right.value == 31
+                    and isinstance(node.left, ast.Constant) and node.left.value == 2
+                )
+            )
+            if iinfo or bits:
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_int32_label_range_decided_in_core_only():
+    """``np.iinfo(np.int32)``, ``<< 31``, ``>> 31`` and ``2**31`` appear only in ``core.py``.
+
+    ``LabelVolume`` converts labels to int32 and refuses an ID past that
+    range, and ``core.pair_counts`` packs two such IDs into one int64 key; no
+    other module checks, casts or packs the range again.
+    """
+    found = int32_range_uses(SRC)
+    assert not found, f"int32 ID range used outside core.py: {', '.join(found)}"
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "keys = a.astype(np.int64) << 31 | b",
+        "hi = keys >> 31",
+        "lo = keys & (2**31 - 1)",
+        "top = np.iinfo(np.int32).max",
+    ],
+)
+def test_int32_range_rule_catches_a_planted_use(tmp_path, line):
+    copy = tmp_path / "nuclei3d"
+    shutil.copytree(SRC, copy)
+    target = copy / "metrics.py"
+    lines = target.read_text().splitlines()
+    target.write_text("\n".join(lines + ["", "", "def _planted(a, b, keys):", f"    {line}", ""]))
+    assert int32_range_uses(copy) == [f"metrics.py:{len(lines) + 4}"]
+
+
+def isfinite_uses_outside_owner(src):
+    """Uses of ``np.isfinite`` in the package under ``src`` outside ``core.check_finite``."""
+    found = []
+    for path in sorted(Path(src).glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = set()
+        for node in tree.body:
+            if path.name == "core.py" and getattr(node, "name", None) == "check_finite":
+                owner = {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if id(node) in owner:
+                continue
+            if (
+                isinstance(node, ast.Attribute) and node.attr == "isfinite"
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+            ) or (
+                isinstance(node, ast.ImportFrom) and node.module == "numpy"
+                and any(alias.name == "isfinite" for alias in node.names)
             ):
                 found.append(f"{path.name}:{node.lineno}")
-    assert not found, f"np.iinfo(np.int32) outside core.py: {', '.join(found)}"
+    return found
+
+
+def test_array_finiteness_has_one_owner():
+    """``np.isfinite`` appears only in ``core.check_finite``.
+
+    ``Volume``, ``TopographicMap`` and ``io.check_detections`` refuse a
+    non-real dtype and a non-finite float through it, with one message form
+    each; scalars are checked with ``math.isfinite``.
+    """
+    found = isfinite_uses_outside_owner(SRC)
+    assert not found, f"np.isfinite outside core.check_finite: {', '.join(found)}"
+
+
+@pytest.mark.parametrize(
+    "file,line",
+    [
+        ("postproc.py", "return np.isfinite(values).all()"),
+        ("io.py", "return all(numpy.isfinite(values))"),
+        ("core.py", "return np.isfinite(values)"),
+        ("losses.py", "from numpy import isfinite"),
+    ],
+)
+def test_finiteness_rule_catches_a_planted_use(tmp_path, file, line):
+    copy = tmp_path / "nuclei3d"
+    shutil.copytree(SRC, copy)
+    target = copy / file
+    lines = target.read_text().splitlines()
+    target.write_text("\n".join(lines + ["", "", "def _planted(values):", f"    {line}", ""]))
+    assert isfinite_uses_outside_owner(copy) == [f"{file}:{len(lines) + 4}"]
 
 
 def test_structuring_element_built_in_core_only():
