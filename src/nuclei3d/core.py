@@ -51,6 +51,14 @@ def check_number(key, value, integer=False, ge=None, gt=None):
     return value
 
 
+def check_choice(key, value, choices):
+    """Return ``value`` if equal to one of ``choices`` and of its type, hashing nothing (``np.str_``
+    is a ``str``; ``1``, ``np.True_`` and a 0-d array are not); else refuse it, naming ``key``."""
+    if not any(isinstance(value, type(c)) and value == c for c in choices):
+        raise ValueError(f"{key} must be {' or '.join(map(repr, choices))}, got {value!r}")
+    return value
+
+
 def check_finite(what, values):
     """Return ``values`` if bool, integer or finite floating; else refuse it, naming ``what``."""
     if values.dtype.kind not in "biuf":
@@ -136,7 +144,18 @@ class Volume:
         return self.data[c]
 
     def astype(self, dtype):
-        # a narrowing cast that overflows gives inf, which the finiteness check refuses
+        """This volume cast to ``dtype``; a value outside an integer dtype's range is refused."""
+        dtype = np.dtype(dtype)
+        if dtype.kind in "iu":
+            info = np.iinfo(dtype)
+            # as Python numbers the comparison is exact: 2.0**63 lies above int64's maximum
+            for value in (self.data.min().item(), self.data.max().item()):
+                if not info.min <= value <= info.max:
+                    raise ValueError(
+                        f"volume values must be in the {dtype} range [{info.min}, {info.max}], "
+                        f"got {value!r}"
+                    )
+        # a narrowing float cast that overflows gives inf, which the finiteness check refuses
         with np.errstate(over="ignore"):
             return Volume(self.data.astype(dtype), self.voxel_size)
 
@@ -300,6 +319,18 @@ def face_neighbours(idx, shape):
 def round_half_away(v):
     """Round to the nearest integer, halves away from zero; the result stays float."""
     return np.copysign(np.floor(np.abs(v) + 0.5), v)
+
+
+def voxel_indices(coords, shape):
+    """Flat indices of the voxels in ``shape`` that points fall in, and which points fall inside.
+
+    ``coords`` holds one coordinate array per axis. Each coordinate is rounded
+    half away from zero; the indices are those of the inside points, in order.
+    """
+    rounded = [round_half_away(c) for c in coords]
+    # bounds are tested on the rounded floats: the int cast of a huge coordinate overflows
+    inside = np.logical_and.reduce([(r >= 0) & (r < n) for r, n in zip(rounded, shape)])
+    return np.ravel_multi_index([r[inside].astype(np.intp) for r in rounded], shape), inside
 
 
 def boundary_mask(lab):

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 import yaml
 
-from .core import LabelVolume, Volume, VoxelSize, check_finite, check_volume
+from .core import LabelVolume, Volume, VoxelSize, check_choice, check_finite, check_volume
 from .errors import (
     BadMagicError,
     FormatError,
@@ -117,6 +117,7 @@ def write_volume(path, volume):
 
 def read_volume(path, kind=None):
     """Read a ``.v3dr`` file back into a Volume or LabelVolume, of type ``kind`` if given."""
+    check_choice("kind", kind, (None, LabelVolume, Volume))
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size:

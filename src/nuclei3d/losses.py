@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .core import Volume, check_number, check_same_shape, check_volume
+from .core import Volume, check_choice, check_number, check_same_shape, check_volume
 from .errors import InvalidClassError
 from .targets import VARIANTS
 
@@ -40,9 +40,7 @@ def main_loss_weight(variant):
     comparable with its auxiliary loss; all other variants use 1. An unknown
     variant is refused with a ``ValueError``.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    return 100.0 if variant == "sdt" else 1.0
+    return 100.0 if check_choice("variant", variant, VARIANTS) == "sdt" else 1.0
 
 
 def _f64(volume):

@@ -12,7 +12,7 @@ import numpy as np
 
 from .core import (
     LabelVolume, check_number, check_same_shape, check_volume, id_counts, pair_counts,
-    round_half_away,
+    voxel_indices,
 )
 from .io import check_detections
 
@@ -83,10 +83,16 @@ def segmentation_ap(gt, pred, iou_threshold):
     -------
     (ap, tp, fp, fn)
     """
-    if not 0 < check_number("iou_threshold", iou_threshold) < 1:
-        raise ValueError("iou_threshold must be in (0, 1)")
+    check_iou_threshold("iou_threshold", iou_threshold)
     matched = _matched_ious(iou_matrix(gt, pred))
     return _ap_counts(sum(iou > iou_threshold for iou in matched), gt.ids().size, pred.ids().size)
+
+
+def check_iou_threshold(key, threshold):
+    """Return ``threshold`` if a finite number in (0, 1); else refuse it, naming ``key``."""
+    if not 0 < check_number(key, threshold) < 1:
+        raise ValueError(f"{key} must be in (0, 1), got {threshold!r}")
+    return threshold
 
 
 def _matched_ious(ious):
@@ -130,9 +136,8 @@ def detection_ap(gt, detections):
     """
     lab = check_volume("gt", gt, LabelVolume).labels
     rows = check_detections(detections)
-    pts = round_half_away(rows[:, :3])
-    inside = ((pts >= 0) & (pts < lab.shape)).all(axis=1)
-    hit = lab[tuple(pts[inside].astype(np.intp).T)]
+    at, _ = voxel_indices(rows[:, :3].T, lab.shape)
+    hit = lab.ravel()[at]
     # one TP per distinct instance hit; every other detection is a FP
     tp = id_counts(hit)[0].size
     return _ap_counts(tp, gt.ids().size, len(rows))

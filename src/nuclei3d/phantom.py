@@ -13,7 +13,9 @@ from itertools import repeat
 import numpy as np
 from scipy import ndimage as ndi
 
-from .core import LabelVolume, Volume, check_keys, check_number, check_volume, round_half_away
+from .core import (
+    LabelVolume, Volume, check_choice, check_keys, check_number, check_volume, round_half_away,
+)
 from .errors import PlacementError
 from .targets import TargetBundle
 
@@ -46,8 +48,8 @@ class PhantomConfig:
             raise ValueError(f"radius_range must have min <= max, got {list(self.radius_range)}")
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type is bool and not isinstance(value, bool):
-                raise ValueError(f"{f.name} must be true or false, got {value!r}")
+            if f.type is bool:
+                check_choice(f.name, value, (True, False))
             if f.type in (int, float):
                 # numpy scalars become Python numbers, which the YAML report can write
                 value = f.type(check_number(f.name, value, integer=f.type is int, ge=0))

@@ -21,9 +21,9 @@ import numpy as np
 from scipy.special import expit
 
 from .core import (
-    LabelVolume, Volume, VoxelSize, check_finite, check_number, check_same_shape, check_volume,
-    components, connected_components, dilate_instances, face_neighbours, pair_counts,
-    round_half_away, run_starts,
+    LabelVolume, Volume, VoxelSize, check_choice, check_finite, check_number, check_same_shape,
+    check_volume, components, connected_components, dilate_instances, face_neighbours,
+    pair_counts, run_starts, voxel_indices,
 )
 from .errors import ShapeMismatchError
 from .targets import MAIN_CHANNELS, TargetBundle
@@ -55,17 +55,13 @@ class PostprocConfig:
     dilate_result: bool = False
 
     def __post_init__(self):
-        if self.variant not in SEG_VARIANTS:
-            raise ValueError(f"unknown segmentation variant {self.variant!r}")
-        if self.seed_source not in SEED_SOURCES:
-            choices = " or ".join(map(repr, SEED_SOURCES))
-            raise ValueError(f"seed_source must be {choices}, got {self.seed_source!r}")
+        check_choice("variant", self.variant, SEG_VARIANTS)
+        check_choice("seed_source", self.seed_source, SEED_SOURCES)
         for key, ge in (
             ("seed_threshold", None), ("foreground_threshold", None), ("cpv_seed_threshold", 0)
         ):
             object.__setattr__(self, key, float(check_number(key, getattr(self, key), ge=ge)))
-        if not isinstance(self.dilate_result, bool):
-            raise ValueError(f"dilate_result must be true or false, got {self.dilate_result!r}")
+        check_choice("dilate_result", self.dilate_result, (True, False))
 
 
 @dataclass(frozen=True)
@@ -103,6 +99,7 @@ def _prediction(pred, cfg):
 def _main_data(pred, cfg, logits):
     """Main channels as float64 probabilities, and the prediction volume."""
     vol = _prediction(pred, cfg).volume
+    check_choice("logits", logits, (True, False))
     data = vol.data[:MAIN_CHANNELS[cfg.variant]].astype(np.float64, copy=False)
     if logits and cfg.variant == "3label":
         shifted = data - data.max(axis=0, keepdims=True)
@@ -154,12 +151,8 @@ def accumulate_votes(cpv_pred, fg_mask):
 
     f = np.flatnonzero(fg)
     at = np.unravel_index(f, fg.shape)
-    targets = [round_half_away(c + v) for c, v in zip(at, vec.reshape(3, -1)[:, f])]
-    # bounds are tested on the rounded floats: the int cast of a huge vector overflows
-    ok = np.logical_and.reduce([(t >= 0) & (t < n) for t, n in zip(targets, fg.shape)])
-    z, y, x = (t[ok].astype(np.int64) for t in targets)
-    _, ny, nx = fg.shape
-    return np.bincount((z * ny + y) * nx + x, minlength=fg.size).reshape(fg.shape)
+    votes, _ = voxel_indices([c + v for c, v in zip(at, vec.reshape(3, -1)[:, f])], fg.shape)
+    return np.bincount(votes, minlength=fg.size).reshape(fg.shape)
 
 
 def extract_seeds_cpv(cpv_pred, fg_mask, cpv_seed_threshold):

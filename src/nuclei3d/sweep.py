@@ -47,7 +47,7 @@ from pathlib import Path
 from .core import LabelVolume, Volume, check_keys, check_same_shape, dilate_instances
 from .detection import centroids_from_labels
 from .io import names_file, read_report, read_volume
-from .metrics import detection_ap, evaluate, segmentation_ap
+from .metrics import check_iou_threshold, detection_ap, evaluate, segmentation_ap
 from .postproc import PostprocConfig, segment
 
 __all__ = ["SweepSpec", "SweepResult", "load_sweep_spec", "run_sweep"]
@@ -105,8 +105,7 @@ def _scorer(objective):
             t = float(objective.split("@", 1)[1])
         except ValueError:
             raise unknown from None
-        if not 0 < t < 1:
-            raise ValueError(f"objective IoU threshold out of range: {objective!r}")
+        check_iou_threshold("objective IoU threshold", t)
         return lambda gt, seg: segmentation_ap(gt, seg, t)[0]
     raise unknown
 

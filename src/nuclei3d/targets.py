@@ -21,7 +21,8 @@ import numpy as np
 from scipy import ndimage as ndi
 
 from .core import (
-    LabelVolume, Volume, boundary_mask, check_number, check_volume, erode_instances, face_slices,
+    LabelVolume, Volume, boundary_mask, check_choice, check_number, check_volume, erode_instances,
+    face_slices,
 )
 from .errors import ChannelCountError
 
@@ -62,8 +63,8 @@ class TargetBundle:
     with_cpv: bool
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
+        check_choice("variant", self.variant, VARIANTS)
+        check_choice("with_cpv", self.with_cpv, (True, False))
         check_volume("target", self.volume)
         main = MAIN_CHANNELS[self.variant]
         if self.volume.channels != main + (3 if self.with_cpv else 0):
@@ -93,6 +94,7 @@ def signed_boundary_distance(labels, anisotropic=False):
         size instead of voxel units.
     """
     lab = check_volume("labels", labels, LabelVolume).labels
+    check_choice("anisotropic", anisotropic, (True, False))
     fg = lab > 0
     boundary = boundary_mask(lab)
     if not boundary.any():
@@ -210,17 +212,15 @@ def encode_bundle(labels, variant, with_cpv=False, tanh_scale=5.0, sigma=2.0):
     class order (background, interior, boundary) so the result is shaped
     like the matching model output and feeds post-processing directly.
     """
-    if variant == "sdt":
+    if check_choice("variant", variant, VARIANTS) == "sdt":
         main = encode_sdt(labels, scale=tanh_scale).data
     elif variant == "3label":
         cls = encode_three_label(labels).channel(0)
         main = (cls[np.newaxis] == np.arange(3)[:, None, None, None]).astype(np.float64)
     elif variant == "affinities":
         main = encode_affinities(labels).data
-    elif variant == "gauss":
-        main = encode_gauss(labels, sigma=sigma).data
     else:
-        raise ValueError(f"unknown variant {variant!r}")
+        main = encode_gauss(labels, sigma=sigma).data
     if with_cpv:
         main = np.concatenate([main, encode_cpv(labels).data], axis=0)
     return TargetBundle(Volume(main, labels.voxel_size), variant, with_cpv)

@@ -355,7 +355,7 @@ def test_unsizable_smoothing_kernel_is_one_line_error_naming_the_key(workdir, ca
          "rng_seed must be an integer >= 0, got False"),
         ("touching_int.yaml",
          "shape: [10, 20, 20]\nn_instances: 1\nradius_range: [2, 3]\nallow_touching: 5\n",
-         "allow_touching must be true or false, got 5"),
+         "allow_touching must be True or False, got 5"),
         ("extent_bool.yaml", "shape: [true, 20, 20]\nn_instances: 1\nradius_range: [2, 3]\n",
          "shape"),
         ("no_shape.yaml", "n_instances: 1\nradius_range: [2, 3]\n",
@@ -444,9 +444,11 @@ def test_sweep_spec_key_fault_at_each_level_names_file_and_key(workdir, capsys, 
         ("foreground_threshold", "0", "grid foreground_threshold must be a list"),
         ("seed_source", "main", "grid seed_source must be a list, got 'main'"),
         ("dilate", "false", "grid dilate must be a list"),
-        ("variant", "sdtx", "unknown segmentation variant 'sdtx'"),
+        ("variant", "sdtx",
+         "variant must be 'sdt' or '3label' or 'affinities', got 'sdtx'"),
         ("objective", "5", "unknown objective 5"),
         ("objective", "seg_ap@abc", "unknown objective 'seg_ap@abc'"),
+        ("objective", "seg_ap@1.5", "objective IoU threshold must be in (0, 1), got 1.5"),
     ],
 )
 def test_bad_sweep_spec_value_names_file_before_reading_volumes(

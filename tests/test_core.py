@@ -93,6 +93,39 @@ class TestContainers:
         with pytest.raises(ValueError, match="^volume values must be finite$"):
             Volume(np.full((7, 7, 7), 1e300)).astype(np.float32)
 
+    @pytest.mark.parametrize(
+        "data,dtype,expected",
+        [
+            (np.full((2, 2, 2), -1.0), np.uint8, "uint8 range [0, 255], got -1.0"),
+            (np.full((2, 2, 2), 300, np.int32), np.uint8, "uint8 range [0, 255], got 300"),
+            (np.full((2, 2, 2), 1e300), np.int32,
+             "int32 range [-2147483648, 2147483647], got 1e+300"),
+            # 2.0**63 would pass a float comparison with int64's maximum, which rounds up to it
+            (np.full((2, 2, 2), 2.0**63), np.int64,
+             "int64 range [-9223372036854775808, 9223372036854775807], got 9.223372036854776e+18"),
+            (np.full((2, 2, 2), -1, np.int64), np.uint64,
+             "uint64 range [0, 18446744073709551615], got -1"),
+        ],
+    )
+    def test_integer_cast_out_of_range_is_refused(self, data, dtype, expected):
+        with pytest.raises(ValueError) as info:
+            Volume(data).astype(dtype)
+        assert str(info.value) == f"volume values must be in the {expected}"
+
+    @pytest.mark.parametrize(
+        "data,dtype",
+        [
+            (np.array([0.0, 255.0]), np.uint8),
+            (np.array([-(2.0**63), 2.0**62]), np.int64),
+            (np.array([0, 65535], np.int32), np.uint16),
+            (np.array([False, True]), np.uint8),
+        ],
+    )
+    def test_integer_cast_within_range_equals_numpy(self, data, dtype):
+        data = np.broadcast_to(data, (2, 2, 2))
+        cast = Volume(data).astype(dtype).data
+        assert cast.dtype == dtype and np.array_equal(cast, data.astype(dtype)[np.newaxis])
+
     def test_volume_read_only(self):
         v = Volume(np.zeros((1, 2, 2, 2), dtype=np.float32))
         with pytest.raises(ValueError):

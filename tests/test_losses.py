@@ -176,7 +176,9 @@ class TestCombined:
 
     @pytest.mark.parametrize("variant", ["x", "SDT", None])
     def test_weight_of_unknown_variant_refused(self, variant):
-        with pytest.raises(ValueError, match=f"unknown variant {variant!r}"):
+        with pytest.raises(ValueError, match=re.escape(
+            f"variant must be 'sdt' or '3label' or 'affinities' or 'gauss', got {variant!r}"
+        )):
             main_loss_weight(variant)
 
     def test_zero_cpv_error_reduces_to_weighted_main(self, rng):

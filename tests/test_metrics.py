@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -171,10 +173,11 @@ class TestSegmentationAp:
         with pytest.raises(ValueError, match="^iou_threshold must be a finite number, got "):
             segmentation_ap(lv, lv, threshold)
 
-    @pytest.mark.parametrize("threshold", [0.0, 1.0, -0.5, 2])
+    @pytest.mark.parametrize("threshold", [0.0, 1.0, -0.5, 2, 1.5])
     def test_threshold_outside_the_open_interval_is_refused(self, threshold):
         lv = labels_from(np.ones((2, 2, 2)))
-        with pytest.raises(ValueError, match=r"^iou_threshold must be in \(0, 1\)$"):
+        expected = f"iou_threshold must be in (0, 1), got {threshold!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
             segmentation_ap(lv, lv, threshold)
 
 

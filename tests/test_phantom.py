@@ -147,8 +147,8 @@ class TestGenerate:
             ("n_instances", True, "n_instances must be an integer >= 0, got True"),
             ("rng_seed", False, "rng_seed must be an integer >= 0, got False"),
             ("min_gap", True, "min_gap must be a finite number >= 0, got True"),
-            ("allow_touching", 5, "allow_touching must be true or false, got 5"),
-            ("allow_touching", "no", "allow_touching must be true or false, got 'no'"),
+            ("allow_touching", 5, "allow_touching must be True or False, got 5"),
+            ("allow_touching", "no", "allow_touching must be True or False, got 'no'"),
             ("shape", (8, True, 8), "shape[1] must be an integer >= 1, got True"),
             ("radius_range", (2, True), "radius_range[1] must be a finite number >= 1, got True"),
         ],

@@ -615,8 +615,8 @@ class TestSegment:
             ("seed_threshold", float("inf"), "seed_threshold must be a finite number, got inf"),
             ("foreground_threshold", float("nan"),
              "foreground_threshold must be a finite number, got nan"),
-            ("dilate_result", "no", "dilate_result must be true or false, got 'no'"),
-            ("dilate_result", 1, "dilate_result must be true or false, got 1"),
+            ("dilate_result", "no", "dilate_result must be True or False, got 'no'"),
+            ("dilate_result", 1, "dilate_result must be True or False, got 1"),
         ],
     )
     def test_config_values_named_in_error(self, key, value, expected):

@@ -534,3 +534,62 @@ def test_volume_rule_names_an_else_branch_refusal(tmp_path):
     ]
     target.write_text("\n".join(lines + ["", ""] + planted + [""]))
     assert volume_refusals_outside_owner(copy) == [f"io.py:{len(lines) + 6}"]
+
+
+def choice_refusals_outside_core(src):
+    """``if`` statements in the package under ``src``, outside ``core.py``, whose test holds
+    a ``not in`` comparison or an ``isinstance(..., bool)`` call and whose body raises
+    ``ValueError``."""
+    found = []
+    for path in sorted(Path(src).glob("*.py")):
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.If):
+                continue
+            choice_test = any(
+                (isinstance(c, ast.Compare) and any(isinstance(op, ast.NotIn) for op in c.ops))
+                or (
+                    isinstance(c, ast.Call) and getattr(c.func, "id", None) == "isinstance"
+                    and len(c.args) == 2 and "bool" in _names(c.args[1])
+                )
+                for c in ast.walk(node.test)
+            )
+            raises = any(
+                isinstance(r, ast.Raise) and r.exc is not None
+                and "ValueError" in _names(getattr(r.exc, "func", r.exc))
+                for stmt in node.body for r in ast.walk(stmt)
+            )
+            if choice_test and raises:
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_named_choices_have_one_owner():
+    """Only ``core`` refuses a value outside a set of choices.
+
+    Every variant, seed source, read kind and on/off flag is checked by
+    ``core.check_choice``, with one message form:
+    ``<key> must be <choice> or <choice> ..., got <value>``.
+    """
+    found = choice_refusals_outside_core(SRC)
+    assert not found, f"choice refusal outside core: {', '.join(found)}"
+
+
+@pytest.mark.parametrize(
+    "test,raiser",
+    [
+        ("variant not in VARIANTS", "ValueError"),
+        ("v is not None and v.seed_source not in ('main', 'cpv')", "ValueError"),
+        ("not isinstance(v, bool)", "ValueError"),
+        ("not isinstance(v, (bool, np.bool_))", "builtins.ValueError"),
+    ],
+)
+def test_choice_rule_catches_a_planted_refusal(tmp_path, test, raiser):
+    copy = tmp_path / "nuclei3d"
+    shutil.copytree(SRC, copy)
+    target = copy / "postproc.py"
+    lines = target.read_text().splitlines()
+    planted = ["def _planted(v, variant):", f"    if {test}:", f'        raise {raiser}("bad")']
+    target.write_text("\n".join(lines + ["", ""] + planted + [""]))
+    assert choice_refusals_outside_core(copy) == [f"postproc.py:{len(lines) + 4}"]

@@ -166,6 +166,24 @@ def test_spec_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "objective,expected",
+    [
+        ("seg_ap@1.5", "objective IoU threshold must be in (0, 1), got 1.5"),
+        ("seg_ap@0", "objective IoU threshold must be in (0, 1), got 0.0"),
+        ("seg_ap@nan", "objective IoU threshold must be a finite number, got nan"),
+        ("seg_ap@inf", "objective IoU threshold must be a finite number, got inf"),
+        ("seg_ap@-inf", "objective IoU threshold must be a finite number, got -inf"),
+    ],
+)
+def test_objective_iou_threshold_outside_the_open_interval_is_refused(objective, expected):
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        SweepSpec(
+            variant="3label", objective=objective, checkpoints=(("a", (("g", "p"),)),),
+            grid=ONE_POINT,
+        )
+
+
 def test_table_rows_are_checkpoint_then_grid_keys_then_score(sweep_dir):
     result = run_sweep(load_sweep_spec(sweep_dir / "spec.yaml"))
     assert all(tuple(row) == ("checkpoint", *GRID_KEYS, "score") for row in result.table)
