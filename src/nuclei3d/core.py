@@ -52,11 +52,13 @@ def check_number(key, value, integer=False, ge=None, gt=None):
 
 
 def check_choice(key, value, choices):
-    """Return ``value`` if equal to one of ``choices`` and of its type, hashing nothing (``np.str_``
-    is a ``str``; ``1``, ``np.True_`` and a 0-d array are not); else refuse it, naming ``key``."""
-    if not any(isinstance(value, type(c)) and value == c for c in choices):
-        raise ValueError(f"{key} must be {' or '.join(map(repr, choices))}, got {value!r}")
-    return value
+    """Return the one of ``choices`` that ``value`` equals and is of the type of, hashing nothing
+    (``np.str_("sdt")`` gives ``"sdt"``; ``1``, ``np.True_`` and a 0-d array match no choice);
+    else refuse it, naming ``key``."""
+    for c in choices:
+        if isinstance(value, type(c)) and value == c:
+            return c
+    raise ValueError(f"{key} must be {' or '.join(map(repr, choices))}, got {value!r}")
 
 
 def check_finite(what, values):

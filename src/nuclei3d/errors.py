@@ -10,7 +10,7 @@ class ShapeMismatchError(Nuclei3dError):
 
 
 class ChannelCountError(ShapeMismatchError):
-    """One argument is not the volume kind asked for, or has the wrong channel count."""
+    """An argument is not the kind asked for, or a volume has the wrong channel count."""
 
 
 class InvalidClassError(Nuclei3dError):

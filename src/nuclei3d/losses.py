@@ -146,6 +146,7 @@ def combined_loss(main, cpv_pred, cpv_target, fg_mask, main_weight):
     """
     check_number("main_weight", main_weight, gt=0)
     check_volume("cpv pred", cpv_pred)
+    check_volume("main", main, LossResult)
     check_same_shape("combined_loss main gradient", main.gradient.shape, "cpv pred", cpv_pred.shape)
     main_channels = main.gradient.channels
     grad = np.empty((main_channels + cpv_pred.channels,) + cpv_pred.shape)

@@ -167,6 +167,8 @@ def aggregate_reports(reports):
     """Field-wise mean of AP values; counts are summed."""
     if not reports:
         raise ValueError("cannot aggregate an empty report list")
+    for r in reports:
+        check_volume("", r, EvalReport)
     has_seg = reports[0].ap_per_iou is not None
     has_det = reports[0].detection_ap is not None
     if any((r.ap_per_iou is not None) != has_seg for r in reports) or any(

@@ -97,7 +97,7 @@ def generate_phantom(cfg):
     adjacency is allowed. Returns ``(labels, raw_image)``; label IDs are
     1..n in placement order.
     """
-    rng = np.random.default_rng(cfg.rng_seed)
+    rng = np.random.default_rng(check_volume("", cfg, PhantomConfig).rng_seed)
     labels = np.zeros(cfg.shape, dtype=np.int32)
     rmin, rmax = cfg.radius_range
     gap = max(cfg.min_gap, 2.0)

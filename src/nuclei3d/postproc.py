@@ -1,17 +1,20 @@
 """From predicted maps to instance segmentations: topography, seeds, watershed.
 
-Per variant the topographic map (low floods first) and foreground are:
+Per variant the topographic map (low floods first), foreground and main seeds are:
 
-    sdt         map = prediction;                 fg = pred <= fg_threshold
-    3label      map = 1 - P(interior);            fg = 1 - P(background) >= fg_threshold
-    affinities  map = 1 - mean(3 affinities);     fg = fg channel >= fg_threshold
+    sdt         map = prediction;              fg = pred <= fg_threshold;
+                seeds = pred < seed_threshold (a negative threshold)
+    3label      map = 1 - P(interior);         fg = 1 - P(background) >= fg_threshold;
+                seeds = P(interior) >= seed_threshold
+    affinities  map = 1 - mean(3 affinities);  fg = fg channel >= fg_threshold;
+                seeds = at least two of the three affinities >= seed_threshold
 
-Seed rules: sdt thresholds the map strictly below the (negative) seed
-threshold; 3label keeps P(interior) >= threshold; affinities keeps voxels
-where at least two of the three affinity channels reach the threshold.
 Alternatively seeds come from center-point-vector vote accumulation.
-Predictions may be probabilities (default) or logits. The seeds grow into
-the foreground by the deterministic priority flood of :func:`watershed`.
+Predictions may be probabilities (default) or logits, activated by softmax
+(3label) or sigmoid (affinities); sdt has no activation. :func:`segment`
+reads its prediction once: one check, one float64 cast and one activation of
+the main channels give its map, foreground and main seeds. The seeds grow
+into the foreground by the deterministic priority flood of :func:`watershed`.
 """
 
 import heapq
@@ -26,7 +29,7 @@ from .core import (
     pair_counts, run_starts, voxel_indices,
 )
 from .errors import ShapeMismatchError
-from .targets import MAIN_CHANNELS, TargetBundle
+from .targets import BACKGROUND, INTERIOR, MAIN_CHANNELS, TargetBundle
 
 __all__ = [
     "PostprocConfig",
@@ -55,8 +58,8 @@ class PostprocConfig:
     dilate_result: bool = False
 
     def __post_init__(self):
-        check_choice("variant", self.variant, SEG_VARIANTS)
-        check_choice("seed_source", self.seed_source, SEED_SOURCES)
+        for key, choices in (("variant", SEG_VARIANTS), ("seed_source", SEED_SOURCES)):
+            object.__setattr__(self, key, check_choice(key, getattr(self, key), choices))
         for key, ge in (
             ("seed_threshold", None), ("foreground_threshold", None), ("cpv_seed_threshold", 0)
         ):
@@ -86,54 +89,42 @@ class TopographicMap:
         check_finite("topography values", self.values)
 
 
-def _prediction(pred, cfg):
-    """``pred`` as a bundle of ``cfg``'s variant; its kind is checked before ``cfg`` is read."""
-    if not isinstance(pred, TargetBundle):
+def _read(pred, cfg, logits):
+    """Check ``pred`` (its kind before ``cfg`` is read) and read its main channels once, by the
+    variant table above: the map values, foreground, main-seed mask and prediction volume."""
+    if isinstance(pred, TargetBundle):
+        if pred.variant != cfg.variant:
+            raise ValueError(f"a {pred.variant!r} prediction bundle cannot be read as {cfg.variant!r}")
+    else:
         check_volume("prediction", pred)
-        return TargetBundle(pred, cfg.variant, pred.channels > MAIN_CHANNELS[cfg.variant])
-    if pred.variant != cfg.variant:
-        raise ValueError(f"a {pred.variant!r} prediction bundle cannot be read as {cfg.variant!r}")
-    return pred
-
-
-def _main_data(pred, cfg, logits):
-    """Main channels as float64 probabilities, and the prediction volume."""
-    vol = _prediction(pred, cfg).volume
+        pred = TargetBundle(pred, cfg.variant, pred.channels > MAIN_CHANNELS[cfg.variant])
     check_choice("logits", logits, (True, False))
-    data = vol.data[:MAIN_CHANNELS[cfg.variant]].astype(np.float64, copy=False)
-    if logits and cfg.variant == "3label":
-        shifted = data - data.max(axis=0, keepdims=True)
-        data = np.exp(shifted)
-        data /= data.sum(axis=0, keepdims=True)
-    elif logits and cfg.variant == "affinities":
+    vol = pred.volume
+    data = vol.data[:pred.main_channels].astype(np.float64, copy=False)
+    fg_t, seed_t = cfg.foreground_threshold, cfg.seed_threshold
+    if cfg.variant == "sdt":
+        return data[0], data[0] <= fg_t, data[0] < seed_t, vol
+    if cfg.variant == "3label":
+        if logits:
+            data = np.exp(data - data.max(axis=0, keepdims=True))
+            data /= data.sum(axis=0, keepdims=True)
+        interior = data[INTERIOR]
+        return 1.0 - interior, (1.0 - data[BACKGROUND]) >= fg_t, interior >= seed_t, vol
+    if logits:
         data = expit(data)
-    return data, vol
+    aff = data[:3]
+    return 1.0 - aff.mean(axis=0), data[3] >= fg_t, (aff >= seed_t).sum(axis=0) >= 2, vol
 
 
 def build_topography(pred, cfg, logits=False):
     """Build the watershed map and foreground mask for one variant."""
-    data, vol = _main_data(pred, cfg, logits)
-    if cfg.variant == "sdt":
-        values = data[0]
-        fg = values <= cfg.foreground_threshold
-    elif cfg.variant == "3label":
-        values = 1.0 - data[1]
-        fg = (1.0 - data[0]) >= cfg.foreground_threshold
-    else:
-        values = 1.0 - data[:3].mean(axis=0)
-        fg = data[3] >= cfg.foreground_threshold
+    values, fg, _, vol = _read(pred, cfg, logits)
     return TopographicMap(values, fg, vol.voxel_size)
 
 
 def extract_seeds_main(pred, cfg, logits=False):
     """Seed regions from the main prediction channels, labeled 6-connected."""
-    data, vol = _main_data(pred, cfg, logits)
-    if cfg.variant == "sdt":
-        mask = data[0] < cfg.seed_threshold
-    elif cfg.variant == "3label":
-        mask = data[1] >= cfg.seed_threshold
-    else:
-        mask = (data[:3] >= cfg.seed_threshold).sum(axis=0) >= 2
+    _, _, mask, vol = _read(pred, cfg, logits)
     return connected_components(Volume(mask, vol.voxel_size))
 
 
@@ -291,15 +282,16 @@ def segment(pred, cfg, logits=False):
     With ``seed_source == 'cpv'`` the prediction must carry the three vector
     channels after the variant's main channels.
     """
-    bundle = _prediction(pred, cfg)
-    topo = build_topography(bundle, cfg, logits=logits)
+    values, fg, mask, vol = _read(pred, cfg, logits)
+    topo = TopographicMap(values, fg, vol.voxel_size)
     if cfg.seed_source == "main":
-        seeds = extract_seeds_main(bundle, cfg, logits=logits)
+        seeds = connected_components(Volume(mask, vol.voxel_size))
     else:
-        vol, main = bundle.volume, bundle.main_channels
+        main = MAIN_CHANNELS[cfg.variant]
         check_volume(f"cpv-seeded {cfg.variant}", vol, channels=main + 3)
         cpv = Volume(vol.data[main:], vol.voxel_size)
         seeds = extract_seeds_cpv(cpv, topo.foreground, cfg.cpv_seed_threshold)
+    del mask  # not held through the flood
     out = watershed(topo, seeds)
     if cfg.dilate_result:
         out = dilate_instances(out, 1)

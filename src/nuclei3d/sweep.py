@@ -44,7 +44,7 @@ import itertools
 from dataclasses import astuple, dataclass, field, replace
 from pathlib import Path
 
-from .core import LabelVolume, Volume, check_keys, check_same_shape, dilate_instances
+from .core import LabelVolume, Volume, check_keys, check_same_shape, check_volume, dilate_instances
 from .detection import centroids_from_labels
 from .io import names_file, read_report, read_volume
 from .metrics import check_iou_threshold, detection_ap, evaluate, segmentation_ap
@@ -133,6 +133,7 @@ def load_sweep_spec(path):
 
 def run_sweep(spec):
     """Score every candidate and return the argmax plus the full table."""
+    check_volume("", spec, SweepSpec)
     # each distinct file is read once, in first-listed order, as the kind its role needs
     roles = (zip(pair, (LabelVolume, Volume)) for _, pairs in spec.checkpoints for pair in pairs)
     volumes = {p: read_volume(p, kind) for p, kind in dict.fromkeys(itertools.chain(*roles))}

@@ -63,7 +63,7 @@ class TargetBundle:
     with_cpv: bool
 
     def __post_init__(self):
-        check_choice("variant", self.variant, VARIANTS)
+        object.__setattr__(self, "variant", check_choice("variant", self.variant, VARIANTS))
         check_choice("with_cpv", self.with_cpv, (True, False))
         check_volume("target", self.volume)
         main = MAIN_CHANNELS[self.variant]

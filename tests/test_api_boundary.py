@@ -6,6 +6,7 @@ in a ``Nuclei3dError`` or a ``ValueError``, never in an ``AttributeError`` or
 ``TypeError`` from inside the function body.
 """
 
+import dataclasses
 import importlib
 import inspect
 import re
@@ -14,9 +15,10 @@ import numpy as np
 import pytest
 
 from nuclei3d import (
-    LabelVolume, PhantomConfig, PostprocConfig, TargetBundle, Volume, build_topography,
-    encode_bundle, encode_sdt, extract_seeds_main, main_loss_weight, read_volume, segment,
-    signed_boundary_distance,
+    LabelVolume, PhantomConfig, PostprocConfig, TargetBundle, Volume, aggregate_reports,
+    build_topography, combined_loss, encode_bundle, encode_sdt, extract_seeds_main,
+    generate_phantom, main_loss_weight, read_report, read_volume, run_sweep, segment,
+    signed_boundary_distance, write_report,
 )
 from nuclei3d.core import check_choice, check_volume
 from nuclei3d.errors import ChannelCountError, Nuclei3dError, ShapeMismatchError
@@ -36,9 +38,6 @@ EXEMPT = {
     "Detection": "plain record: a NamedTuple stores whatever it is given",
     "LossResult": "plain record: stores whatever it is given",
     "SweepResult": "plain record: stores whatever it is given",
-    "generate_phantom": "takes only a PhantomConfig; config arguments are not checked by kind",
-    "run_sweep": "takes only a SweepSpec; config arguments are not checked by kind",
-    "aggregate_reports": "takes only a list of EvalReport records, which are not checked by kind",
 }
 
 # A 2d array, which no constructor accepts as a volume, so no call can succeed.
@@ -107,6 +106,24 @@ def test_check_volume_returns_the_value():
     assert check_volume("cpv", vol, channels=3) is vol
     labels = LabelVolume(np.zeros((2, 2, 2), np.int32))
     assert check_volume("labels", labels, LabelVolume) is labels
+
+
+@pytest.mark.parametrize(
+    "call,expected",
+    [
+        (lambda: generate_phantom({"shape": (8, 8, 8)}), "expected a PhantomConfig, got dict"),
+        (lambda: run_sweep("spec.yaml"), "expected a SweepSpec, got str"),
+        (lambda: aggregate_reports(["x"]), "expected a EvalReport, got str"),
+        (lambda: combined_loss("x", *[Volume(np.zeros((3, 2, 2, 2)))] * 2,
+                               Volume(np.ones((1, 2, 2, 2))), 1.0),
+         "expected a main LossResult, got str"),
+    ],
+    ids=["generate_phantom", "run_sweep", "aggregate_reports", "combined_loss"],
+)
+def test_config_and_record_arguments_are_checked_by_kind(call, expected):
+    with pytest.raises(ChannelCountError) as info:
+        call()
+    assert str(info.value) == expected
 
 
 LABELS = LabelVolume(np.pad(np.ones((2, 2, 2), np.int32), 1))
@@ -196,7 +213,16 @@ def test_check_choice_message_form(args, expected):
     assert type(info.value) is ValueError and str(info.value) == expected
 
 
-def test_check_choice_returns_the_value():
-    name = np.str_("cpv")
-    assert check_choice("seed_source", name, ("main", "cpv")) is name
+def test_check_choice_returns_the_matching_choice():
+    got = check_choice("seed_source", np.str_("cpv"), ("main", "cpv"))
+    assert got == "cpv" and type(got) is str
     assert check_choice("flag", False, (True, False)) is False
+    assert check_choice("kind", Volume, (None, LabelVolume, Volume)) is Volume
+
+
+def test_named_choices_are_stored_as_plain_str(tmp_path):
+    cfg = PostprocConfig(np.str_("sdt"), np.str_("cpv"))
+    bundle = TargetBundle(SDT, np.str_("sdt"), False)
+    assert type(cfg.variant) is type(cfg.seed_source) is type(bundle.variant) is str
+    write_report(tmp_path / "cfg.yaml", dataclasses.asdict(cfg))
+    assert PostprocConfig(**read_report(tmp_path / "cfg.yaml")) == cfg

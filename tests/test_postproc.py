@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy import ndimage as ndi
+from scipy.special import expit
 
 from nuclei3d import (
     LabelVolume,
@@ -14,6 +15,7 @@ from nuclei3d import (
     VoxelSize,
     accumulate_votes,
     build_topography,
+    dilate_instances,
     encode_bundle,
     encode_cpv,
     extract_seeds_cpv,
@@ -23,6 +25,7 @@ from nuclei3d import (
 )
 from nuclei3d.errors import ChannelCountError, ShapeMismatchError
 from nuclei3d.postproc import SEED_SOURCES
+from nuclei3d.targets import MAIN_CHANNELS
 
 from conftest import ball_labels, random_blob_labels
 from oracles import flood_simulator, unionfind_components
@@ -34,6 +37,32 @@ def two_balls(shape=(9, 9, 17)):
     lab[((z - 4) ** 2 + (y - 4) ** 2 + (x - 4) ** 2) <= 9] = 1
     lab[((z - 4) ** 2 + (y - 4) ** 2 + (x - 12) ** 2) <= 9] = 2
     return LabelVolume(lab)
+
+
+# thresholds that split two_balls() in two, by variant
+LOGIT_CONFIGS = {
+    "sdt": dict(seed_threshold=-0.14, foreground_threshold=0.0, dilate_result=True),
+    "3label": dict(seed_threshold=0.7, foreground_threshold=0.95),
+    "affinities": dict(seed_threshold=0.9, foreground_threshold=0.9, dilate_result=True),
+}
+
+
+def noisy_logits(rng, variant):
+    """A noisy float32 logit prediction of ``two_balls()`` with CPV channels, and the same
+    prediction in float64 with its main channels activated by the documented formula:
+    softmax as ``exp(x - max) / sum`` for 3label, ``expit`` for affinities, none for sdt."""
+    data = encode_bundle(two_balls(), variant, with_cpv=True).volume.data.copy()
+    main = MAIN_CHANNELS[variant]
+    if variant != "sdt":
+        data[:main] = 6.0 * data[:main] - 3.0
+    x = (data + rng.normal(0.0, 0.05, size=data.shape)).astype(np.float32)
+    p = x.astype(np.float64)
+    if variant == "3label":
+        e = np.exp(p[:main] - p[:main].max(axis=0, keepdims=True))
+        p[:main] = e / e.sum(axis=0, keepdims=True)
+    elif variant == "affinities":
+        p[:main] = expit(p[:main])
+    return Volume(x), Volume(p)
 
 
 class TestTopography:
@@ -640,6 +669,34 @@ class TestSegment:
                              cpv_seed_threshold=5)
         assert len(segment(pred, cfg).ids()) == 2
         assert len(made) == 1
+
+    @pytest.mark.parametrize("seed_source", SEED_SOURCES)
+    @pytest.mark.parametrize("variant", ["sdt", "3label", "affinities"])
+    def test_logits_read_as_their_documented_probabilities(self, rng, variant, seed_source):
+        logits, probs = noisy_logits(rng, variant)
+        cfg = PostprocConfig(variant, seed_source, cpv_seed_threshold=5, **LOGIT_CONFIGS[variant])
+        seg = segment(logits, cfg, logits=True)
+        assert len(seg.ids()) == 2
+        assert seg == segment(probs, cfg)
+        # the same labels from the public stages, one at a time
+        topo = build_topography(logits, cfg, logits=True)
+        if seed_source == "main":
+            seeds = extract_seeds_main(logits, cfg, logits=True)
+        else:
+            cpv = Volume(logits.data[MAIN_CHANNELS[variant]:])
+            seeds = extract_seeds_cpv(cpv, topo.foreground, cfg.cpv_seed_threshold)
+        staged = watershed(topo, seeds)
+        assert seg == (dilate_instances(staged, 1) if cfg.dilate_result else staged)
+
+    def test_affinity_logits_activated_once(self, rng, monkeypatch):
+        import nuclei3d.postproc
+
+        calls = []
+        real = nuclei3d.postproc.expit
+        monkeypatch.setattr(nuclei3d.postproc, "expit", lambda x: calls.append(x) or real(x))
+        logits, _ = noisy_logits(rng, "affinities")
+        segment(logits, PostprocConfig("affinities", **LOGIT_CONFIGS["affinities"]), logits=True)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("call", [segment, build_topography, extract_seeds_main])
     def test_bundle_of_another_variant_refused(self, call):

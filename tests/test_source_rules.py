@@ -593,3 +593,74 @@ def test_choice_rule_catches_a_planted_refusal(tmp_path, test, raiser):
     planted = ["def _planted(v, variant):", f"    if {test}:", f'        raise {raiser}("bad")']
     target.write_text("\n".join(lines + ["", ""] + planted + [""]))
     assert choice_refusals_outside_core(copy) == [f"postproc.py:{len(lines) + 4}"]
+
+
+def leftovers(src):
+    """Unused imports, and private module-level names (``_x``) that nothing in the package
+    under ``src`` reads. ``__init__.py`` is left out: its imports are re-exports."""
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(Path(src).glob("*.py"))}
+    read = set()  # names the package reads: loaded, as an attribute or imported from a module
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    found = []
+    for name, tree in trees.items():
+        if name == "__init__.py":
+            continue
+        loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        loaded |= {  # the names in ``__all__``
+            elt.value for node in tree.body if isinstance(node, ast.Assign)
+            and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
+            for elt in node.value.elts
+        }
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+                unused = [b for b in bound if b not in loaded]
+            else:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    defined = [node.name]
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    defined = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+                else:
+                    continue
+                unused = [
+                    d for d in defined if d.startswith("_") and not d.startswith("__") and d not in read
+                ]
+            found += [f"{name}:{node.lineno}: {u}" for u in unused]
+    return found
+
+
+def test_no_unused_import_or_private_name():
+    """No module imports a name it never reads, or defines a private module-level name
+    (``_x``) that nothing in the package reads.
+
+    A helper left behind when its last caller goes, or the import it needed, is dead code.
+    """
+    found = leftovers(SRC)
+    assert not found, f"unused import or private name: {', '.join(found)}"
+
+
+@pytest.mark.parametrize(
+    "planted,name",
+    [
+        (["import os"], "os"),
+        (["from .core import check_finite as _finite"], "_finite"),
+        (["def _main_data(pred, cfg):", "    return pred"], "_main_data"),
+        (["_SCALE = 2.0"], "_SCALE"),
+    ],
+)
+def test_leftover_rule_catches_a_planted_leftover(tmp_path, planted, name):
+    copy = tmp_path / "nuclei3d"
+    shutil.copytree(SRC, copy)
+    target = copy / "postproc.py"
+    lines = target.read_text().splitlines()
+    target.write_text("\n".join(lines + ["", ""] + planted + [""]))
+    assert leftovers(copy) == [f"postproc.py:{len(lines) + 3}: {name}"]

@@ -10,6 +10,7 @@ from nuclei3d import (
     generate_phantom,
     load_sweep_spec,
     perturb_target,
+    read_report,
     run_sweep,
     write_report,
     write_volume,
@@ -112,6 +113,17 @@ def test_tie_breaks_keep_first_candidate(sweep_dir):
     )
     result = run_sweep(tied)
     assert result.selected["checkpoint"] == "dup_a"
+
+
+def test_np_str_choices_are_stored_as_plain_str(sweep_dir, tmp_path):
+    spec = load_sweep_spec(sweep_dir / "spec.yaml")
+    grid = dict(ONE_POINT, seed_source=[np.str_("main")])
+    spec = SweepSpec(np.str_(spec.variant), "seg_avap", spec.checkpoints[:1], grid)
+    assert all(type(c.variant) is type(c.seed_source) is str for c in spec.configs)
+    result = run_sweep(spec).to_mapping()
+    assert type(result["table"][0]["seed_source"]) is str
+    write_report(tmp_path / "result.yaml", result)
+    assert read_report(tmp_path / "result.yaml") == result
 
 
 def test_each_file_is_read_once(sweep_dir, monkeypatch):
