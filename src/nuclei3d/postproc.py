@@ -89,9 +89,10 @@ class TopographicMap:
         check_finite("topography values", self.values)
 
 
-def _read(pred, cfg, logits):
+def _read(pred, cfg, logits, main_seeds=None):
     """Check ``pred`` (its kind before ``cfg`` is read) and read its main channels once, by the
-    variant table above: the map values, foreground, main-seed mask and prediction volume."""
+    variant table above: the map values, foreground, main-seed mask (None unless
+    ``main_seeds``, which defaults to ``cfg`` seeding from main) and prediction volume."""
     if isinstance(pred, TargetBundle):
         if pred.variant != cfg.variant:
             raise ValueError(f"a {pred.variant!r} prediction bundle cannot be read as {cfg.variant!r}")
@@ -99,32 +100,37 @@ def _read(pred, cfg, logits):
         check_volume("prediction", pred)
         pred = TargetBundle(pred, cfg.variant, pred.channels > MAIN_CHANNELS[cfg.variant])
     check_choice("logits", logits, (True, False))
+    if main_seeds is None:
+        main_seeds = cfg.seed_source == "main"
     vol = pred.volume
     data = vol.data[:pred.main_channels].astype(np.float64, copy=False)
     fg_t, seed_t = cfg.foreground_threshold, cfg.seed_threshold
     if cfg.variant == "sdt":
-        return data[0], data[0] <= fg_t, data[0] < seed_t, vol
-    if cfg.variant == "3label":
+        values, fg = data[0], data[0] <= fg_t
+        mask = (data[0] < seed_t) if main_seeds else None
+    elif cfg.variant == "3label":
         if logits:
             data = np.exp(data - data.max(axis=0, keepdims=True))
             data /= data.sum(axis=0, keepdims=True)
-        interior = data[INTERIOR]
-        return 1.0 - interior, (1.0 - data[BACKGROUND]) >= fg_t, interior >= seed_t, vol
-    if logits:
-        data = expit(data)
-    aff = data[:3]
-    return 1.0 - aff.mean(axis=0), data[3] >= fg_t, (aff >= seed_t).sum(axis=0) >= 2, vol
+        values, fg = 1.0 - data[INTERIOR], (1.0 - data[BACKGROUND]) >= fg_t
+        mask = (data[INTERIOR] >= seed_t) if main_seeds else None
+    else:
+        if logits:
+            data = expit(data)
+        values, fg = 1.0 - data[:3].mean(axis=0), data[3] >= fg_t
+        mask = ((data[:3] >= seed_t).sum(axis=0) >= 2) if main_seeds else None
+    return values, fg, mask, vol
 
 
 def build_topography(pred, cfg, logits=False):
     """Build the watershed map and foreground mask for one variant."""
-    values, fg, _, vol = _read(pred, cfg, logits)
+    values, fg, _, vol = _read(pred, cfg, logits, False)
     return TopographicMap(values, fg, vol.voxel_size)
 
 
 def extract_seeds_main(pred, cfg, logits=False):
     """Seed regions from the main prediction channels, labeled 6-connected."""
-    _, _, mask, vol = _read(pred, cfg, logits)
+    _, _, mask, vol = _read(pred, cfg, logits, True)
     return connected_components(Volume(mask, vol.voxel_size))
 
 

@@ -412,6 +412,42 @@ def touching_phantom_oracle(cfg, max_attempts=400):
     return labels
 
 
+def separated_phantom_oracle(cfg, max_attempts=400):
+    """Labels of a separated phantom, one ``np.linalg.norm`` per (attempt, placed instance).
+
+    Repeats the generator's draws in its order and refuses an attempt whose
+    center lies closer to a placed center than the two largest semi-axes
+    plus ``max(min_gap, 2)``. Accepted ellipsoids are found over the whole
+    grid. Returns None when an instance cannot be placed.
+    """
+    rng = np.random.default_rng(cfg.rng_seed)
+    grid = np.ogrid[tuple(slice(0, dim) for dim in cfg.shape)]
+    labels = np.zeros(cfg.shape, dtype=np.int32)
+    gap = max(cfg.min_gap, 2.0)
+    placed = []
+    for instance in range(1, cfg.n_instances + 1):
+        for _ in range(max_attempts):
+            semi = rng.uniform(*cfg.radius_range, size=3)
+            margin = np.ceil(semi) + 1
+            if any(2 * m >= dim - 1 for m, dim in zip(margin, cfg.shape)):
+                continue
+            center = np.array([rng.uniform(m, dim - 1 - m) for m, dim in zip(margin, cfg.shape)])
+            reach = semi.max()
+            if any(np.linalg.norm(center - c) < reach + s.max() + gap for c, s in placed):
+                continue
+            placed.append((center, semi))
+            inside = (
+                ((grid[0] - center[0]) / semi[0]) ** 2
+                + ((grid[1] - center[1]) / semi[1]) ** 2
+                + ((grid[2] - center[2]) / semi[2]) ** 2
+            ) <= 1.0
+            labels[inside] = instance
+            break
+        else:
+            return None
+    return labels
+
+
 def naive_sweep(spec):
     """Sweep table and selection by re-running every (checkpoint, grid point, pair)."""
     from nuclei3d import (

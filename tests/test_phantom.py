@@ -23,7 +23,9 @@ from nuclei3d import (
 from nuclei3d.errors import ChannelCountError, PlacementError
 from nuclei3d.targets import BOUNDARY
 
-from oracles import FACE_OFFSETS, perturb_oracle, touching_phantom_oracle
+from oracles import (
+    FACE_OFFSETS, perturb_oracle, separated_phantom_oracle, touching_phantom_oracle,
+)
 
 
 def small_cfg(**overrides):
@@ -128,11 +130,49 @@ class TestGenerate:
             else:
                 np.testing.assert_array_equal(generate_phantom(cfg)[0].labels, expected)
 
+    @pytest.mark.parametrize("n_instances", [8, 16])
+    @pytest.mark.parametrize("min_gap", [0.0, 2.0, 5.5])
+    @pytest.mark.parametrize("radius_range", [(1.0, 1.5), (2.0, 4.0), (3.0, 6.0)])
+    def test_separated_placement_matches_per_instance_norm_oracle(
+        self, radius_range, min_gap, n_instances
+    ):
+        # 16 instances of radius up to 4 or 6 cannot all be placed: both sides give up
+        for seed in range(3):
+            cfg = PhantomConfig(
+                shape=(24, 48, 48), n_instances=n_instances, radius_range=radius_range,
+                min_gap=min_gap, rng_seed=seed,
+            )
+            expected = separated_phantom_oracle(cfg)
+            if expected is None:
+                with pytest.raises(PlacementError, match="gave up after 400 attempts"):
+                    generate_phantom(cfg)
+            else:
+                np.testing.assert_array_equal(generate_phantom(cfg)[0].labels, expected)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_train_targets_phantom_matches_per_instance_norm_oracle(self, seed):
+        # the train-targets benchmark workload's SPARSE_PHANTOM
+        cfg = PhantomConfig(
+            shape=(32, 128, 128), n_instances=100, radius_range=(3.5, 6.0), min_gap=2.0,
+            rng_seed=seed,
+        )
+        expected = separated_phantom_oracle(cfg)
+        assert expected is not None
+        np.testing.assert_array_equal(generate_phantom(cfg)[0].labels, expected)
+
     def test_placement_failure(self):
         cfg = PhantomConfig(
             shape=(12, 12, 12), n_instances=50, radius_range=(3.0, 3.0), rng_seed=0
         )
         with pytest.raises(PlacementError, match="placement-failure"):
+            generate_phantom(cfg)
+
+    def test_huge_instance_count_gives_up_placing(self):
+        # placement stores one row per placed instance, not per instance asked for
+        cfg = PhantomConfig(
+            shape=(12, 12, 12), n_instances=10**15, radius_range=(3.0, 3.0), rng_seed=0
+        )
+        with pytest.raises(PlacementError, match=r"for instance 2 of 1000000000000000$"):
             generate_phantom(cfg)
 
     def test_config_validation(self):
@@ -205,6 +245,54 @@ class TestGenerate:
         path = tmp_path / "phantom.yaml"
         write_report(path, cfg.to_mapping())
         assert PhantomConfig.from_mapping(read_report(path)) == cfg
+
+
+def _ulps(t, k):
+    """``t`` moved ``k`` ulps, up for k > 0 and down for k < 0."""
+    for _ in range(abs(k)):
+        t = math.nextafter(t, math.inf if k > 0 else 0.0)
+    return t
+
+
+class TestSeparation:
+    """``_too_close`` decides every row as ``np.linalg.norm(center - c) < t`` does."""
+
+    @staticmethod
+    def assert_scalar_rule(center, placed, thresholds):
+        center, placed = np.asarray(center, float), np.asarray(placed, float)
+        rows = [np.linalg.norm(center - c) < t for c, t in zip(placed, thresholds)]
+        for c, t, rule in zip(placed, thresholds, rows):
+            assert phantom_module._too_close(center, c[None], np.array([t])) == rule
+        assert phantom_module._too_close(center, placed, np.array(thresholds)) == any(rows)
+        return rows
+
+    @pytest.mark.parametrize("k", [-3, -1, 0, 1, 3])
+    def test_exact_distance_on_and_one_ulp_either_side(self, k):
+        # 3-4-0 and 2-3-6 are 5 and 7 apart exactly; the distance is closer only above it
+        for center, c, dist in (((0, 0, 0), (3, 4, 0), 5.0), ((1, 2, 3), (3, 5, 9), 7.0)):
+            assert self.assert_scalar_rule(center, [c], [_ulps(dist, k)]) == [k > 0]
+
+    @pytest.mark.parametrize("relative", [-5e-10, -1e-12, 1e-12, 5e-10, -1e-6, 1e-6])
+    def test_inside_and_outside_the_margin(self, relative):
+        center, c = np.array([0.1, 0.2, 0.3]), np.array([1.7, -2.9, 3.3])
+        t = np.linalg.norm(center - c) * (1 + relative)
+        assert self.assert_scalar_rule(center, [c], [t]) == [relative > 0]
+
+    def test_thresholds_a_few_ulps_from_each_norm(self):
+        # about one row in seven has a sqrt of its einsum one ulp from np.linalg.norm,
+        # so a test of the vectorised distance alone gets some of these rows wrong
+        rng = np.random.default_rng(0)
+        center = rng.uniform(0, 100, size=3)
+        placed = rng.uniform(0, 100, size=(300, 3))
+        norms = [np.linalg.norm(center - c) for c in placed]
+        for k in (-2, -1, 0, 1, 2):
+            thresholds = [_ulps(n, k) for n in norms]
+            assert self.assert_scalar_rule(center, placed, thresholds) == [k > 0] * len(norms)
+            # one row closer than its threshold among rows that are not
+            for i in (0, 150, 299):
+                mixed = [_ulps(n, -1) for n in norms]
+                mixed[i] = _ulps(norms[i], k)
+                assert phantom_module._too_close(center, placed, np.array(mixed)) == (k > 0)
 
 
 class TestPerturb:

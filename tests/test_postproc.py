@@ -698,6 +698,27 @@ class TestSegment:
         segment(logits, PostprocConfig("affinities", **LOGIT_CONFIGS["affinities"]), logits=True)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("variant", ["sdt", "3label", "affinities"])
+    def test_main_seed_mask_built_for_main_seeds_only(self, rng, monkeypatch, variant):
+        import nuclei3d.postproc
+
+        masks = []
+        real = nuclei3d.postproc._read
+
+        def spy(*args, **kwargs):
+            out = real(*args, **kwargs)
+            masks.append(out[2])
+            return out
+
+        monkeypatch.setattr(nuclei3d.postproc, "_read", spy)
+        logits, _ = noisy_logits(rng, variant)
+        for source in ("main", "cpv"):
+            cfg = PostprocConfig(variant, seed_source=source, **LOGIT_CONFIGS[variant])
+            segment(logits, cfg, logits=True)
+        build_topography(logits, cfg, logits=True)
+        extract_seeds_main(logits, cfg, logits=True)
+        assert [m is None for m in masks] == [False, True, True, False]
+
     @pytest.mark.parametrize("call", [segment, build_topography, extract_seeds_main])
     def test_bundle_of_another_variant_refused(self, call):
         bundle = encode_bundle(two_balls(), "gauss")
