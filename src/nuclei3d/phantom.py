@@ -6,9 +6,7 @@ stream is stable across platforms, so phantom volumes are bit-reproducible
 from their config alone.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields
-from itertools import repeat
 
 import numpy as np
 from scipy import ndimage as ndi
@@ -261,7 +259,8 @@ _CLAMP = {"sdt": (-1.0, 1.0), "3label": (0.0, 1.0), "affinities": (0.0, 1.0), "g
 
 
 def _add_noise(rng, channel, noise_sigma):
-    """Add ``N(0, noise_sigma)`` noise to the 3d ``channel``, a few z planes per draw.
+    """Add ``N(0, noise_sigma)`` noise to the 3d ``channel``, a few z planes per draw,
+    and return it.
 
     A slab, not a channel-sized array, sits beside the smoothing buffers.
     """
@@ -269,6 +268,7 @@ def _add_noise(rng, channel, noise_sigma):
     for z in range(0, len(channel), b):
         slab = channel[z:z + b]
         slab += rng.normal(0.0, noise_sigma, size=slab.shape)
+    return channel
 
 
 def perturb_target(bundle, noise_sigma, smoothing_sigma, rng_seed):
@@ -278,16 +278,11 @@ def perturb_target(bundle, noise_sigma, smoothing_sigma, rng_seed):
     Gaussian. Probability channels are clamped back to [0, 1] and the sdt
     channel to its tanh range [-1, 1]; vector channels are left free.
 
-    With noise, ``Executor.map`` on a one-thread pool submits every channel's
-    draw at once, in channel order; the helper adds each draw z slab by z
-    slab, while this thread smooths the channel before, taking each channel
-    once ``map`` yields its draw. PCG64 fills an array in C order and only
-    the helper draws, so the noise is the stream of one whole-volume draw,
-    independent of ``OMP_NUM_THREADS`` and of the core count. Both halves
-    release the GIL, so on two cores they overlap. ``_smooth`` says which
-    passes run at which plane size and kernel radius. An exception on either
-    side cancels the draws not yet started, joins the helper and leaves with
-    its own type.
+    With noise, each channel's draw is added z slab by z slab, in channel
+    order, just before ``_smooth`` takes that channel. PCG64 fills an array
+    in C order, so the noise is the stream of one whole-volume draw,
+    independent of ``OMP_NUM_THREADS`` and of the core count. ``_smooth``
+    says which passes run at which plane size and kernel radius.
     """
     check_volume("", bundle, TargetBundle)
     check_number("noise_sigma", noise_sigma, ge=0)
@@ -295,15 +290,8 @@ def perturb_target(bundle, noise_sigma, smoothing_sigma, rng_seed):
     check_number("rng_seed", rng_seed, integer=True, ge=0)
     rng = np.random.default_rng(rng_seed)
     data = bundle.volume.data.astype(np.float64)
-    channels = data
-    helper = ThreadPoolExecutor(max_workers=1)  # its thread starts at the first draw
-    try:
-        if noise_sigma > 0:
-            drawn = helper.map(_add_noise, repeat(rng), data, repeat(noise_sigma))
-            channels = (c for c, _ in zip(data, drawn))
-        _smooth(channels, smoothing_sigma)
-    finally:
-        helper.shutdown(cancel_futures=True)
+    channels = (_add_noise(rng, c, noise_sigma) for c in data) if noise_sigma > 0 else data
+    _smooth(channels, smoothing_sigma)
     lo, hi = _CLAMP[bundle.variant]
     main = bundle.main_channels
     np.clip(data[:main], lo, hi, out=data[:main])

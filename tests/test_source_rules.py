@@ -272,15 +272,11 @@ def test_shape_rule_catches_a_planted_refusal(tmp_path, test, raiser):
     assert shape_refusals_outside_owner(copy) == [f"losses.py:{len(lines) + 4}"]
 
 
-def test_no_scipy_spatial():
-    """``scipy.spatial`` is not imported anywhere in the package.
-
-    Importing it alone adds about 11.3 MiB of resident memory to every
-    process that imports ``nuclei3d``; nearest-center queries use plain
-    numpy distance tables instead (see ``targets.encode_gauss``).
-    """
+def module_uses(src, *modules):
+    """Imports of ``modules`` or their submodules, and ``name.attr`` reads naming
+    them, in the package under ``src``."""
     found = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(Path(src).glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -290,8 +286,19 @@ def test_no_scipy_spatial():
                 names = [f"{node.value.id}.{node.attr}"] if isinstance(node.value, ast.Name) else []
             else:
                 continue
-            if any(n == "scipy.spatial" or n.startswith("scipy.spatial.") for n in names):
+            if any(n == m or n.startswith(m + ".") for n in names for m in modules):
                 found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_no_scipy_spatial():
+    """``scipy.spatial`` is not imported anywhere in the package.
+
+    Importing it alone adds about 11.3 MiB of resident memory to every
+    process that imports ``nuclei3d``; nearest-center queries use plain
+    numpy distance tables instead (see ``targets.encode_gauss``).
+    """
+    found = module_uses(SRC, "scipy.spatial")
     assert not found, (
         f"scipy.spatial used at {', '.join(found)}: importing it adds about "
         "11.3 MiB RSS to every process that imports nuclei3d"
@@ -664,3 +671,37 @@ def test_leftover_rule_catches_a_planted_leftover(tmp_path, planted, name):
     lines = target.read_text().splitlines()
     target.write_text("\n".join(lines + ["", ""] + planted + [""]))
     assert leftovers(copy) == [f"postproc.py:{len(lines) + 3}: {name}"]
+
+
+THREAD_MODULES = ("threading", "concurrent", "multiprocessing")
+
+
+def test_only_the_caller_draws():
+    """The package starts no thread or process: it imports no ``threading``,
+    ``concurrent`` or ``multiprocessing``.
+
+    ``perturb_target`` draws its noise on the calling thread, channel by
+    channel, so the noise is the stream of one whole-volume draw whatever the
+    thread count, and no pool outlives or interleaves with a call.
+    """
+    found = module_uses(SRC, *THREAD_MODULES)
+    assert not found, f"thread or process import(s): {', '.join(found)}"
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "from concurrent.futures import ThreadPoolExecutor",
+        "import concurrent.futures",
+        "import threading",
+        "from multiprocessing import Pool",
+        "import multiprocessing.pool as mp",
+    ],
+)
+def test_thread_rule_catches_a_planted_import(tmp_path, line):
+    copy = tmp_path / "nuclei3d"
+    shutil.copytree(SRC, copy)
+    target = copy / "phantom.py"
+    lines = target.read_text().splitlines()
+    target.write_text("\n".join(lines + ["", "", "def _planted():", f"    {line}", ""]))
+    assert module_uses(copy, *THREAD_MODULES) == [f"phantom.py:{len(lines) + 4}"]
