@@ -28,11 +28,12 @@ __all__ = [
     "connected_components",
 ]
 
-def check_number(key, value, integer=False, ge=None, gt=None):
-    """Return ``value`` if it is a finite real number (an integer if asked) within the bound.
+def check_number(key, value, integer=False, ge=None, gt=None, lt=None):
+    """Return ``value`` if it is a finite real number (an integer if asked) within the bounds.
 
-    Refuses ``bool``, ``str``, ``None``, complex, non-finite values and a value
-    below ``ge`` or at or below ``gt`` with a ``ValueError`` naming ``key``.
+    Refuses ``bool``, ``str``, ``None``, complex, non-finite values, a value
+    below ``ge`` or at or below ``gt``, and one at or above ``lt``, with a
+    ``ValueError`` naming ``key`` and the bounds.
     """
     try:
         ok = (
@@ -41,13 +42,14 @@ def check_number(key, value, integer=False, ge=None, gt=None):
             and (integer or math.isfinite(value))
             and (ge is None or value >= ge)
             and (gt is None or value > gt)
+            and (lt is None or value < lt)
         )
     except OverflowError:  # math.isfinite of an int too large for a float
         ok = False
     if not ok:
-        bound = f" >= {ge}" if ge is not None else f" > {gt}" if gt is not None else ""
+        bounds = [f" {op} {b}" for op, b in ((">=", ge), (">", gt), ("<", lt)) if b is not None]
         what = "an integer" if integer else "a finite number"
-        raise ValueError(f"{key} must be {what}{bound}, got {value!r}")
+        raise ValueError(f"{key} must be {what}{' and'.join(bounds)}, got {value!r}")
     return value
 
 

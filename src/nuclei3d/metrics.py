@@ -83,16 +83,9 @@ def segmentation_ap(gt, pred, iou_threshold):
     -------
     (ap, tp, fp, fn)
     """
-    check_iou_threshold("iou_threshold", iou_threshold)
+    check_number("iou_threshold", iou_threshold, gt=0, lt=1)
     matched = _matched_ious(iou_matrix(gt, pred))
     return _ap_counts(sum(iou > iou_threshold for iou in matched), gt.ids().size, pred.ids().size)
-
-
-def check_iou_threshold(key, threshold):
-    """Return ``threshold`` if a finite number in (0, 1); else refuse it, naming ``key``."""
-    if not 0 < check_number(key, threshold) < 1:
-        raise ValueError(f"{key} must be in (0, 1), got {threshold!r}")
-    return threshold
 
 
 def _matched_ious(ious):

@@ -20,6 +20,9 @@ from .targets import TargetBundle
 __all__ = ["PhantomConfig", "generate_phantom", "perturb_target"]
 
 _MAX_ATTEMPTS = 400
+# Below this sigma the kernel radius r = int(4 sigma + 0.5) stays under 2**58 on 64 bits, so
+# numpy can size the 2r + 1 taps; np.arange rounds the length, so the bound keeps a margin.
+_MAX_SIGMA = (np.iinfo(np.intp).max // 32 + 1) // 4
 
 
 @dataclass(frozen=True)
@@ -49,10 +52,10 @@ class PhantomConfig:
             if f.type is bool:
                 check_choice(f.name, value, (True, False))
             if f.type in (int, float):
+                lt = _MAX_SIGMA if f.name == "smoothing_sigma" else None
                 # numpy scalars become Python numbers, which the YAML report can write
-                value = f.type(check_number(f.name, value, integer=f.type is int, ge=0))
+                value = f.type(check_number(f.name, value, integer=f.type is int, ge=0, lt=lt))
                 object.__setattr__(self, f.name, value)
-        _check_smoothing(self.smoothing_sigma)
 
     def to_mapping(self):
         return {**asdict(self), "shape": list(self.shape), "radius_range": list(self.radius_range)}
@@ -161,23 +164,12 @@ def generate_phantom(cfg):
 
     intensities = rng.uniform(0.6, 1.0, size=cfg.n_instances)
     raw = np.concatenate(([0.0], intensities))[labels]
-    _smooth(raw[np.newaxis], cfg.smoothing_sigma)
+    _smooth(raw, cfg.smoothing_sigma)
     if cfg.noise_sigma > 0:
         _add_noise(rng, raw, cfg.noise_sigma)
     with np.errstate(over="ignore"):  # Volume refuses a value that overflows to inf
         raw = raw.astype(np.float32)
     return LabelVolume(labels), Volume(raw[np.newaxis])
-
-
-# Below this sigma the kernel radius r = int(4 sigma + 0.5) stays under 2**58 on 64 bits, so
-# numpy can size the 2r + 1 taps; np.arange rounds the length, so the bound keeps a margin.
-_MAX_SIGMA = (np.iinfo(np.intp).max // 32 + 1) / 4
-
-
-def _check_smoothing(sigma):
-    """Refuse (``ValueError``) a smoothing sigma below 0, or one whose kernel numpy cannot size."""
-    if check_number("smoothing_sigma", sigma, ge=0) >= _MAX_SIGMA:
-        raise ValueError(f"smoothing_sigma must be < {_MAX_SIGMA:.17g}, got {sigma!r}")
 
 
 # Planes of at least this many voxels take _smooth's numpy z and y passes.
@@ -207,17 +199,13 @@ def _correlate(pad, out, tmp, w):
         out += tmp
 
 
-def _smooth(channels, sigma):
-    """Smooth each 3d array of ``channels``, in place and in turn, with a 3d Gaussian.
+def _smooth(channel, sigma):
+    """Smooth the 3d ``channel`` in place with a 3d Gaussian.
 
     Bit-identical to ``ndi.gaussian_filter(channel, sigma)`` (mode 'reflect',
     truncate 4.0, so a kernel radius r = int(4 sigma + 0.5)); like scipy, a
-    sigma of 1e-15 or less changes nothing, but every channel is still taken
-    from ``channels``, which may be a generator that adds the noise as it
-    yields. The arrays share one shape; the work buffers are allocated once,
-    at the first. ``ndi.gaussian_filter1d`` smooths x, the contiguous axis,
-    one channel at a time: its lines are independent, so the bits are those
-    of one pass over all channels. Its passes over the strided z and y axes
+    sigma of 1e-15 or less changes nothing. ``ndi.gaussian_filter1d``
+    smooths x, the contiguous axis. Its passes over the strided z and y axes
     slow down once a (y, x) plane outgrows the cache, so planes of
     ``_NUMPY_PLANE`` voxels or more take those two passes in numpy, a few
     planes per call, if r <= min(nz, ny). The numpy z pass pads a channel
@@ -227,31 +215,28 @@ def _smooth(channels, sigma):
     passes -> numpy's): 6 x 32 x 128 x 128 took 128 -> 71 ms, 6 x 16 x 64 x
     64 took 12.4 -> 8.8 ms, but 6 x 16 x 48 x 48 took 6.2 -> 7.0 ms.
     """
+    if sigma <= 1e-15:
+        return
     r = int(4.0 * float(sigma) + 0.5)
-    zpad = None
-    for channel in channels:
-        if not sigma > 1e-15:
-            continue
-        nz, ny, nx = channel.shape
-        if ny * nx < _NUMPY_PLANE or r > min(nz, ny):
-            ndi.gaussian_filter1d(channel, sigma, 0, output=channel)
-            ndi.gaussian_filter1d(channel, sigma, 1, output=channel)
-        else:
-            if zpad is None:
-                w = np.exp(-0.5 / (sigma * sigma) * np.arange(-r, r + 1) ** 2)
-                w /= w.sum()
-                b = max(1, _SLAB // (ny * nx))
-                zpad = np.empty((1, nz + 2 * r, ny, nx))
-                ypad = np.empty((b, ny + 2 * r, nx))
-                tmp = np.empty((b, ny, nx))
-            _reflect_pad(channel[np.newaxis], zpad)  # z reads the unsmoothed planes from here
-            for z in range(0, nz, b):
-                out = channel[z:z + b]
-                m = len(out)
-                _correlate(zpad[:, z:z + m + 2 * r], out[np.newaxis], tmp[np.newaxis, :m], w)
-                _reflect_pad(out, ypad[:m])
-                _correlate(ypad[:m], out, tmp[:m], w)
-        ndi.gaussian_filter1d(channel, sigma, -1, output=channel)
+    nz, ny, nx = channel.shape
+    if ny * nx < _NUMPY_PLANE or r > min(nz, ny):
+        ndi.gaussian_filter1d(channel, sigma, 0, output=channel)
+        ndi.gaussian_filter1d(channel, sigma, 1, output=channel)
+    else:
+        w = np.exp(-0.5 / (sigma * sigma) * np.arange(-r, r + 1) ** 2)
+        w /= w.sum()
+        b = max(1, _SLAB // (ny * nx))
+        zpad = np.empty((1, nz + 2 * r, ny, nx))
+        ypad = np.empty((b, ny + 2 * r, nx))
+        tmp = np.empty((b, ny, nx))
+        _reflect_pad(channel[np.newaxis], zpad)  # z reads the unsmoothed planes from here
+        for z in range(0, nz, b):
+            out = channel[z:z + b]
+            m = len(out)
+            _correlate(zpad[:, z:z + m + 2 * r], out[np.newaxis], tmp[np.newaxis, :m], w)
+            _reflect_pad(out, ypad[:m])
+            _correlate(ypad[:m], out, tmp[:m], w)
+    ndi.gaussian_filter1d(channel, sigma, -1, output=channel)
 
 
 # Value ranges restored after perturbation, per channel kind.
@@ -259,8 +244,7 @@ _CLAMP = {"sdt": (-1.0, 1.0), "3label": (0.0, 1.0), "affinities": (0.0, 1.0), "g
 
 
 def _add_noise(rng, channel, noise_sigma):
-    """Add ``N(0, noise_sigma)`` noise to the 3d ``channel``, a few z planes per draw,
-    and return it.
+    """Add ``N(0, noise_sigma)`` noise to the 3d ``channel``, a few z planes per draw.
 
     A slab, not a channel-sized array, sits beside the smoothing buffers.
     """
@@ -268,7 +252,6 @@ def _add_noise(rng, channel, noise_sigma):
     for z in range(0, len(channel), b):
         slab = channel[z:z + b]
         slab += rng.normal(0.0, noise_sigma, size=slab.shape)
-    return channel
 
 
 def perturb_target(bundle, noise_sigma, smoothing_sigma, rng_seed):
@@ -286,12 +269,14 @@ def perturb_target(bundle, noise_sigma, smoothing_sigma, rng_seed):
     """
     check_volume("", bundle, TargetBundle)
     check_number("noise_sigma", noise_sigma, ge=0)
-    _check_smoothing(smoothing_sigma)
+    check_number("smoothing_sigma", smoothing_sigma, ge=0, lt=_MAX_SIGMA)
     check_number("rng_seed", rng_seed, integer=True, ge=0)
     rng = np.random.default_rng(rng_seed)
     data = bundle.volume.data.astype(np.float64)
-    channels = (_add_noise(rng, c, noise_sigma) for c in data) if noise_sigma > 0 else data
-    _smooth(channels, smoothing_sigma)
+    for channel in data:
+        if noise_sigma > 0:
+            _add_noise(rng, channel, noise_sigma)
+        _smooth(channel, smoothing_sigma)
     lo, hi = _CLAMP[bundle.variant]
     main = bundle.main_channels
     np.clip(data[:main], lo, hi, out=data[:main])

@@ -44,10 +44,12 @@ import itertools
 from dataclasses import astuple, dataclass, field, replace
 from pathlib import Path
 
-from .core import LabelVolume, Volume, check_keys, check_same_shape, check_volume, dilate_instances
+from .core import (
+    LabelVolume, Volume, check_keys, check_number, check_same_shape, check_volume, dilate_instances,
+)
 from .detection import centroids_from_labels
 from .io import names_file, read_report, read_volume
-from .metrics import check_iou_threshold, detection_ap, evaluate, segmentation_ap
+from .metrics import detection_ap, evaluate, segmentation_ap
 from .postproc import PostprocConfig, segment
 
 __all__ = ["SweepSpec", "SweepResult", "load_sweep_spec", "run_sweep"]
@@ -105,7 +107,7 @@ def _scorer(objective):
             t = float(objective.split("@", 1)[1])
         except ValueError:
             raise unknown from None
-        check_iou_threshold("objective IoU threshold", t)
+        check_number("objective IoU threshold", t, gt=0, lt=1)
         return lambda gt, seg: segmentation_ap(gt, seg, t)[0]
     raise unknown
 

@@ -315,7 +315,8 @@ def test_unsizable_smoothing_kernel_is_one_line_error_naming_the_key(workdir, ca
     )
     assert main(["phantom", str(workdir / name), str(workdir / "huge_")]) == 1
     err = _one_line_error(capsys)
-    assert name in err and f"smoothing_sigma must be < 72057594037927936, got {float(sigma)!r}" in err
+    bound = "a finite number >= 0 and < 72057594037927936"
+    assert name in err and f"smoothing_sigma must be {bound}, got {float(sigma)!r}" in err
     assert not (workdir / "huge_labels.v3dr").exists()
 
 
@@ -448,7 +449,8 @@ def test_sweep_spec_key_fault_at_each_level_names_file_and_key(workdir, capsys, 
          "variant must be 'sdt' or '3label' or 'affinities', got 'sdtx'"),
         ("objective", "5", "unknown objective 5"),
         ("objective", "seg_ap@abc", "unknown objective 'seg_ap@abc'"),
-        ("objective", "seg_ap@1.5", "objective IoU threshold must be in (0, 1), got 1.5"),
+        ("objective", "seg_ap@1.5",
+         "objective IoU threshold must be a finite number > 0 and < 1, got 1.5"),
     ],
 )
 def test_bad_sweep_spec_value_names_file_before_reading_volumes(

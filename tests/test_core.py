@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from nuclei3d import (
     perturb_target,
     ssd_loss,
 )
-from nuclei3d.core import components, pair_counts
+from nuclei3d.core import check_number, components, pair_counts
 from nuclei3d.errors import ShapeMismatchError
 
 from conftest import edge_labels, random_blob_labels
@@ -552,3 +553,34 @@ def test_number_parameter_accepted_at_bound(caller):
     _, call, _, edge = NUMBER_PARAMETERS[caller]
     call(edge)
     call(np.float32(edge) if isinstance(edge, float) else np.int64(edge))
+
+
+class TestUpperBound:
+    # (value equal to the bound, bound): the float 2**56 compares exactly with the int bound
+    @pytest.mark.parametrize("value,lt", [(1, 1), (0.5, 0.5), (2**56, 2**56), (2.0**56, 2**56)])
+    def test_bound_refused_and_the_float_below_accepted(self, value, lt):
+        with pytest.raises(ValueError, match=re.escape(f" < {lt}, got {value!r}")):
+            check_number("k", value, lt=lt)
+        below = math.nextafter(value, 0)
+        assert check_number("k", below, lt=lt) == below
+
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_int_too_large_for_a_float_refused_without_overflow(self, integer):
+        what = "an integer" if integer else "a finite number"
+        expected = f"k must be {what} >= 0 and < 72057594037927936, got {10**400!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            check_number("k", 10**400, integer=integer, ge=0, lt=2**56)
+
+    @pytest.mark.parametrize(
+        "bounds,value,expected",
+        [
+            ({"gt": 0, "lt": 1}, 1.5, "k must be a finite number > 0 and < 1, got 1.5"),
+            ({"gt": 0, "lt": 1}, 0, "k must be a finite number > 0 and < 1, got 0"),
+            ({"lt": 1}, 1, "k must be a finite number < 1, got 1"),
+            ({"lt": 1}, math.nan, "k must be a finite number < 1, got nan"),
+            ({"integer": True, "lt": 3}, 3, "k must be an integer < 3, got 3"),
+        ],
+    )
+    def test_message_names_every_bound(self, bounds, value, expected):
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            check_number("k", value, **bounds)

@@ -170,13 +170,14 @@ class TestSegmentationAp:
     @pytest.mark.parametrize("threshold", [None, "x", float("nan"), True])
     def test_non_number_threshold_names_the_key(self, threshold):
         lv = labels_from(np.ones((2, 2, 2)))
-        with pytest.raises(ValueError, match="^iou_threshold must be a finite number, got "):
+        expected = f"iou_threshold must be a finite number > 0 and < 1, got {threshold!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
             segmentation_ap(lv, lv, threshold)
 
     @pytest.mark.parametrize("threshold", [0.0, 1.0, -0.5, 2, 1.5])
     def test_threshold_outside_the_open_interval_is_refused(self, threshold):
         lv = labels_from(np.ones((2, 2, 2)))
-        expected = f"iou_threshold must be in (0, 1), got {threshold!r}"
+        expected = f"iou_threshold must be a finite number > 0 and < 1, got {threshold!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
             segmentation_ap(lv, lv, threshold)
 

@@ -420,14 +420,16 @@ class TestPerturb:
         assert got == [e.tobytes() for e in expected]
 
     def test_smoothing_failure_keeps_its_type(self, bundle, monkeypatch):
-        def smooth_then_fail(channels, sigma):
-            for c, _ in enumerate(channels):
-                if c == 1:
-                    raise MemoryError("planted")
+        def smooth_then_fail(channel, sigma):
+            calls.append(channel)
+            if len(calls) == 2:
+                raise MemoryError("planted")
 
+        calls = []
         monkeypatch.setattr(phantom_module, "_smooth", smooth_then_fail)
         with pytest.raises(MemoryError, match="planted"):
             perturb_target(bundle, 0.1, 1.0, rng_seed=9)
+        assert len(calls) == 2
 
     def test_noise_failure_is_reraised(self, bundle, monkeypatch):
         class Planted(Exception):
@@ -437,7 +439,6 @@ class TestPerturb:
             calls.append(channel)
             if len(calls) == 3:
                 raise Planted("third draw")
-            return channel
 
         calls = []
         monkeypatch.setattr(phantom_module, "_add_noise", fail_on_third)
@@ -458,12 +459,18 @@ class TestPerturb:
 # its 2r + 1 float64 taps: once int() overflowed (1e308) or numpy named no key (1e300).
 @pytest.mark.parametrize("sigma", [2.0**56, 1e300, 1e308, sys.float_info.max])
 def test_huge_smoothing_sigma_is_refused_naming_the_key(sigma):
-    expected = f"smoothing_sigma must be < 72057594037927936, got {sigma!r}"
+    bound = "a finite number >= 0 and < 72057594037927936"
+    expected = f"smoothing_sigma must be {bound}, got {sigma!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
         small_cfg(smoothing_sigma=sigma)
     bundle = encode_bundle(generate_phantom(small_cfg(n_instances=1))[0], "sdt")
     with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
         perturb_target(bundle, 0.0, sigma, 0)
+
+
+def test_smoothing_bound_is_exactly_two_to_56():
+    # an int, so a float sigma compares with it exactly
+    assert type(phantom_module._MAX_SIGMA) is int and phantom_module._MAX_SIGMA == 2**56
 
 
 def test_largest_accepted_smoothing_sigma_is_out_of_memory():
@@ -477,8 +484,8 @@ def test_largest_accepted_smoothing_sigma_is_out_of_memory():
 # r = 4 takes numpy's z and y passes; r = 100 and 400 exceed nz and take scipy's
 @pytest.mark.parametrize("sigma", [1.0, 25.0, 100.0])
 def test_smoothing_buffers_are_bounded_by_the_channel(sigma):
-    channel = np.random.default_rng(2).random((1, 32, 128, 128))
-    expected = ndi.gaussian_filter(channel[0], sigma)
+    channel = np.random.default_rng(2).random((32, 128, 128))
+    expected = ndi.gaussian_filter(channel, sigma)
     tracemalloc.start()
     try:
         phantom_module._smooth(channel, sigma)
@@ -486,7 +493,7 @@ def test_smoothing_buffers_are_bounded_by_the_channel(sigma):
     finally:
         tracemalloc.stop()
     assert peak < 2 * channel.nbytes
-    assert channel[0].tobytes() == expected.tobytes()
+    assert channel.tobytes() == expected.tobytes()
 
 
 def test_perturb_noise_is_drawn_in_slabs():
@@ -509,7 +516,7 @@ def test_phantom_smoothing_bit_identical_to_gaussian_filter(monkeypatch, shape):
     labels, raw = generate_phantom(cfg)
 
     def scipy_smooth(data, sigma):
-        data[0] = ndi.gaussian_filter(data[0], sigma)
+        data[...] = ndi.gaussian_filter(data, sigma)
 
     monkeypatch.setattr(phantom_module, "_smooth", scipy_smooth)
     ref_labels, ref_raw = generate_phantom(cfg)

@@ -1,4 +1,13 @@
-"""Rules on the package source that no behavioural test would catch."""
+"""Rules on the package source that no behavioural test would catch.
+
+Most rules say that one kind of code has one owner. Each such rule is a
+predicate on one AST node, which ``hits`` runs over every node of every
+module, outside the file the rule skips and the owners whose code it
+exempts, returning ``file:line`` for each node flagged. To add a rule,
+write its predicate for ``hits``, a test that the package gives no hit,
+and one planted row: ``plant`` appends lines to a copy of the package and
+returns the copy with the ``file:line`` the rule must report there.
+"""
 
 import ast
 import shutil
@@ -9,6 +18,101 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "nuclei3d"
 
 
+def modules(src):
+    """``(file name, AST)`` of each module of the package under ``src``, in name order."""
+    paths = sorted(Path(src).glob("*.py"))
+    return [(path.name, ast.parse(path.read_text(), filename=str(path))) for path in paths]
+
+
+def owned(tree, name, method=None):
+    """The ids of all nodes of the top-level function or class ``name`` of ``tree``, or of
+    its method ``method``; empty if ``tree`` defines no ``name``."""
+    for node in tree.body:
+        if getattr(node, "name", None) == name:
+            if method is not None:
+                node = next(n for n in node.body if getattr(n, "name", None) == method)
+            return {id(n) for n in ast.walk(node)}
+    return set()
+
+
+def hits(src, is_hit, skip=None, owners=()):
+    """``file:line`` of each node of the package under ``src`` that ``is_hit`` flags, outside
+    the file ``skip`` and the code of ``owners``: ``(file, function)`` or ``(file, class, method)``
+    tuples."""
+    found = []
+    for file, tree in modules(src):
+        if file == skip:
+            continue
+        exempt = set().union(*(owned(tree, *owner[1:]) for owner in owners if owner[0] == file))
+        found += [f"{file}:{n.lineno}" for n in ast.walk(tree) if id(n) not in exempt and is_hit(n)]
+    return found
+
+
+def plant(tmp_path, file, lines=(), at=1, swap=None):
+    """Copy the package under ``tmp_path``, replace in its ``file`` the one ``swap[0]`` by
+    ``swap[1]``, append ``lines`` after two blank lines, and return the copy with the
+    ``file:line`` of ``lines[at]``."""
+    copy = tmp_path / "nuclei3d"
+    shutil.copytree(SRC, copy)
+    target = copy / file
+    text = target.read_text()
+    if swap is not None:
+        assert text.count(swap[0]) == 1
+        text = text.replace(*swap)
+    old = text.splitlines()
+    target.write_text("\n".join([*old, "", "", *lines, ""]))
+    return copy, f"{file}:{len(old) + 3 + at}"
+
+
+def dotted(node):
+    """The dotted names ``node`` reads or imports: ``a.b`` for an attribute of a plain name,
+    the modules of an ``import``, and the module and each ``module.name`` of a ``from`` import."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module:
+        return [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return [f"{node.value.id}.{node.attr}"]
+    return []
+
+
+def uses(*names):
+    """The predicate: a node reads or imports one of ``names``, or a name under one."""
+    return lambda node: any(n == m or n.startswith(m + ".") for n in dotted(node) for m in names)
+
+
+def _names(node):
+    """The names and attribute names read anywhere in ``node``."""
+    return {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node)}
+
+
+def raises(stmts, errors):
+    """Whether ``stmts`` raise one of ``errors``, named anywhere in the raised call's callee."""
+    return any(
+        isinstance(r, ast.Raise) and r.exc is not None
+        and _names(getattr(r.exc, "func", r.exc)) & errors
+        for stmt in stmts for r in ast.walk(stmt)
+    )
+
+
+def compares(test, ops, operand=lambda o: True):
+    """Whether ``test`` holds a comparison by one of ``ops`` with an operand ``operand`` accepts."""
+    return any(
+        isinstance(c, ast.Compare) and any(isinstance(op, ops) for op in c.ops)
+        and any(operand(o) for o in (c.left, *c.comparators))
+        for c in ast.walk(test)
+    )
+
+
+def isinstance_test(test, kinds):
+    """Whether ``test`` calls ``isinstance`` with a class argument that names one of ``kinds``."""
+    return any(
+        isinstance(c, ast.Call) and getattr(c.func, "id", None) == "isinstance"
+        and len(c.args) == 2 and _names(c.args[1]) & kinds
+        for c in ast.walk(test)
+    )
+
+
 def test_no_bare_np_unique():
     """``np.unique`` only with a ``return_*`` argument.
 
@@ -16,47 +120,29 @@ def test_no_bare_np_unique():
     times slower than sorting on label volumes; distinct IDs come from
     ``core.id_counts`` or ``LabelVolume.ids()`` instead.
     """
-    bare = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "unique"
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id in ("np", "numpy")
-                and not any((k.arg or "").startswith("return_") for k in node.keywords)
-            ):
-                bare.append(f"{path.name}:{node.lineno}")
+    bare = hits(SRC, lambda n: isinstance(n, ast.Call) and uses("np.unique", "numpy.unique")(n.func)
+                and not any((k.arg or "").startswith("return_") for k in n.keywords))
     assert not bare, f"bare np.unique call(s): {', '.join(bare)}"
 
 
-def int32_range_uses(src):
-    """Uses of the int32 ID range outside ``core.py`` in the package under ``src``:
-    ``np.iinfo(np.int32)``, a shift by 31 bits (``<< 31``, ``>> 31``) and ``2**31``."""
-    found = []
-    for path in sorted(Path(src).glob("*.py")):
-        if path.name == "core.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            iinfo = (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "iinfo"
-                and node.args
-                and isinstance(node.args[0], ast.Attribute)
-                and node.args[0].attr == "int32"
-            )
-            bits = isinstance(node, ast.BinOp) and isinstance(node.right, ast.Constant) and (
-                (isinstance(node.op, (ast.LShift, ast.RShift)) and node.right.value == 31)
-                or (
-                    isinstance(node.op, ast.Pow) and node.right.value == 31
-                    and isinstance(node.left, ast.Constant) and node.left.value == 2
-                )
-            )
-            if iinfo or bits:
-                found.append(f"{path.name}:{node.lineno}")
-    return found
+def int32_range(node):
+    """``np.iinfo(np.int32)``, a shift by 31 bits (``<< 31``, ``>> 31``) or ``2**31``."""
+    iinfo = (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "iinfo"
+        and node.args
+        and isinstance(node.args[0], ast.Attribute)
+        and node.args[0].attr == "int32"
+    )
+    bits = isinstance(node, ast.BinOp) and isinstance(node.right, ast.Constant) and (
+        (isinstance(node.op, (ast.LShift, ast.RShift)) and node.right.value == 31)
+        or (
+            isinstance(node.op, ast.Pow) and node.right.value == 31
+            and isinstance(node.left, ast.Constant) and node.left.value == 2
+        )
+    )
+    return iinfo or bits
 
 
 def test_int32_label_range_decided_in_core_only():
@@ -66,7 +152,7 @@ def test_int32_label_range_decided_in_core_only():
     range, and ``core.pair_counts`` packs two such IDs into one int64 key; no
     other module checks, casts or packs the range again.
     """
-    found = int32_range_uses(SRC)
+    found = hits(SRC, int32_range, skip="core.py")
     assert not found, f"int32 ID range used outside core.py: {', '.join(found)}"
 
 
@@ -80,35 +166,13 @@ def test_int32_label_range_decided_in_core_only():
     ],
 )
 def test_int32_range_rule_catches_a_planted_use(tmp_path, line):
-    copy = tmp_path / "nuclei3d"
-    shutil.copytree(SRC, copy)
-    target = copy / "metrics.py"
-    lines = target.read_text().splitlines()
-    target.write_text("\n".join(lines + ["", "", "def _planted(a, b, keys):", f"    {line}", ""]))
-    assert int32_range_uses(copy) == [f"metrics.py:{len(lines) + 4}"]
+    copy, where = plant(tmp_path, "metrics.py", ["def _planted(a, b, keys):", f"    {line}"])
+    assert hits(copy, int32_range, skip="core.py") == [where]
 
 
 def isfinite_uses_outside_owner(src):
     """Uses of ``np.isfinite`` in the package under ``src`` outside ``core.check_finite``."""
-    found = []
-    for path in sorted(Path(src).glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        owner = set()
-        for node in tree.body:
-            if path.name == "core.py" and getattr(node, "name", None) == "check_finite":
-                owner = {id(n) for n in ast.walk(node)}
-        for node in ast.walk(tree):
-            if id(node) in owner:
-                continue
-            if (
-                isinstance(node, ast.Attribute) and node.attr == "isfinite"
-                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
-            ) or (
-                isinstance(node, ast.ImportFrom) and node.module == "numpy"
-                and any(alias.name == "isfinite" for alias in node.names)
-            ):
-                found.append(f"{path.name}:{node.lineno}")
-    return found
+    return hits(src, uses("np.isfinite", "numpy.isfinite"), owners=[("core.py", "check_finite")])
 
 
 def test_array_finiteness_has_one_owner():
@@ -132,12 +196,8 @@ def test_array_finiteness_has_one_owner():
     ],
 )
 def test_finiteness_rule_catches_a_planted_use(tmp_path, file, line):
-    copy = tmp_path / "nuclei3d"
-    shutil.copytree(SRC, copy)
-    target = copy / file
-    lines = target.read_text().splitlines()
-    target.write_text("\n".join(lines + ["", "", "def _planted(values):", f"    {line}", ""]))
-    assert isfinite_uses_outside_owner(copy) == [f"{file}:{len(lines) + 4}"]
+    copy, where = plant(tmp_path, file, ["def _planted(values):", f"    {line}"])
+    assert isfinite_uses_outside_owner(copy) == [where]
 
 
 def test_structuring_element_built_in_core_only():
@@ -146,38 +206,13 @@ def test_structuring_element_built_in_core_only():
     ``core`` owns face adjacency (``face_slices``, ``face_neighbours`` and
     ``components``); no other module builds its own structuring element.
     """
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "core.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if (isinstance(node, ast.Attribute) and node.attr == "generate_binary_structure") or (
-                isinstance(node, ast.alias) and node.name == "generate_binary_structure"
-            ):
-                found.append(f"{path.name}:{node.lineno}")
+    name = "generate_binary_structure"
+    found = hits(SRC, lambda n: getattr(n, "attr", None) == name
+                 or isinstance(n, ast.alias) and n.name == name, skip="core.py")
     assert not found, f"generate_binary_structure outside core.py: {', '.join(found)}"
 
 
-def labelling_calls(src):
-    """Uses of scipy's ``label`` and imports of ``scipy.sparse`` in the package under ``src``."""
-    found = []
-    for path in sorted(Path(src).glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
-            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-                names = [f"{node.value.id}.{node.attr}"]
-            else:
-                continue
-            if any(
-                n in ("ndi.label", "ndimage.label", "scipy.ndimage.label", "scipy.sparse")
-                or n.startswith("scipy.sparse.")
-                for n in names
-            ):
-                found.append(f"{path.name}:{node.lineno}")
-    return found
+LABELLING = uses("ndi.label", "ndimage.label", "scipy.ndimage.label", "scipy.sparse")
 
 
 def test_connected_components_have_one_owner():
@@ -187,7 +222,7 @@ def test_connected_components_have_one_owner():
     with the foreground; ``ndi.label`` scans the whole volume. Importing
     ``scipy.sparse.csgraph`` adds about 10 MiB of resident memory.
     """
-    found = labelling_calls(SRC)
+    found = hits(SRC, LABELLING)
     assert not found, f"ndi.label or scipy.sparse in the package: {', '.join(found)}"
 
 
@@ -202,46 +237,20 @@ def test_connected_components_have_one_owner():
     ],
 )
 def test_labelling_rule_catches_a_planted_use(tmp_path, line):
-    copy = tmp_path / "nuclei3d"
-    shutil.copytree(SRC, copy)
-    target = copy / "postproc.py"
-    lines = target.read_text().splitlines()
-    target.write_text("\n".join(lines + ["", "", "def _planted(mask):", f"    {line}", ""]))
-    assert labelling_calls(copy) == [f"postproc.py:{len(lines) + 4}"]
+    copy, where = plant(tmp_path, "postproc.py", ["def _planted(mask):", f"    {line}"])
+    assert hits(copy, LABELLING) == [where]
 
 
 def shape_refusals_outside_owner(src):
     """``if`` statements in the package under ``src``, outside ``core.check_same_shape``,
     that compare a ``.shape`` with ``!=`` and raise ``ShapeMismatchError`` in their body."""
-    found = []
-    for path in sorted(Path(src).glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        owner = set()
-        for node in tree.body:
-            if path.name == "core.py" and getattr(node, "name", None) == "check_same_shape":
-                owner = {id(n) for n in ast.walk(node)}
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.If) or id(node) in owner:
-                continue
-            compares_shape = any(
-                isinstance(c, ast.Compare)
-                and any(isinstance(op, ast.NotEq) for op in c.ops)
-                and any(
-                    isinstance(a, ast.Attribute) and a.attr == "shape"
-                    for operand in (c.left, *c.comparators) for a in ast.walk(operand)
-                )
-                for c in ast.walk(node.test)
-            )
-            raised = (
-                r.exc.func for stmt in node.body for r in ast.walk(stmt)
-                if isinstance(r, ast.Raise) and isinstance(r.exc, ast.Call)
-            )
-            raises = any(
-                "ShapeMismatchError" in (getattr(f, "id", None), getattr(f, "attr", None)) for f in raised
-            )
-            if compares_shape and raises:
-                found.append(f"{path.name}:{node.lineno}")
-    return found
+    def reads_shape(operand):
+        return any(isinstance(a, ast.Attribute) and a.attr == "shape" for a in ast.walk(operand))
+
+    return hits(
+        src, lambda n: isinstance(n, ast.If) and compares(n.test, ast.NotEq, reads_shape)
+        and raises(n.body, {"ShapeMismatchError"}), owners=[("core.py", "check_same_shape")],
+    )
 
 
 def test_shape_agreement_has_one_owner():
@@ -263,32 +272,9 @@ def test_shape_agreement_has_one_owner():
     ],
 )
 def test_shape_rule_catches_a_planted_refusal(tmp_path, test, raiser):
-    copy = tmp_path / "nuclei3d"
-    shutil.copytree(SRC, copy)
-    target = copy / "losses.py"
-    lines = target.read_text().splitlines()
     planted = ["def _planted(a, b):", f"    if {test}:", f'        raise {raiser}("differ")']
-    target.write_text("\n".join(lines + ["", ""] + planted + [""]))
-    assert shape_refusals_outside_owner(copy) == [f"losses.py:{len(lines) + 4}"]
-
-
-def module_uses(src, *modules):
-    """Imports of ``modules`` or their submodules, and ``name.attr`` reads naming
-    them, in the package under ``src``."""
-    found = []
-    for path in sorted(Path(src).glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
-            elif isinstance(node, ast.Attribute):
-                names = [f"{node.value.id}.{node.attr}"] if isinstance(node.value, ast.Name) else []
-            else:
-                continue
-            if any(n == m or n.startswith(m + ".") for n in names for m in modules):
-                found.append(f"{path.name}:{node.lineno}")
-    return found
+    copy, where = plant(tmp_path, "losses.py", planted)
+    assert shape_refusals_outside_owner(copy) == [where]
 
 
 def test_no_scipy_spatial():
@@ -298,31 +284,26 @@ def test_no_scipy_spatial():
     process that imports ``nuclei3d``; nearest-center queries use plain
     numpy distance tables instead (see ``targets.encode_gauss``).
     """
-    found = module_uses(SRC, "scipy.spatial")
+    found = hits(SRC, uses("scipy.spatial"))
     assert not found, (
         f"scipy.spatial used at {', '.join(found)}: importing it adds about "
         "11.3 MiB RSS to every process that imports nuclei3d"
     )
 
 
+def calls(name):
+    """The predicate: a node calls a function or method named ``name``."""
+    return lambda node: isinstance(node, ast.Call) and name == (
+        node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+    )
+
+
 def gaussian_calls_outside_owner(src):
     """Calls of ``gaussian_filter`` anywhere, or of ``gaussian_filter1d`` outside
     ``phantom._smooth``, in the package source under ``src``."""
-    found = []
-    for path in sorted(Path(src).glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        allowed = set()
-        for node in tree.body:
-            if path.name == "phantom.py" and getattr(node, "name", None) == "_smooth":
-                allowed = {id(n) for n in ast.walk(node)}
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name == "gaussian_filter" or (name == "gaussian_filter1d" and id(node) not in allowed):
-                found.append(f"{path.name}:{node.lineno}")
-    return found
+    return hits(src, calls("gaussian_filter")) + hits(
+        src, calls("gaussian_filter1d"), owners=[("phantom.py", "_smooth")]
+    )
 
 
 def test_gaussian_smoothing_has_one_owner():
@@ -337,22 +318,15 @@ def test_gaussian_smoothing_has_one_owner():
 
 
 def test_gaussian_owner_rule_catches_a_planted_call(tmp_path):
-    copy = tmp_path / "nuclei3d"
-    shutil.copytree(SRC, copy)
-    target = copy / "targets.py"
-    lines = target.read_text().splitlines()
-    target.write_text("\n".join(lines + ["", "", "def _blur(x):", "    return ndi.gaussian_filter1d(x, 1.0)", ""]))
-    assert gaussian_calls_outside_owner(copy) == [f"targets.py:{len(lines) + 4}"]
-
-
-def _body(src, name):
-    return ast.parse((Path(src) / name).read_text(), filename=name).body
+    planted = ["def _blur(x):", "    return ndi.gaussian_filter1d(x, 1.0)"]
+    copy, where = plant(tmp_path, "targets.py", planted)
+    assert gaussian_calls_outside_owner(copy) == [where]
 
 
 def config_fields(src):
     """The field names of ``postproc.PostprocConfig``, read from the source under ``src``."""
     config = next(
-        node for node in _body(src, "postproc.py")
+        node for node in dict(modules(src))["postproc.py"].body
         if isinstance(node, ast.ClassDef) and node.name == "PostprocConfig"
     )
     return [node.target.id for node in config.body if isinstance(node, ast.AnnAssign)]
@@ -362,7 +336,7 @@ def grid_keys_and_config_fields(src):
     """``sweep.GRID_KEYS``, with ``dilate`` spelled ``dilate_result``, and the field
     names of ``postproc.PostprocConfig`` after ``variant``, read from the source under ``src``."""
     grid_keys = next(
-        ast.literal_eval(node.value) for node in _body(src, "sweep.py")
+        ast.literal_eval(node.value) for node in dict(modules(src))["sweep.py"].body
         if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["GRID_KEYS"]
     )
     return [{"dilate": "dilate_result"}.get(k, k) for k in grid_keys], config_fields(src)[1:]
@@ -380,13 +354,8 @@ def test_grid_keys_name_postproc_config_fields_in_order():
 
 
 def test_grid_key_rule_catches_swapped_fields(tmp_path):
-    copy = tmp_path / "nuclei3d"
-    shutil.copytree(SRC, copy)
-    target = copy / "postproc.py"
     seed, fg = "    seed_threshold: float = 0.0\n", "    foreground_threshold: float = 0.0\n"
-    text = target.read_text()
-    assert seed + fg in text
-    target.write_text(text.replace(seed + fg, fg + seed))
+    copy, _ = plant(tmp_path, "postproc.py", swap=(seed + fg, fg + seed))
     keys, fields = grid_keys_and_config_fields(copy)
     assert keys != fields and sorted(keys) == sorted(fields)
 
@@ -398,7 +367,7 @@ def cli_restatements(src):
     found = []
     parser = None  # the subparser that the statements in order add arguments to
     segment_dests = []
-    for node in ast.walk(ast.parse((Path(src) / "cli.py").read_text(), filename="cli.py")):
+    for node in ast.walk(dict(modules(src))["cli.py"]):
         if not isinstance(node, (ast.Assign, ast.Expr)) or not isinstance(node.value, ast.Call):
             continue
         call = node.value
@@ -442,23 +411,13 @@ def test_cli_restates_no_library_default_or_field_name():
     ],
 )
 def test_cli_rule_catches_a_planted_restatement(tmp_path, old, new, fault):
-    copy = tmp_path / "nuclei3d"
-    shutil.copytree(SRC, copy)
-    target = copy / "cli.py"
-    text = target.read_text()
-    assert text.count(old) == 1
-    target.write_text(text.replace(old, new))
+    copy, _ = plant(tmp_path, "cli.py", swap=(old, new))
     found = cli_restatements(copy)
     assert len(found) == 1 and fault in found[0]
 
 
 VOLUME_KINDS = {"Volume", "LabelVolume", "TargetBundle", "TopographicMap"}
 VOLUME_REFUSALS = {"ChannelCountError", "ShapeMismatchError", "TypeError"}
-
-
-def _names(node):
-    """The names and attribute names read anywhere in ``node``."""
-    return {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node)}
 
 
 def volume_refusals_outside_owner(src):
@@ -469,35 +428,17 @@ def volume_refusals_outside_owner(src):
     ``TargetBundle.__post_init__`` may read a channel count: its variant-layout check names
     the layout of the variant, which no other function refuses.
     """
-    found = []
-    for path in sorted(Path(src).glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        owner, layout = set(), set()
-        for node in ast.walk(tree):
-            if path.name == "core.py" and getattr(node, "name", None) == "check_volume":
-                owner = {id(n) for n in ast.walk(node)}
-            if path.name == "targets.py" and getattr(node, "name", None) == "TargetBundle":
-                init = next(n for n in node.body if getattr(n, "name", None) == "__post_init__")
-                layout = {id(n) for n in ast.walk(init)}
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.If) or id(node) in owner:
-                continue
-            kind_test = any(
-                isinstance(c, ast.Call) and getattr(c.func, "id", None) == "isinstance"
-                and len(c.args) == 2 and _names(c.args[1]) & VOLUME_KINDS
-                for c in ast.walk(node.test)
-            )
-            count_test = id(node) not in layout and _names(node.test) & {"channels", "with_cpv"}
-            # an ``elif`` is an ``if`` of its own, visited in turn
-            branches = node.body + ([] if [type(s) for s in node.orelse] == [ast.If] else node.orelse)
-            raises = any(
-                isinstance(r, ast.Raise) and r.exc is not None
-                and _names(getattr(r.exc, "func", r.exc)) & VOLUME_REFUSALS
-                for stmt in branches for r in ast.walk(stmt)
-            )
-            if (kind_test or count_test) and raises:
-                found.append(f"{path.name}:{node.lineno}")
-    return found
+    def refusal(test):
+        # an ``elif`` is an ``if`` of its own, visited in turn
+        return lambda n: isinstance(n, ast.If) and test(n.test) and raises(
+            n.body + ([] if [type(s) for s in n.orelse] == [ast.If] else n.orelse), VOLUME_REFUSALS
+        )
+
+    owner, layout = ("core.py", "check_volume"), ("targets.py", "TargetBundle", "__post_init__")
+    kinds = hits(src, refusal(lambda test: isinstance_test(test, VOLUME_KINDS)), owners=[owner])
+    counts = hits(src, refusal(lambda test: _names(test) & {"channels", "with_cpv"}),
+                  owners=[owner, layout])
+    return list(dict.fromkeys(kinds + counts))
 
 
 def test_volume_arguments_have_one_owner():
@@ -520,56 +461,28 @@ def test_volume_arguments_have_one_owner():
     ],
 )
 def test_volume_rule_catches_a_planted_refusal(tmp_path, test, raiser):
-    copy = tmp_path / "nuclei3d"
-    shutil.copytree(SRC, copy)
-    target = copy / "metrics.py"
-    lines = target.read_text().splitlines()
     planted = ["def _planted(v):", f"    if {test}:", f'        raise {raiser}("wrong volume")']
-    target.write_text("\n".join(lines + ["", ""] + planted + [""]))
-    assert volume_refusals_outside_owner(copy) == [f"metrics.py:{len(lines) + 4}"]
+    copy, where = plant(tmp_path, "metrics.py", planted)
+    assert volume_refusals_outside_owner(copy) == [where]
 
 
 def test_volume_rule_names_an_else_branch_refusal(tmp_path):
-    copy = tmp_path / "nuclei3d"
-    shutil.copytree(SRC, copy)
-    target = copy / "io.py"
-    lines = target.read_text().splitlines()
     planted = [
         "def _planted(v):", "    if isinstance(v, LabelVolume):", "        return 1",
         "    elif isinstance(v, Volume):", "        return 2", "    else:",
         "        raise TypeError(type(v))",
     ]
-    target.write_text("\n".join(lines + ["", ""] + planted + [""]))
-    assert volume_refusals_outside_owner(copy) == [f"io.py:{len(lines) + 6}"]
+    copy, where = plant(tmp_path, "io.py", planted, at=3)
+    assert volume_refusals_outside_owner(copy) == [where]
 
 
 def choice_refusals_outside_core(src):
     """``if`` statements in the package under ``src``, outside ``core.py``, whose test holds
     a ``not in`` comparison or an ``isinstance(..., bool)`` call and whose body raises
     ``ValueError``."""
-    found = []
-    for path in sorted(Path(src).glob("*.py")):
-        if path.name == "core.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if not isinstance(node, ast.If):
-                continue
-            choice_test = any(
-                (isinstance(c, ast.Compare) and any(isinstance(op, ast.NotIn) for op in c.ops))
-                or (
-                    isinstance(c, ast.Call) and getattr(c.func, "id", None) == "isinstance"
-                    and len(c.args) == 2 and "bool" in _names(c.args[1])
-                )
-                for c in ast.walk(node.test)
-            )
-            raises = any(
-                isinstance(r, ast.Raise) and r.exc is not None
-                and "ValueError" in _names(getattr(r.exc, "func", r.exc))
-                for stmt in node.body for r in ast.walk(stmt)
-            )
-            if choice_test and raises:
-                found.append(f"{path.name}:{node.lineno}")
-    return found
+    return hits(src, lambda n: isinstance(n, ast.If) and (
+        compares(n.test, ast.NotIn) or isinstance_test(n.test, {"bool"})
+    ) and raises(n.body, {"ValueError"}), skip="core.py")
 
 
 def test_named_choices_have_one_owner():
@@ -593,20 +506,55 @@ def test_named_choices_have_one_owner():
     ],
 )
 def test_choice_rule_catches_a_planted_refusal(tmp_path, test, raiser):
-    copy = tmp_path / "nuclei3d"
-    shutil.copytree(SRC, copy)
-    target = copy / "postproc.py"
-    lines = target.read_text().splitlines()
     planted = ["def _planted(v, variant):", f"    if {test}:", f'        raise {raiser}("bad")']
-    target.write_text("\n".join(lines + ["", ""] + planted + [""]))
-    assert choice_refusals_outside_core(copy) == [f"postproc.py:{len(lines) + 4}"]
+    copy, where = plant(tmp_path, "postproc.py", planted)
+    assert choice_refusals_outside_core(copy) == [where]
+
+
+def _limit(operand):
+    """Whether ``operand`` is a number literal, negated or not, or an UPPER_CASE name."""
+    if isinstance(operand, ast.UnaryOp) and isinstance(operand.op, ast.USub):
+        operand = operand.operand
+    return (isinstance(operand, ast.Name) and operand.id.isupper()) or (
+        isinstance(operand, ast.Constant) and type(operand.value) in (int, float)
+    )
+
+
+def bound_refusals_outside_core(src):
+    """``if`` statements in the package under ``src``, outside ``core.py``, whose test orders
+    (``<``, ``<=``, ``>``, ``>=``) a value against a number literal or an UPPER_CASE name and
+    whose body raises ``ValueError``."""
+    order = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+    return hits(src, lambda n: isinstance(n, ast.If) and compares(n.test, order, _limit)
+                and raises(n.body, {"ValueError"}), skip="core.py")
+
+
+def test_number_bounds_have_one_owner():
+    """Only ``core.check_number`` refuses a number outside its bounds.
+
+    Every lower bound (``ge``, ``gt``) and strict upper bound (``lt``), such as
+    an IoU threshold in (0, 1) or a smoothing sigma below ``2**56``, is checked
+    there, with one message form that names every bound:
+    ``<key> must be a finite number > 0 and < 1, got <value>``.
+    """
+    found = bound_refusals_outside_core(SRC)
+    assert not found, f"number bound refused outside core.check_number: {', '.join(found)}"
+
+
+@pytest.mark.parametrize(
+    "test",
+    ["x >= LIMIT", "not 0 < t < 1", "x < -1.5", "t > _MAX_SIGMA or t < 0"],
+)
+def test_bound_rule_catches_a_planted_refusal(tmp_path, test):
+    planted = ["def _planted(x, t):", f"    if {test}:", '        raise ValueError("out of range")']
+    copy, where = plant(tmp_path, "sweep.py", planted)
+    assert bound_refusals_outside_core(copy) == [where]
 
 
 def leftovers(src):
     """Unused imports, and private module-level names (``_x``) that nothing in the package
     under ``src`` reads. ``__init__.py`` is left out: its imports are re-exports."""
-    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
-             for path in sorted(Path(src).glob("*.py"))}
+    trees = dict(modules(src))
     read = set()  # names the package reads: loaded, as an attribute or imported from a module
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -665,15 +613,11 @@ def test_no_unused_import_or_private_name():
     ],
 )
 def test_leftover_rule_catches_a_planted_leftover(tmp_path, planted, name):
-    copy = tmp_path / "nuclei3d"
-    shutil.copytree(SRC, copy)
-    target = copy / "postproc.py"
-    lines = target.read_text().splitlines()
-    target.write_text("\n".join(lines + ["", ""] + planted + [""]))
-    assert leftovers(copy) == [f"postproc.py:{len(lines) + 3}: {name}"]
+    copy, where = plant(tmp_path, "postproc.py", planted, at=0)
+    assert leftovers(copy) == [f"{where}: {name}"]
 
 
-THREAD_MODULES = ("threading", "concurrent", "multiprocessing")
+THREADS = uses("threading", "concurrent", "multiprocessing")
 
 
 def test_only_the_caller_draws():
@@ -684,7 +628,7 @@ def test_only_the_caller_draws():
     channel, so the noise is the stream of one whole-volume draw whatever the
     thread count, and no pool outlives or interleaves with a call.
     """
-    found = module_uses(SRC, *THREAD_MODULES)
+    found = hits(SRC, THREADS)
     assert not found, f"thread or process import(s): {', '.join(found)}"
 
 
@@ -699,9 +643,5 @@ def test_only_the_caller_draws():
     ],
 )
 def test_thread_rule_catches_a_planted_import(tmp_path, line):
-    copy = tmp_path / "nuclei3d"
-    shutil.copytree(SRC, copy)
-    target = copy / "phantom.py"
-    lines = target.read_text().splitlines()
-    target.write_text("\n".join(lines + ["", "", "def _planted():", f"    {line}", ""]))
-    assert module_uses(copy, *THREAD_MODULES) == [f"phantom.py:{len(lines) + 4}"]
+    copy, where = plant(tmp_path, "phantom.py", ["def _planted():", f"    {line}"])
+    assert hits(copy, THREADS) == [where]

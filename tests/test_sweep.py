@@ -181,11 +181,11 @@ def test_spec_validation():
 @pytest.mark.parametrize(
     "objective,expected",
     [
-        ("seg_ap@1.5", "objective IoU threshold must be in (0, 1), got 1.5"),
-        ("seg_ap@0", "objective IoU threshold must be in (0, 1), got 0.0"),
-        ("seg_ap@nan", "objective IoU threshold must be a finite number, got nan"),
-        ("seg_ap@inf", "objective IoU threshold must be a finite number, got inf"),
-        ("seg_ap@-inf", "objective IoU threshold must be a finite number, got -inf"),
+        ("seg_ap@1.5", "objective IoU threshold must be a finite number > 0 and < 1, got 1.5"),
+        ("seg_ap@0", "objective IoU threshold must be a finite number > 0 and < 1, got 0.0"),
+        ("seg_ap@nan", "objective IoU threshold must be a finite number > 0 and < 1, got nan"),
+        ("seg_ap@inf", "objective IoU threshold must be a finite number > 0 and < 1, got inf"),
+        ("seg_ap@-inf", "objective IoU threshold must be a finite number > 0 and < 1, got -inf"),
     ],
 )
 def test_objective_iou_threshold_outside_the_open_interval_is_refused(objective, expected):
