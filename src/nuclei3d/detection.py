@@ -37,6 +37,7 @@ def nms_detect(pred, cfg):
     blocks, so the order of the two checks does not change the result.
     """
     vals = check_volume("blob map", pred, channels=1).channel(0).astype(np.float64, copy=False)
+    check_volume("", cfg, NmsConfig)
     flat = vals.ravel()
     at = np.flatnonzero(flat >= cfg.gauss_threshold)
     # a face neighbour outside the volume is the voxel itself, which never exceeds it

@@ -90,9 +90,10 @@ class TopographicMap:
 
 
 def _read(pred, cfg, logits, main_seeds=None):
-    """Check ``pred`` (its kind before ``cfg`` is read) and read its main channels once, by the
-    variant table above: the map values, foreground, main-seed mask (None unless
-    ``main_seeds``, which defaults to ``cfg`` seeding from main) and prediction volume."""
+    """Check ``cfg`` and ``pred`` and read the main channels of ``pred`` once, by the variant
+    table above: the map values, foreground, main-seed mask (None unless ``main_seeds``,
+    which defaults to ``cfg`` seeding from main) and prediction volume."""
+    check_volume("", cfg, PostprocConfig)
     if isinstance(pred, TargetBundle):
         if pred.variant != cfg.variant:
             raise ValueError(f"a {pred.variant!r} prediction bundle cannot be read as {cfg.variant!r}")
@@ -179,16 +180,19 @@ def watershed(topo, seeds):
     relative (value, sequence) order of each pocket's own claims, so the
     labels are those of one flood over the whole volume.
 
-    The (pocket, seed voxel) pairs of face neighbours come from one gather
-    over the smaller side: the neighbours of the unseeded foreground voxels,
-    or those of the seed voxels. The pairs give each pocket's IDs and the
-    *border seeds*, the seed voxels next to a flooded pocket. A seed voxel
-    only ever queues claims on unseeded neighbours not yet claimed, and a
-    voxel once claimed stays claimed, so a seed that touches no flooded
-    pocket never queues one. Skipping it uses no sequence number and keeps
-    every (value, sequence) order. The border seeds pop before any claim,
-    in raster order, and their claims are made in numpy; the heap then
-    holds only the flooded pockets' voxels.
+    One gather of the face neighbours of the unseeded foreground voxels
+    gives every (unseeded voxel, seed voxel) pair of face neighbours, and so
+    each pocket's IDs. A seed voxel only ever queues claims on unseeded
+    neighbours not yet claimed, and a voxel once claimed stays claimed, so a
+    seed that touches no flooded pocket never queues one. Skipping it uses no
+    sequence number and keeps every (value, sequence) order. The seeds next
+    to a flooded pocket pop before any claim, in raster order, each claiming
+    its free neighbours in table order. A seed reaches its neighbour through
+    the direction opposite to the one the neighbour reaches it by, ``col ^ 1``
+    in the -z, +z, -y, +y, -x, +x order. So the claim on a flooded voxel that
+    holds is the least ``seed * 6 + (col ^ 1)`` over its pairs, and those
+    first claims are made in numpy in that order; the heap then holds only
+    the flooded pockets' voxels.
     """
     shape = check_volume("", topo, TopographicMap).values.shape
     check_same_shape("seeds", check_volume("seed", seeds, LabelVolume).shape, "topography", shape)
@@ -196,27 +200,15 @@ def watershed(topo, seeds):
     # the unseeded foreground voxels and their pockets, numbered from 1
     u, pocket_of_u = components(topo.foreground & (labels == 0))
     n_pocket = int(pocket_of_u.max(initial=0))
-    n_seeded = np.count_nonzero(topo.foreground) - u.size
     labels = labels.ravel()
 
-    # (pocket, seed voxel) of each face-adjacent pair, gathered from the smaller
-    # side: the unseeded side alone is slower where seeds are few, as CPV seeds
-    # are. A neighbour outside the volume is the voxel itself, which is on the
-    # gathered side and so never pairs.
-    if u.size <= n_seeded:
-        nbr = face_neighbours(u, shape)
-        row, col = np.nonzero(labels[nbr] != 0)
-        pair_pocket, pair_seed = pocket_of_u[row], nbr[row, col]
-    else:
-        pocket = np.zeros(labels.size, dtype=np.intp)  # 0 off the pockets
-        pocket[u] = pocket_of_u
-        at = np.flatnonzero(labels != 0)
-        nbr = pocket[face_neighbours(at, shape)]
-        del pocket
-        row, col = np.nonzero(nbr != 0)
-        pair_pocket, pair_seed = nbr[row, col], at[row]
-    del nbr
-    owner, ids, _ = pair_counts(pair_pocket, labels[pair_seed])
+    # (unseeded voxel row, direction) of each face-adjacent seed voxel, sorted by row;
+    # a flat nonzero and divmod is several times faster than a 2d nonzero. A neighbour
+    # outside the volume is the voxel itself, which is unseeded and so never pairs.
+    nbr = face_neighbours(u, shape)
+    row, col = np.divmod(np.flatnonzero(labels[nbr] != 0), 6)
+    pair_seed = nbr[row, col]
+    owner, ids, _ = pair_counts(pocket_of_u[row], labels[pair_seed])
     n_ids = np.bincount(owner, minlength=n_pocket + 1)
     # per pocket: its one ID, 0 next to no ID, -1 when contested
     fill = np.where(n_ids >= 2, -1, 0).astype(np.int32)
@@ -227,32 +219,28 @@ def watershed(topo, seeds):
     out = labels
     fill_u = fill[pocket_of_u]
     out[u] = fill_u
-    flooded = u[fill_u < 0]
+    contested = np.flatnonzero(fill_u < 0)
+    flooded = u[contested]
 
     if flooded.size:
         m = flooded.size
-        border = pair_seed[fill[pair_pocket] < 0]
-        border.sort()
-        border = border[run_starts(border)]
         # flooded voxels are numbered from 0; -1 marks a neighbour that is never
         # free: a seed, background or a voxel of a pocket filled above
         pos = np.full(labels.size, -1, dtype=np.intp)
         pos[flooded] = np.arange(m)
 
-        # The border seeds pop first, in raster order, and each claims its free
-        # neighbours in table order. So of the claims on a flooded voxel, in
-        # (border seed, neighbour) order, the first holds, and the n-th holding
-        # claim takes sequence number n.
-        near = pos[face_neighbours(border, shape)].ravel()
-        hit = np.flatnonzero(near >= 0)
-        first = np.unique(near[hit], return_index=True)[1]
-        first.sort()
-        hit = hit[first]
-        claimed = near[hit]
+        # The first claim on each flooded voxel next to a seed, as seed * 6 + the
+        # seed's direction to it; the n-th in that order takes sequence number n.
+        hit = fill_u[row] < 0
+        row, first = row[hit], pair_seed[hit] * 6 + (col[hit] ^ 1)
+        starts = run_starts(row)
+        first = np.minimum.reduceat(first, starts)
+        order = first.argsort()
+        claimed = pos[u[row[starts[order]]]]
         # The trailing 1 is the entry that neighbour -1 reads; 0 marks a free voxel.
         result = np.zeros(m + 1, dtype=labels.dtype)
         result[m] = 1
-        result[claimed] = labels[border[hit // 6]]  # six neighbours per border seed
+        result[claimed] = labels[first[order] // 6]
 
         # One int per heap entry, rank * m + seq with pushed[seq] = voxel: a claim
         # ranks its map value densely from 0, equal values (-0.0 and 0.0 too)
@@ -266,7 +254,8 @@ def watershed(topo, seeds):
         heapq.heapify(heap)
         # A neighbour outside the volume is the voxel itself, which is labelled by
         # the time its row is read.
-        table = pos[face_neighbours(flooded, shape)].tolist()
+        table = pos[nbr[contested]].tolist()
+        del nbr, pos  # not held through the flood
         result, key, pushed = result.tolist(), key.tolist(), claimed.tolist()
         push, pop, append = heapq.heappush, heapq.heappop, pushed.append  # local names: hot loop
         while heap:

@@ -3,7 +3,9 @@
 Every public callable named in a module ``__all__`` is called with each of its
 required positional arguments set to a wrong-typed value. Each call must end
 in a ``Nuclei3dError`` or a ``ValueError``, never in an ``AttributeError`` or
-``TypeError`` from inside the function body.
+``TypeError`` from inside the function body. That call stops at the first
+argument checked, so each config or record argument is also set wrong alone,
+the other arguments valid.
 """
 
 import dataclasses
@@ -17,7 +19,7 @@ import pytest
 from nuclei3d import (
     LabelVolume, PhantomConfig, PostprocConfig, TargetBundle, Volume, aggregate_reports,
     build_topography, combined_loss, encode_bundle, encode_sdt, extract_seeds_main,
-    generate_phantom, main_loss_weight, read_report, read_volume, run_sweep, segment,
+    generate_phantom, main_loss_weight, nms_detect, read_report, read_volume, run_sweep, segment,
     signed_boundary_distance, write_report,
 )
 from nuclei3d.core import check_choice, check_volume
@@ -117,8 +119,15 @@ def test_check_volume_returns_the_value():
         (lambda: combined_loss("x", *[Volume(np.zeros((3, 2, 2, 2)))] * 2,
                                Volume(np.ones((1, 2, 2, 2))), 1.0),
          "expected a main LossResult, got str"),
+        (lambda: segment(SDT, "x"), "expected a PostprocConfig, got str"),
+        (lambda: build_topography(SDT, None), "expected a PostprocConfig, got NoneType"),
+        (lambda: extract_seeds_main(SDT, 3), "expected a PostprocConfig, got int"),
+        (lambda: nms_detect(SDT, "x"), "expected a NmsConfig, got str"),
     ],
-    ids=["generate_phantom", "run_sweep", "aggregate_reports", "combined_loss"],
+    ids=[
+        "generate_phantom", "run_sweep", "aggregate_reports", "combined_loss", "segment",
+        "build_topography", "extract_seeds_main", "nms_detect",
+    ],
 )
 def test_config_and_record_arguments_are_checked_by_kind(call, expected):
     with pytest.raises(ChannelCountError) as info:

@@ -1,5 +1,6 @@
 import re
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -432,11 +433,11 @@ class TestWatershed:
         np.testing.assert_array_equal(got, [[[1, 1, 1, 2, 2]]])
         np.testing.assert_array_equal(got, flood_simulator(values, fg, seeds))
 
-    def test_matches_flood_simulator_from_either_side(self, rng):
-        """Pairs gathered from the unseeded voxels and from the seed voxels.
+    def test_matches_flood_simulator_at_every_seed_density(self, rng):
+        """Seeds sparse and dense against the unseeded foreground the pairs are gathered from.
 
-        Dense seeds make the unseeded foreground the smaller side, sparse ones
-        the seed voxels; the border seeds' first claims are checked as well.
+        The border seeds' first claims are checked as well, a seed's claims
+        through several directions among them.
         """
         seen = set()
         for shape in [(6, 6, 6), (3, 5, 7), (7, 4, 2), (1, 6, 5), (2, 1, 9)]:
@@ -449,8 +450,9 @@ class TestWatershed:
                 np.testing.assert_array_equal(got, flood_simulator(values, fg, seeds))
                 seen |= _gather_cases(fg, seeds)
         assert seen == {
-            "unseeded side", "seed side", "flooded voxel next to two ids",
+            "sparse seeds", "dense seeds", "flooded voxel next to two ids",
             "border seed on a volume face", "flooded voxel next to no seed",
+            "border seed first-claims flooded voxels through two or more directions",
         }
 
     def test_raster_first_border_seed_claims(self):
@@ -532,11 +534,11 @@ def _pocket_cases(fg, seeds):
 
 
 def _gather_cases(fg, seeds):
-    """Which side the watershed gathers from, and what its border seeds meet."""
+    """Whether seeds outnumber the unseeded foreground, and what the border seeds meet."""
     face = ndi.generate_binary_structure(3, 1)
     clipped = np.where(fg, seeds, 0)
     unseeded = fg & (clipped == 0)
-    cases = {"unseeded side" if unseeded.sum() <= (clipped > 0).sum() else "seed side"}
+    cases = {"dense seeds" if unseeded.sum() <= (clipped > 0).sum() else "sparse seeds"}
     pocket, n = ndi.label(unseeded, structure=face)
     flooded = np.zeros(fg.shape, dtype=bool)
     for p in range(1, n + 1):
@@ -545,12 +547,22 @@ def _gather_cases(fg, seeds):
     padded = np.pad(clipped, 1)
     on_face = np.ones(fg.shape, dtype=bool)
     on_face[1:-1, 1:-1, 1:-1] = False
+    # the raster-first seed next to a flooded voxel claims it first
+    first_claims = Counter()
     for z, y, x in zip(*np.nonzero(flooded)):
         ids = set(padded[z:z + 3, y:y + 3, x:x + 3][face].tolist()) - {0}
         if len(ids) >= 2:
             cases.add("flooded voxel next to two ids")
         if not ids:
             cases.add("flooded voxel next to no seed")
+        near = [
+            (z + dz, y + dy, x + dx) for dz, dy, dx in np.argwhere(face) - 1
+            if padded[z + dz + 1, y + dy + 1, x + dx + 1]
+        ]
+        if near:
+            first_claims[min(near)] += 1
+    if any(n >= 2 for n in first_claims.values()):
+        cases.add("border seed first-claims flooded voxels through two or more directions")
     border = (clipped > 0) & ndi.binary_dilation(flooded, structure=face)
     if (border & on_face).any():
         cases.add("border seed on a volume face")
