@@ -125,6 +125,7 @@ class Volume:
     voxel_size: VoxelSize = VoxelSize()
 
     def __post_init__(self):
+        check_volume("voxel size", self.voxel_size, VoxelSize)
         data = np.asarray(self.data)
         if data.ndim == 3:
             data = data[np.newaxis]
@@ -190,6 +191,7 @@ class LabelVolume:
     voxel_size: VoxelSize = VoxelSize()
 
     def __post_init__(self):
+        check_volume("voxel size", self.voxel_size, VoxelSize)
         labels = np.asarray(self.labels)
         if labels.ndim != 3 or labels.size == 0:
             raise ShapeMismatchError(
@@ -213,7 +215,7 @@ class LabelVolume:
     @cached_property
     def id_counts(self):
         """Read-only sorted positive IDs (int32) and their voxel counts."""
-        return tuple(map(_readonly, id_counts(self.labels)))
+        return tuple(map(_readonly, np.unique(self.labels[self.labels > 0], return_counts=True)))
 
     def ids(self):
         """Sorted int32 array of the positive instance IDs present."""
@@ -276,24 +278,8 @@ def run_starts(values):
 def pair_counts(a, b):
     """The ``a``, ``b`` (int64) and count of each distinct pair of two arrays of values
     in ``[0, 2**31)``, sorted by ``(a, b)``: each pair is one int64 key, ``a`` above ``b``."""
-    keys = a.astype(np.int64) << 31 | b
-    keys.sort()
-    starts = run_starts(keys)
-    pairs = keys[starts]
-    return pairs >> 31, pairs & (2**31 - 1), np.diff(starts, append=keys.size)
-
-
-def id_counts(lab):
-    """Sorted positive IDs of a label array, in its dtype, and their voxel counts.
-
-    The foreground IDs are sorted and the first of each run is kept. A bare
-    ``np.unique`` takes a hash path on numpy >= 2.3, which is several times
-    slower than this sort on label volumes.
-    """
-    ids = lab[lab > 0]
-    ids.sort()
-    starts = run_starts(ids)
-    return ids[starts], np.diff(starts, append=ids.size)
+    pairs, counts = np.unique(a.astype(np.int64) << 31 | b, return_counts=True)
+    return pairs >> 31, pairs & (2**31 - 1), counts
 
 
 def face_slices(axis):

@@ -79,8 +79,12 @@ class Detection(NamedTuple):
 
 def check_detections(detections):
     """``detections`` as ``(n, 4)`` float64 rows ``(z, y, x, score)``, ``(0, 4)`` if empty;
-    refuses (``ValueError``) any other shape, such as a flat list, and a non-finite value."""
-    rows = np.array(detections, dtype=np.float64)
+    refuses (``ValueError``) any other shape, such as a flat list, a value numpy cannot
+    turn into float64 rows, such as ragged rows or a generator, and a non-finite value."""
+    try:
+        rows = np.array(detections, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError("detections must be (z, y, x, score) rows of real numbers") from None
     if rows.shape == (0,):
         rows = rows.reshape(0, 4)
     if rows.ndim != 2 or rows.shape[1] != 4:

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    LabelVolume, check_number, check_same_shape, check_volume, id_counts, pair_counts,
-    voxel_indices,
+    LabelVolume, check_number, check_same_shape, check_volume, pair_counts, voxel_indices,
 )
 from .io import check_detections
 
@@ -132,7 +131,7 @@ def detection_ap(gt, detections):
     at, _ = voxel_indices(rows[:, :3].T, lab.shape)
     hit = lab.ravel()[at]
     # one TP per distinct instance hit; every other detection is a FP
-    tp = id_counts(hit)[0].size
+    tp = np.unique(hit[hit > 0], return_counts=True)[0].size
     return _ap_counts(tp, gt.ids().size, len(rows))
 
 

@@ -166,7 +166,7 @@ def generate_phantom(cfg):
     raw = np.concatenate(([0.0], intensities))[labels]
     _smooth(raw, cfg.smoothing_sigma)
     if cfg.noise_sigma > 0:
-        _add_noise(rng, raw, cfg.noise_sigma)
+        raw += rng.normal(0.0, cfg.noise_sigma, size=raw.shape)
     with np.errstate(over="ignore"):  # Volume refuses a value that overflows to inf
         raw = raw.astype(np.float32)
     return LabelVolume(labels), Volume(raw[np.newaxis])
@@ -174,8 +174,8 @@ def generate_phantom(cfg):
 
 # Planes of at least this many voxels take _smooth's numpy z and y passes.
 _NUMPY_PLANE = 64 * 64
-# Voxels per slab that _smooth's numpy passes and the noise draws work on,
-# unless one (y, x) plane is larger: 256 KiB of float64 stays in cache.
+# Voxels per slab that _smooth's numpy passes work on, unless one (y, x)
+# plane is larger: 256 KiB of float64 stays in cache.
 _SLAB = 1 << 15
 
 
@@ -243,17 +243,6 @@ def _smooth(channel, sigma):
 _CLAMP = {"sdt": (-1.0, 1.0), "3label": (0.0, 1.0), "affinities": (0.0, 1.0), "gauss": (0.0, 1.0)}
 
 
-def _add_noise(rng, channel, noise_sigma):
-    """Add ``N(0, noise_sigma)`` noise to the 3d ``channel``, a few z planes per draw.
-
-    A slab, not a channel-sized array, sits beside the smoothing buffers.
-    """
-    b = max(1, _SLAB // channel[0].size)
-    for z in range(0, len(channel), b):
-        slab = channel[z:z + b]
-        slab += rng.normal(0.0, noise_sigma, size=slab.shape)
-
-
 def perturb_target(bundle, noise_sigma, smoothing_sigma, rng_seed):
     """Simulate an imperfect network output from an exact target bundle.
 
@@ -261,11 +250,11 @@ def perturb_target(bundle, noise_sigma, smoothing_sigma, rng_seed):
     Gaussian. Probability channels are clamped back to [0, 1] and the sdt
     channel to its tanh range [-1, 1]; vector channels are left free.
 
-    With noise, each channel's draw is added z slab by z slab, in channel
-    order, just before ``_smooth`` takes that channel. PCG64 fills an array
-    in C order, so the noise is the stream of one whole-volume draw,
-    independent of ``OMP_NUM_THREADS`` and of the core count. ``_smooth``
-    says which passes run at which plane size and kernel radius.
+    With noise, each channel gets one draw, in channel order, just before
+    ``_smooth`` takes that channel. PCG64 fills an array in C order, so the
+    noise is the stream of one whole-volume draw, independent of
+    ``OMP_NUM_THREADS`` and of the core count. ``_smooth`` says which passes
+    run at which plane size and kernel radius.
     """
     check_volume("", bundle, TargetBundle)
     check_number("noise_sigma", noise_sigma, ge=0)
@@ -275,7 +264,7 @@ def perturb_target(bundle, noise_sigma, smoothing_sigma, rng_seed):
     data = bundle.volume.data.astype(np.float64)
     for channel in data:
         if noise_sigma > 0:
-            _add_noise(rng, channel, noise_sigma)
+            channel += rng.normal(0.0, noise_sigma, size=channel.shape)
         _smooth(channel, smoothing_sigma)
     lo, hi = _CLAMP[bundle.variant]
     main = bundle.main_channels

@@ -80,6 +80,7 @@ class TopographicMap:
     voxel_size: VoxelSize = VoxelSize()
 
     def __post_init__(self):
+        check_volume("voxel size", self.voxel_size, VoxelSize)
         if not isinstance(self.values, np.ndarray) or self.values.ndim != 3:
             got = getattr(self.values, "shape", type(self.values).__name__)
             raise ShapeMismatchError(f"topography values must be a 3d array, got {got}")

@@ -123,10 +123,17 @@ def test_check_volume_returns_the_value():
         (lambda: build_topography(SDT, None), "expected a PostprocConfig, got NoneType"),
         (lambda: extract_seeds_main(SDT, 3), "expected a PostprocConfig, got int"),
         (lambda: nms_detect(SDT, "x"), "expected a NmsConfig, got str"),
+        (lambda: Volume(np.zeros((1, 2, 2, 2)), (1.0, 1.0, 1.0)),
+         "expected a voxel size VoxelSize, got tuple"),
+        (lambda: LabelVolume(np.zeros((2, 2, 2), np.int32), None),
+         "expected a voxel size VoxelSize, got NoneType"),
+        (lambda: TopographicMap(np.zeros((2, 2, 2)), np.ones((2, 2, 2)), [1.0, 1.0, 1.0]),
+         "expected a voxel size VoxelSize, got list"),
     ],
     ids=[
         "generate_phantom", "run_sweep", "aggregate_reports", "combined_loss", "segment",
-        "build_topography", "extract_seeds_main", "nms_detect",
+        "build_topography", "extract_seeds_main", "nms_detect", "Volume.voxel_size",
+        "LabelVolume.voxel_size", "TopographicMap.voxel_size",
     ],
 )
 def test_config_and_record_arguments_are_checked_by_kind(call, expected):

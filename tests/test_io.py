@@ -237,21 +237,31 @@ class TestDetections:
         assert path.read_text() == "z,y,x,score\n"
 
     @pytest.mark.parametrize(
-        "value,shape",
+        "value,message",
         [
-            ([3, 3, 3, 1, 0, 0, 0, 1], (8,)),
-            (np.ones((1, 2, 4)), (1, 2, 4)),
-            ([(1.0, 2.0, 3.0)], (1, 3)),
-            (np.zeros((0, 3)), (0, 3)),
-            (5.0, ()),
+            ([3, 3, 3, 1, 0, 0, 0, 1], "detections must be (z, y, x, score) rows, got shape (8,)"),
+            (np.ones((1, 2, 4)), "detections must be (z, y, x, score) rows, got shape (1, 2, 4)"),
+            ([(1.0, 2.0, 3.0)], "detections must be (z, y, x, score) rows, got shape (1, 3)"),
+            (np.zeros((0, 3)), "detections must be (z, y, x, score) rows, got shape (0, 3)"),
+            (5.0, "detections must be (z, y, x, score) rows, got shape ()"),
+            # values numpy cannot turn into float64 rows
+            ((d for d in [(1.0, 2.0, 3.0, 0.5)]), "detections must be (z, y, x, score) rows of real numbers"),
+            ([[1, 2, 3, {}]], "detections must be (z, y, x, score) rows of real numbers"),
+            ([[1, 2, 3, 0.5], [1, 2, 3]], "detections must be (z, y, x, score) rows of real numbers"),
+            ("a", "detections must be (z, y, x, score) rows of real numbers"),
+            ([[1, 2, 3, 1j]], "detections must be (z, y, x, score) rows of real numbers"),
+            ([[10**400, 2, 3, 0.5]], "detections must be (z, y, x, score) rows of real numbers"),
         ],
-        ids=["flat", "3d", "3-columns", "empty-3-columns", "scalar"],
+        ids=[
+            "flat", "3d", "3-columns", "empty-3-columns", "scalar", "generator", "dict-value",
+            "ragged", "str", "complex", "huge-int",
+        ],
     )
-    def test_detections_of_other_shapes_refused_naming_it(self, tmp_path, value, shape):
+    def test_detections_of_other_shapes_refused_naming_it(self, tmp_path, value, message):
         path = tmp_path / "d.csv"
         with pytest.raises(ValueError) as info:
             write_detections(path, value)
-        assert str(info.value) == f"detections must be (z, y, x, score) rows, got shape {shape}"
+        assert str(info.value) == message
         assert not path.exists()
 
     def test_malformed_row_names_line(self, tmp_path):

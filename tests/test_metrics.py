@@ -1,3 +1,4 @@
+import functools
 import re
 
 import numpy as np
@@ -350,12 +351,19 @@ class TestDetectionAp:
         assert detection_ap(self.make_gt(), np.zeros((0, 4))) == detection_ap(self.make_gt(), [])
 
     @pytest.mark.parametrize(
-        "value,shape",
-        [([2, 2, 2, 1, 0, 0, 0, 1], (8,)), (np.full((1, 2, 4), 2.0), (1, 2, 4))],
-        ids=["flat", "3d"],
+        "value,message",
+        [
+            ([2, 2, 2, 1, 0, 0, 0, 1], "detections must be (z, y, x, score) rows, got shape (8,)"),
+            (np.full((1, 2, 4), 2.0), "detections must be (z, y, x, score) rows, got shape (1, 2, 4)"),
+            # values numpy cannot turn into float64 rows
+            ((d for d in [Detection(2, 2, 2, 1.0)]), "detections must be (z, y, x, score) rows of real numbers"),
+            ([[1, 2, 3, {}]], "detections must be (z, y, x, score) rows of real numbers"),
+            ([[2, 2, 2, 1.0], [2, 2, 2]], "detections must be (z, y, x, score) rows of real numbers"),
+            ("a", "detections must be (z, y, x, score) rows of real numbers"),
+        ],
+        ids=["flat", "3d", "generator", "dict-value", "ragged", "str"],
     )
-    def test_detections_of_other_shapes_refused(self, value, shape):
-        message = f"detections must be (z, y, x, score) rows, got shape {shape}"
+    def test_detections_of_other_shapes_refused(self, value, message):
         with pytest.raises(ValueError) as info:
             detection_ap(self.make_gt(), value)
         assert str(info.value) == message
@@ -420,18 +428,16 @@ class TestEvaluateAndAggregate:
                 assert report.ap_per_iou[t] == ap
 
     def test_evaluate_sorts_each_volume_once(self, rng, monkeypatch):
-        import nuclei3d.core
-        import nuclei3d.metrics
-
         seen = []
-        real = nuclei3d.core.id_counts
+        real = LabelVolume.__dict__["id_counts"].func
 
-        def counting(lab):
-            seen.append(lab)
-            return real(lab)
+        def counting(volume):
+            seen.append(volume.labels)
+            return real(volume)
 
-        monkeypatch.setattr(nuclei3d.core, "id_counts", counting)
-        monkeypatch.setattr(nuclei3d.metrics, "id_counts", counting)
+        hooked = functools.cached_property(counting)
+        hooked.__set_name__(LabelVolume, "id_counts")
+        monkeypatch.setattr(LabelVolume, "id_counts", hooked)
         gt = labels_from(random_blob_labels(rng, (8, 8, 8), 4))
         seg = labels_from(np.roll(gt.labels, 1, axis=2))
         first = evaluate(gt, seg=seg)

@@ -200,7 +200,7 @@ class TestGenerate:
             PhantomConfig(**kwargs)
 
     def test_noisy_smoothed_phantom_bits_are_pinned(self):
-        # z slabs of noise, drawn in C order, are the stream of one whole-volume draw
+        # the noise is one whole-volume draw, filled in C order
         cfg = PhantomConfig(
             shape=(16, 64, 64), n_instances=6, radius_range=(3.0, 6.0), rng_seed=7,
             noise_sigma=0.05, smoothing_sigma=0.8,
@@ -387,7 +387,7 @@ class TestPerturb:
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_many_channels_with_noise_at_numpy_plane_size(self, rng, order):
-        # noise drawn in z slabs, each channel just before it is smoothed;
+        # one noise draw per channel, each just before that channel is smoothed;
         # a Fortran-ordered volume keeps its layout through astype
         data = np.asarray(rng.random((MAIN_CHANNELS["affinities"] + 3, 5, 64, 70)), order=order)
         out = perturb_target(TargetBundle(Volume(data), "affinities", True), 0.2, 1.0, rng_seed=8)
@@ -435,16 +435,20 @@ class TestPerturb:
         class Planted(Exception):
             pass
 
-        def fail_on_third(rng, channel, noise_sigma):
-            calls.append(channel)
-            if len(calls) == 3:
-                raise Planted("third draw")
+        class FailOnThird:
+            def normal(self, loc, scale, size):
+                draws.append(size)
+                if len(draws) == 3:
+                    raise Planted("third draw")
+                return np.zeros(size)
 
-        calls = []
-        monkeypatch.setattr(phantom_module, "_add_noise", fail_on_third)
+        draws, smoothed = [], []
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: FailOnThird())
+        monkeypatch.setattr(phantom_module, "_smooth", lambda c, sigma: smoothed.append(c))
         with pytest.raises(Planted, match="third draw"):
             perturb_target(bundle, 0.1, 1.0, rng_seed=9)
-        assert len(calls) == 3
+        # channels 0 and 1 drawn and smoothed; nothing drawn or smoothed after the failure
+        assert len(draws) == 3 and len(smoothed) == 2
 
     @pytest.mark.parametrize(
         "target", [np.zeros((3, 4, 4, 4)), Volume(np.zeros((3, 4, 4, 4))), None]
@@ -496,14 +500,17 @@ def test_smoothing_buffers_are_bounded_by_the_channel(sigma):
     assert channel.tobytes() == expected.tobytes()
 
 
-def test_perturb_noise_is_drawn_in_slabs():
-    # the slab draws peak near the float64 output plus 1.45 channels; one
-    # whole-volume draw would hold a second output-sized array
+# sigma 0 smooths nothing, so the channel-sized draw itself is the peak
+@pytest.mark.parametrize("smoothing_sigma", [1.0, 0])
+def test_perturb_noise_is_drawn_per_channel(smoothing_sigma):
+    # one draw per channel peaks near the float64 output plus 1.38 channels at
+    # sigma 1 and plus 1 channel at sigma 0; one draw for the whole bundle
+    # would hold a second output-sized array
     data = np.random.default_rng(3).random((6, 32, 128, 128), dtype=np.float32)
     bundle = TargetBundle(Volume(data), "3label", True)
     tracemalloc.start()
     try:
-        out = perturb_target(bundle, 0.1, 1.0, rng_seed=5)
+        out = perturb_target(bundle, 0.1, smoothing_sigma, rng_seed=5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -117,8 +117,8 @@ def test_no_bare_np_unique():
     """``np.unique`` only with a ``return_*`` argument.
 
     A bare ``np.unique`` takes a hash path on numpy >= 2.3 that is several
-    times slower than sorting on label volumes; distinct IDs come from
-    ``core.id_counts`` or ``LabelVolume.ids()`` instead.
+    times slower than sorting on label volumes; with ``return_counts=True``
+    it sorts, as ``LabelVolume.id_counts`` and ``core.pair_counts`` call it.
     """
     bare = hits(SRC, lambda n: isinstance(n, ast.Call) and uses("np.unique", "numpy.unique")(n.func)
                 and not any((k.arg or "").startswith("return_") for k in n.keywords))
