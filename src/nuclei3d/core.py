@@ -294,16 +294,19 @@ def face_neighbours(idx, shape):
     """Flat indices of the six face neighbours of each flat index in ``idx``.
 
     Returns an ``(idx.size, 6)`` array in the order -z, +z, -y, +y, -x, +x.
-    A neighbour outside the volume is replaced by the voxel itself.
+    A neighbour outside the volume is replaced by the voxel itself. The
+    array is the transpose of a ``(6, idx.size)`` one, filled a direction at
+    a time: an add into a contiguous row is several times faster than into
+    a strided column.
     """
     nz, ny, nx = shape
     z, y, x = np.unravel_index(idx, shape)
     inside = (z > 0, z < nz - 1, y > 0, y < ny - 1, x > 0, x < nx - 1)
     steps = (-ny * nx, ny * nx, -nx, nx, -1, 1)
-    out = np.empty((idx.size, 6), dtype=np.intp)
-    for k, (step, ok) in enumerate(zip(steps, inside)):
-        np.add(idx, ok * step, out=out[:, k])
-    return out
+    out = np.empty((6, idx.size), dtype=np.intp)
+    for row, step, ok in zip(out, steps, inside):
+        np.add(idx, ok * step, out=row)
+    return out.T
 
 
 def round_half_away(v):

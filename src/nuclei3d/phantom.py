@@ -6,6 +6,7 @@ stream is stable across platforms, so phantom volumes are bit-reproducible
 from their config alone.
 """
 
+import math
 from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
@@ -20,6 +21,12 @@ from .targets import TargetBundle
 __all__ = ["PhantomConfig", "generate_phantom", "perturb_target"]
 
 _MAX_ATTEMPTS = 400
+# Placement attempts are drawn and tested in batches (see generate_phantom). An
+# instance's first batch holds _FIRST_BATCH attempts and each later one as many
+# as were made before it, up to _BATCH: the rows after the placed attempt are
+# wasted, and an instance that is hard to place takes many attempts. Set by
+# timing sparse separated and dense touching phantoms at 1x and 8x the voxels.
+_FIRST_BATCH, _BATCH = 8, 32
 # Below this sigma the kernel radius r = int(4 sigma + 0.5) stays under 2**58 on 64 bits, so
 # numpy can size the 2r + 1 taps; np.arange rounds the length, so the bound keeps a margin.
 _MAX_SIGMA = (np.iinfo(np.intp).max // 32 + 1) // 4
@@ -71,31 +78,59 @@ class PhantomConfig:
 def _ellipsoid_box(shape, center, semi):
     """The ellipsoid's bounding box in ``shape`` and the mask of its voxels inside that box."""
     box = tuple(
-        slice(max(0, int(np.floor(c - r))), min(dim, int(np.ceil(c + r)) + 1))
+        slice(max(0, math.floor(c - r)), min(dim, math.ceil(c + r) + 1))
         for dim, c, r in zip(shape, center, semi)
     )
-    z, y, x = np.ogrid[box]
+    z, y, x = (np.arange(b.start, b.stop) for b in box)
     inside = (
-        ((z - center[0]) / semi[0]) ** 2
-        + ((y - center[1]) / semi[1]) ** 2
+        ((z[:, None, None] - center[0]) / semi[0]) ** 2
+        + ((y[:, None] - center[1]) / semi[1]) ** 2
         + ((x - center[2]) / semi[2]) ** 2
     ) <= 1.0
     return box, inside
 
 
-def _too_close(center, placed, threshold):
-    """Whether ``np.linalg.norm(center - placed[i]) < threshold[i]`` for some row i.
+def _too_close_rows(centers, placed, threshold):
+    """Per row i, whether ``np.linalg.norm(centers[i] - placed[j]) < threshold[i, j]`` for some j.
 
-    Rows within a relative 1e-9 of their threshold take that scalar rule
+    Entries within a relative 1e-9 of their threshold take that scalar rule
     itself; :func:`generate_phantom` says why the others need not.
     """
-    d = center - placed
-    off = np.sqrt(np.einsum("ij,ij->i", d, d)) - threshold
+    d = centers[:, None] - placed
+    off = np.sqrt(np.einsum("ijk,ijk->ij", d, d)) - threshold
     band = threshold * 1e-9
-    if (off < -band).any():
-        return True
-    near = np.flatnonzero(np.abs(off) <= band)  # every other row has off > band
-    return any(np.linalg.norm(center - placed[i]) < threshold[i] for i in near)
+    close = (off < -band).any(axis=1)
+    for i, j in zip(*np.nonzero(np.abs(off) <= band)):  # every other entry has off > band
+        close[i] |= np.linalg.norm(centers[i] - placed[j]) < threshold[i, j]
+    return close
+
+
+def _first_free(labels, centers, semis):
+    """The first row whose ellipsoid holds no labelled voxel, as ``(row, box, inside)``; or None."""
+    # every semi-axis is >= 1 > sqrt(3)/2, so the rounded center voxel lies inside the
+    # ellipsoid: when it is taken, the full test would reject too
+    taken = labels[tuple(round_half_away(centers).astype(np.intp).T)]
+    centers, semis = centers.tolist(), semis.tolist()
+    for i in np.flatnonzero(taken == 0).tolist():
+        box, inside = _ellipsoid_box(labels.shape, centers[i], semis[i])
+        if not labels[box][inside].any():
+            return i, box, inside
+    return None
+
+
+def _first_apart(shape, centers, semis, placed, placed_reach, gap):
+    """The first row whose bounding sphere lies ``gap`` or more from each placed one's.
+
+    Returned as by :func:`_first_free`. A sphere's radius is the largest
+    semi-axis; ``placed_reach`` holds those of the placed instances.
+    """
+    reach = semis.max(axis=1)
+    close = _too_close_rows(centers, placed, (reach[:, None] + placed_reach) + gap)
+    apart = np.flatnonzero(~close)
+    if not apart.size:
+        return None
+    i = int(apart[0])
+    return (i, *_ellipsoid_box(shape, centers[i].tolist(), semis[i].tolist()))
 
 
 def generate_phantom(cfg):
@@ -108,17 +143,34 @@ def generate_phantom(cfg):
     adjacency is allowed. Returns ``(labels, raw_image)``; label IDs are
     1..n in placement order.
 
-    Each attempt costs a fixed number of numpy calls, however many instances
-    are placed: it reads the labels in its bounding box (``allow_touching``)
-    or tests all placed centers at once. That test is exact: three rounded
-    squares summed in any order (``np.linalg.norm``'s is BLAS ``ddot``) lie
-    within a relative 3u of the exact sum (u = 2**-53), which ``sqrt``
-    halves and rounds, so two such distances differ by about 5u at most; a
-    distance within a relative 1e-9 of its threshold takes the norm itself.
+    Each attempt draws its three semi-axes and, if their margins fit the
+    shape, its three center coordinates: 3 or 6 draws. PCG64 spends one
+    64-bit output on each double, and ``uniform(a, b)`` is ``a + (b - a) *
+    u`` for the next double ``u``, so attempts are drawn in batches, as rows
+    of one ``random`` call, six doubles a row, which are the same floats. A
+    row whose margins do not fit ends the batch: it drew three doubles, so
+    the rows after it are not attempts. The first row that passes is
+    placed. The generator is then rewound to the batch's start and advanced
+    by the draws of the attempts up to that row, so the intensities and the
+    noise come from where attempts made one at a time would leave the
+    stream.
+
+    A batch of separated attempts costs a fixed number of numpy calls,
+    however many instances are placed: it tests all its centers against all
+    placed centers at once. A batch of ``allow_touching`` attempts reads the
+    labels at all its rounded centers at once, then the bounding box of each
+    free one in attempt order until one is placed. The distance test is
+    exact: three rounded squares summed in any order (``np.linalg.norm``'s
+    is BLAS ``ddot``) lie within a relative 3u of the exact sum (u =
+    2**-53), which ``sqrt`` halves and rounds, so two such distances differ
+    by about 5u at most; a distance within a relative 1e-9 of its threshold
+    takes the norm itself.
     """
     rng = np.random.default_rng(check_volume("", cfg, PhantomConfig).rng_seed)
+    bits = rng.bit_generator
     labels = np.zeros(cfg.shape, dtype=np.int32)
     rmin, rmax = cfg.radius_range
+    top = np.array(cfg.shape, dtype=np.float64) - 1
     gap = max(cfg.min_gap, 2.0)
     min_margin = np.ceil(rmin) + 1
     if cfg.n_instances and any(2 * min_margin >= dim - 1 for dim in cfg.shape):
@@ -130,32 +182,38 @@ def generate_phantom(cfg):
 
     for instance in range(1, cfg.n_instances + 1):
         n = instance - 1
-        for attempt in range(_MAX_ATTEMPTS):
-            semi = rng.uniform(rmin, rmax, size=3)
+        attempt = 0
+        while attempt < _MAX_ATTEMPTS:
+            k = min(max(_FIRST_BATCH, attempt), _BATCH, _MAX_ATTEMPTS - attempt)
+            state = bits.state
+            u = rng.random((k, 6))
+            semi = rmin + (rmax - rmin) * u[:, :3]
             margin = np.ceil(semi) + 1
-            if any(2 * m >= dim - 1 for m, dim in zip(margin, cfg.shape)):
-                continue
-            center = np.array(
-                [rng.uniform(m, dim - 1 - m) for m, dim in zip(margin, cfg.shape)]
-            )
+            fits = (2 * margin < top).all(axis=1)
+            j = k if fits.all() else int(fits.argmin())  # rows 0 .. j - 1 drew a center
+            semi, margin = semi[:j], margin[:j]
+            center = margin + ((top - margin) - margin) * u[:j, 3:]
             if cfg.allow_touching:
-                # every semi-axis is >= 1 > sqrt(3)/2, so the rounded center voxel lies
-                # inside the ellipsoid: when it is taken, the full test would reject too
-                if labels[tuple(round_half_away(center).astype(np.intp))]:
-                    continue
-                box, inside = _ellipsoid_box(cfg.shape, center, semi)
-                if labels[box][inside].any():
-                    continue
+                found = _first_free(labels, center, semi)
             else:
-                reach = semi.max()
-                if n and _too_close(center, centers[:n], (reach + smax[:n]) + gap):
-                    continue
-                if n == len(smax):
-                    centers, smax = np.resize(centers, (2 * n, 3)), np.resize(smax, 2 * n)
-                centers[n], smax[n] = center, reach
-                box, inside = _ellipsoid_box(cfg.shape, center, semi)
-            labels[box][inside] = instance
-            break
+                found = _first_apart(cfg.shape, center, semi, centers[:n], smax[:n], gap)
+            if found is not None:
+                draws = 6 * found[0] + 6
+            elif j < k:  # row j drew its semi-axes only
+                draws, attempt = 6 * j + 3, attempt + j + 1
+            else:
+                draws, attempt = 6 * k, attempt + k
+            if draws < 6 * k:
+                bits.state = state
+                bits.advance(draws)
+            if found is not None:
+                i, box, inside = found
+                if not cfg.allow_touching:
+                    if n == len(smax):
+                        centers, smax = np.resize(centers, (2 * n, 3)), np.resize(smax, 2 * n)
+                    centers[n], smax[n] = center[i], semi[i].max()
+                labels[box][inside] = instance
+                break
         else:
             raise PlacementError(
                 f"placement-failure: gave up after {_MAX_ATTEMPTS} attempts "

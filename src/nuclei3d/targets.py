@@ -154,11 +154,16 @@ def encode_cpv(labels):
     zero vector. Centers are computed on the un-eroded labels.
     """
     out = np.zeros((3,) + check_volume("labels", labels, LabelVolume).shape, dtype=np.float64)
+    _fill_cpv(labels, out)
+    return Volume(out, labels.voxel_size)
+
+
+def _fill_cpv(labels, out):
+    """Write :func:`encode_cpv`'s foreground vectors into the zeroed ``(3, *shape)`` ``out``."""
     fg, rank = labels._fg_rank
     per_voxel = labels.centers[rank]
     for k, c in enumerate(np.unravel_index(fg, labels.shape)):
         out[k].flat[fg] = per_voxel[:, k] - c
-    return Volume(out, labels.voxel_size)
 
 
 def encode_gauss(labels, sigma=2.0):
@@ -210,7 +215,8 @@ def encode_bundle(labels, variant, with_cpv=False, tanh_scale=5.0, sigma=2.0):
 
     The 3-label variant is bundled as three one-hot probability channels in
     class order (background, interior, boundary) so the result is shaped
-    like the matching model output and feeds post-processing directly.
+    like the matching model output and feeds post-processing directly. With
+    CPV, the main channels and the vectors are written into one array.
     """
     if check_choice("variant", variant, VARIANTS) == "sdt":
         main = encode_sdt(labels, scale=tanh_scale).data
@@ -222,5 +228,10 @@ def encode_bundle(labels, variant, with_cpv=False, tanh_scale=5.0, sigma=2.0):
     else:
         main = encode_gauss(labels, sigma=sigma).data
     if with_cpv:
-        main = np.concatenate([main, encode_cpv(labels).data], axis=0)
+        m = len(main)
+        out = np.empty((m + 3,) + labels.shape)
+        out[:m] = main
+        out[m:] = 0.0
+        _fill_cpv(labels, out[m:])
+        main = out
     return TargetBundle(Volume(main, labels.voxel_size), variant, with_cpv)

@@ -23,11 +23,13 @@ from nuclei3d import (
     perturb_target,
     ssd_loss,
 )
-from nuclei3d.core import check_number, components, pair_counts
+from nuclei3d.core import check_number, components, face_neighbours, pair_counts
 from nuclei3d.errors import ShapeMismatchError
 
 from conftest import edge_labels, random_blob_labels
-from oracles import com_oracle, dilate_oracle, erode_oracle, unionfind_components
+from oracles import (
+    FACE_OFFSETS, com_oracle, dilate_oracle, erode_oracle, unionfind_components,
+)
 
 
 def make_labels(coords_by_id, shape=(6, 6, 6)):
@@ -216,6 +218,19 @@ class TestPairCounts:
         assert got[2].sum() == a.size
         np.testing.assert_array_equal(a, a_before)
         np.testing.assert_array_equal(b, b_before)
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (1, 4, 1), (3, 4, 5), (6, 2, 7)])
+def test_face_neighbours_match_per_offset_oracle(rng, shape):
+    idx = rng.permutation(math.prod(shape))[: max(1, math.prod(shape) // 2)]
+    expected = [
+        [np.ravel_multi_index(n, shape) if all(0 <= c < d for c, d in zip(n, shape)) else i
+         for n in (np.add(np.unravel_index(i, shape), off) for off in FACE_OFFSETS)]
+        for i in idx
+    ]
+    got = face_neighbours(idx, shape)
+    assert got.shape == (idx.size, 6) and got.dtype == np.intp
+    np.testing.assert_array_equal(got, np.array(expected, dtype=np.intp).reshape(-1, 6))
 
 
 class TestCenterOfMass:

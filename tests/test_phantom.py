@@ -116,11 +116,18 @@ class TestGenerate:
             touching |= bool(((a > 0) & (b > 0) & (a != b)).any())
         assert touching
 
-    @pytest.mark.parametrize("radius_range", [(1.0, 1.5), (2.0, 4.0), (3.0, 6.0)])
-    def test_touching_placement_matches_full_test_oracle(self, radius_range):
+    # a semi-axis above 2 fails the margins of the 9-voxel z axis: that attempt draws no center
+    MARGIN_FAILING = ((9, 30, 30), (1.0, 3.5))
+
+    @pytest.mark.parametrize(
+        "shape,radius_range",
+        [((16, 30, 30), (1.0, 1.5)), ((16, 30, 30), (2.0, 4.0)), ((16, 30, 30), (3.0, 6.0)),
+         MARGIN_FAILING],
+    )
+    def test_touching_placement_matches_full_test_oracle(self, shape, radius_range):
         for seed in range(4):
             cfg = PhantomConfig(
-                shape=(16, 30, 30), n_instances=30, radius_range=radius_range,
+                shape=shape, n_instances=30, radius_range=radius_range,
                 allow_touching=True, rng_seed=seed,
             )
             expected = touching_phantom_oracle(cfg)
@@ -132,14 +139,18 @@ class TestGenerate:
 
     @pytest.mark.parametrize("n_instances", [8, 16])
     @pytest.mark.parametrize("min_gap", [0.0, 2.0, 5.5])
-    @pytest.mark.parametrize("radius_range", [(1.0, 1.5), (2.0, 4.0), (3.0, 6.0)])
+    @pytest.mark.parametrize(
+        "shape,radius_range",
+        [((24, 48, 48), (1.0, 1.5)), ((24, 48, 48), (2.0, 4.0)), ((24, 48, 48), (3.0, 6.0)),
+         MARGIN_FAILING],
+    )
     def test_separated_placement_matches_per_instance_norm_oracle(
-        self, radius_range, min_gap, n_instances
+        self, shape, radius_range, min_gap, n_instances
     ):
         # 16 instances of radius up to 4 or 6 cannot all be placed: both sides give up
         for seed in range(3):
             cfg = PhantomConfig(
-                shape=(24, 48, 48), n_instances=n_instances, radius_range=radius_range,
+                shape=shape, n_instances=n_instances, radius_range=radius_range,
                 min_gap=min_gap, rng_seed=seed,
             )
             expected = separated_phantom_oracle(cfg)
@@ -213,6 +224,64 @@ class TestGenerate:
             "54df58cffd9f652015d3990408cd08f519c084dd6138cccf70a624535c961f48"
         )
 
+    @pytest.mark.parametrize(
+        "cfg,raw_digest,labels_digest",
+        [
+            (  # crowded: asked for 70 instances, this seed gives up on the 70th
+                PhantomConfig(
+                    shape=(16, 48, 48), n_instances=68, radius_range=(2.0, 4.0),
+                    allow_touching=True, rng_seed=3, noise_sigma=0.05, smoothing_sigma=0.7,
+                ),
+                "2ac881b27e69bc9ebc59ae73b5d32de33da90be9b389ad252ca2a53c0aa9c0c8",
+                "f8af8932265c1b071f7a2612484f4f6be345d342e999cd9ca4f4486ad3b597a0",
+            ),
+            (  # margins fail on the 9-voxel z axis
+                PhantomConfig(
+                    shape=(9, 30, 30), n_instances=8, radius_range=(1.0, 3.5), min_gap=2.0,
+                    rng_seed=0, noise_sigma=0.1, smoothing_sigma=0.6,
+                ),
+                "0d0b6c13113ce3b2a67b900a2ba1783f34d10ce7cc024a285b7d94ff60d6255e",
+                "ceca2f3d50bbe96afd0491b2dd36536cf00606047f11db2ddea1900de63e937c",
+            ),
+        ],
+        ids=["crowded_touching", "margin_failing_separated"],
+    )
+    def test_raw_after_many_attempts_is_pinned(self, cfg, raw_digest, labels_digest):
+        # intensities and noise are drawn after placement, from where its last attempt left
+        # the stream, so a raw digest pins the draws that placement consumed
+        labels, raw = generate_phantom(cfg)
+        assert hashlib.sha256(raw.data.tobytes()).hexdigest() == raw_digest
+        assert hashlib.sha256(labels.labels.tobytes()).hexdigest() == labels_digest
+
+    @pytest.mark.parametrize("first,batch", [(1, 1), (3, 7), (5, 5), (400, 400)])
+    def test_batch_sizes_change_no_bit(self, monkeypatch, first, batch):
+        # a batch reaching past the placed attempt or the attempt limit is rewound
+        configs = [
+            PhantomConfig(
+                shape=(16, 48, 48), n_instances=68, radius_range=(2.0, 4.0),
+                allow_touching=True, rng_seed=3, noise_sigma=0.05,
+            ),
+            PhantomConfig(
+                shape=(9, 30, 30), n_instances=8, radius_range=(1.0, 3.5), rng_seed=0,
+                noise_sigma=0.1,
+            ),
+            PhantomConfig(shape=(9, 30, 30), n_instances=8, radius_range=(1.0, 3.5), rng_seed=2),
+        ]
+
+        def outcomes():
+            for cfg in configs:
+                try:
+                    labels, raw = generate_phantom(cfg)
+                except PlacementError as e:
+                    yield str(e)
+                else:
+                    yield labels.labels.tobytes() + raw.data.tobytes()
+
+        expected = list(outcomes())
+        monkeypatch.setattr(phantom_module, "_FIRST_BATCH", first)
+        monkeypatch.setattr(phantom_module, "_BATCH", batch)
+        assert list(outcomes()) == expected
+
     def test_numpy_scalars_are_plain_numbers(self):
         cfg = PhantomConfig(
             shape=[np.int64(8), np.int32(9), 10], n_instances=1,
@@ -255,15 +324,20 @@ def _ulps(t, k):
 
 
 class TestSeparation:
-    """``_too_close`` decides every row as ``np.linalg.norm(center - c) < t`` does."""
+    """``_too_close_rows`` decides every pair as ``np.linalg.norm(center - c) < t`` does."""
 
     @staticmethod
-    def assert_scalar_rule(center, placed, thresholds):
+    def too_close(centers, placed, thresholds):
+        return phantom_module._too_close_rows(
+            np.asarray(centers, float), np.asarray(placed, float), np.asarray(thresholds, float)
+        ).tolist()
+
+    def assert_scalar_rule(self, center, placed, thresholds):
         center, placed = np.asarray(center, float), np.asarray(placed, float)
         rows = [np.linalg.norm(center - c) < t for c, t in zip(placed, thresholds)]
         for c, t, rule in zip(placed, thresholds, rows):
-            assert phantom_module._too_close(center, c[None], np.array([t])) == rule
-        assert phantom_module._too_close(center, placed, np.array(thresholds)) == any(rows)
+            assert self.too_close([center], [c], [[t]]) == [rule]
+        assert self.too_close([center], placed, [thresholds]) == [any(rows)]
         return rows
 
     @pytest.mark.parametrize("k", [-3, -1, 0, 1, 3])
@@ -288,11 +362,12 @@ class TestSeparation:
         for k in (-2, -1, 0, 1, 2):
             thresholds = [_ulps(n, k) for n in norms]
             assert self.assert_scalar_rule(center, placed, thresholds) == [k > 0] * len(norms)
-            # one row closer than its threshold among rows that are not
-            for i in (0, 150, 299):
-                mixed = [_ulps(n, -1) for n in norms]
-                mixed[i] = _ulps(norms[i], k)
-                assert phantom_module._too_close(center, placed, np.array(mixed)) == (k > 0)
+            # a batch of attempts at one center, each with one placed center closer
+            # than its threshold among others that are not, and one with none
+            mixed = np.array([[_ulps(n, -1) for n in norms]] * 4)
+            for row, i in enumerate((0, 150, 299)):
+                mixed[row, i] = _ulps(norms[i], k)
+            assert self.too_close([center] * 4, placed, mixed) == [k > 0] * 3 + [False]
 
 
 class TestPerturb:

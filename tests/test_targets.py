@@ -17,7 +17,7 @@ from nuclei3d import (
 )
 from nuclei3d.core import boundary_mask
 from nuclei3d.errors import ChannelCountError
-from nuclei3d.targets import BACKGROUND, BOUNDARY, INTERIOR
+from nuclei3d.targets import BACKGROUND, BOUNDARY, INTERIOR, VARIANTS
 
 from conftest import ball_labels, edge_labels, random_blob_labels
 from oracles import (
@@ -366,6 +366,11 @@ class TestBundle:
         b = encode_bundle(blobs, "sdt", with_cpv=True)
         np.testing.assert_array_equal(b.volume.data[1:], encode_cpv(blobs).data)
         np.testing.assert_array_equal(b.volume.data[0], encode_sdt(blobs).channel(0))
+        for variant in VARIANTS:  # the same bytes as the two volumes stacked
+            data = encode_bundle(blobs, variant, with_cpv=True).volume.data
+            main = encode_bundle(blobs, variant).volume.data
+            assert data.dtype == main.dtype == np.float64
+            assert data.tobytes() == main.tobytes() + encode_cpv(blobs).data.tobytes()
 
     def test_unknown_variant(self, blobs):
         with pytest.raises(ValueError):
