@@ -43,18 +43,18 @@ class EvalReport:
 
     def to_mapping(self):
         """Stable-order mapping for the YAML report format."""
+        def counts(row):
+            return dict(zip(("tp", "fp", "fn"), row))
+
         out = {}
         if self.ap_per_iou is not None:
-            seg = {"av_ap": self.av_ap, "ap": {}, "counts": {}}
-            for t in IOU_THRESHOLDS:
-                key = f"{t:.2f}"
-                seg["ap"][key] = self.ap_per_iou[t]
-                tp, fp, fn = self.seg_counts[t]
-                seg["counts"][key] = {"tp": tp, "fp": fp, "fn": fn}
-            out["segmentation"] = seg
+            out["segmentation"] = {
+                "av_ap": self.av_ap,
+                "ap": {f"{t:.2f}": self.ap_per_iou[t] for t in IOU_THRESHOLDS},
+                "counts": {f"{t:.2f}": counts(self.seg_counts[t]) for t in IOU_THRESHOLDS},
+            }
         if self.detection_ap is not None:
-            tp, fp, fn = self.detection_counts
-            out["detection"] = {"ap": self.detection_ap, "counts": {"tp": tp, "fp": fp, "fn": fn}}
+            out["detection"] = {"ap": self.detection_ap, "counts": counts(self.detection_counts)}
         return out
 
 
@@ -83,26 +83,27 @@ def segmentation_ap(gt, pred, iou_threshold):
     (ap, tp, fp, fn)
     """
     check_number("iou_threshold", iou_threshold, gt=0, lt=1)
-    matched = _matched_ious(iou_matrix(gt, pred))
-    return _ap_counts(sum(iou > iou_threshold for iou in matched), gt.ids().size, pred.ids().size)
+    return _seg_table(gt, pred, (iou_threshold,))[iou_threshold]
 
 
-def _matched_ious(ious):
-    """IoU of each greedy one-to-one match over all ``iou_matrix`` pairs.
+def _seg_table(gt, pred, thresholds):
+    """``{t: (ap, tp, fp, fn)}`` for each IoU threshold ``t``, from one greedy pass.
 
-    Pairs are visited by (descending IoU, gt id, pred id). The pairs above
-    any threshold are a prefix of that order and a greedy decision depends
-    only on earlier pairs, so the matches of the greedy pass restricted to
-    IoU > t are exactly the matches here with IoU > t.
+    The pass matches one-to-one over all ``iou_matrix`` pairs, visited by
+    (descending IoU, gt id, pred id). The pairs above any threshold are a
+    prefix of that order and a greedy decision depends only on earlier
+    pairs, so the matches of the greedy pass restricted to IoU > t are
+    exactly the matches here with IoU > t.
     """
     matched_gt, matched_pred = set(), set()
     matched = []
-    for (g, p), iou in sorted(ious.items(), key=lambda kv: (-kv[1], kv[0])):
+    for (g, p), iou in sorted(iou_matrix(gt, pred).items(), key=lambda kv: (-kv[1], kv[0])):
         if g not in matched_gt and p not in matched_pred:
             matched_gt.add(g)
             matched_pred.add(p)
             matched.append(iou)
-    return matched
+    n_gt, n_pred = gt.ids().size, pred.ids().size
+    return {t: _ap_counts(sum(iou > t for iou in matched), n_gt, n_pred) for t in thresholds}
 
 
 def _ap_counts(tp, n_gt, n_pred):
@@ -138,48 +139,45 @@ def detection_ap(gt, detections):
 def evaluate(gt, seg=None, detections=None):
     """Fill an EvalReport for whichever predictions are supplied."""
     check_volume("gt", gt, LabelVolume)
-    ap_per_iou = seg_counts = av_ap = None
-    det_ap = det_counts = None
-    if seg is not None:
-        matched = _matched_ious(iou_matrix(gt, seg))
-        n_gt, n_seg = gt.ids().size, seg.ids().size
-        matches = {
-            t: _ap_counts(sum(iou > t for iou in matched), n_gt, n_seg) for t in IOU_THRESHOLDS
-        }
-        ap_per_iou = {t: m[0] for t, m in matches.items()}
-        seg_counts = {t: m[1:] for t, m in matches.items()}
-        av_ap = sum(ap_per_iou[t] for t in IOU_THRESHOLDS) / len(IOU_THRESHOLDS)
-    if detections is not None:
-        det_ap, tp, fp, fn = detection_ap(gt, detections)
-        det_counts = (tp, fp, fn)
-    return EvalReport(ap_per_iou, seg_counts, av_ap, det_ap, det_counts)
+    table = None if seg is None else _seg_table(gt, seg, IOU_THRESHOLDS)
+    det = None if detections is None else detection_ap(gt, detections)
+    return _report(table, det)
 
 
 def aggregate_reports(reports):
-    """Field-wise mean of AP values; counts are summed."""
+    """Per IoU threshold the mean AP and the summed counts; detection AP and counts likewise.
+
+    avAP is the mean over thresholds of these per-threshold mean APs, taken
+    by the same builder as ``evaluate``'s.
+    """
     if not reports:
         raise ValueError("cannot aggregate an empty report list")
     for r in reports:
         check_volume("", r, EvalReport)
-    has_seg = reports[0].ap_per_iou is not None
-    has_det = reports[0].detection_ap is not None
-    if any((r.ap_per_iou is not None) != has_seg for r in reports) or any(
-        (r.detection_ap is not None) != has_det for r in reports
-    ):
+    kinds = {(r.ap_per_iou is not None, r.detection_ap is not None) for r in reports}
+    if len(kinds) != 1:
         raise ValueError("reports carry different fields; cannot aggregate")
+    [(has_seg, has_det)] = kinds
 
-    ap_per_iou = seg_counts = av_ap = None
-    det_ap = det_counts = None
-    if has_seg:
-        ap_per_iou = {
-            t: sum(r.ap_per_iou[t] for r in reports) / len(reports) for t in IOU_THRESHOLDS
-        }
-        seg_counts = {
-            t: tuple(sum(r.seg_counts[t][i] for r in reports) for i in range(3))
-            for t in IOU_THRESHOLDS
-        }
-        av_ap = sum(ap_per_iou[t] for t in IOU_THRESHOLDS) / len(IOU_THRESHOLDS)
-    if has_det:
-        det_ap = sum(r.detection_ap for r in reports) / len(reports)
-        det_counts = tuple(sum(r.detection_counts[i] for r in reports) for i in range(3))
+    def pooled(rows):
+        aps, *counts = zip(*rows)
+        return (sum(aps) / len(reports), *map(sum, counts))
+
+    table = {
+        t: pooled((r.ap_per_iou[t], *r.seg_counts[t]) for r in reports) for t in IOU_THRESHOLDS
+    } if has_seg else None
+    det = pooled((r.detection_ap, *r.detection_counts) for r in reports) if has_det else None
+    return _report(table, det)
+
+
+def _report(table, det):
+    """The EvalReport of a ``{t: (ap, tp, fp, fn)}`` table over ``IOU_THRESHOLDS``, whose
+    mean AP is the avAP, and a detection ``(ap, tp, fp, fn)`` row; either may be None."""
+    ap_per_iou = seg_counts = av_ap = det_ap = det_counts = None
+    if table is not None:
+        ap_per_iou = {t: table[t][0] for t in IOU_THRESHOLDS}
+        seg_counts = {t: table[t][1:] for t in IOU_THRESHOLDS}
+        av_ap = sum(ap_per_iou.values()) / len(IOU_THRESHOLDS)
+    if det is not None:
+        det_ap, det_counts = det[0], det[1:]
     return EvalReport(ap_per_iou, seg_counts, av_ap, det_ap, det_counts)

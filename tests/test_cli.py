@@ -53,11 +53,19 @@ def test_phantom_rerun_is_byte_identical(workdir):
     assert (workdir / "a_raw.v3dr").read_bytes() == (workdir / "b_raw.v3dr").read_bytes()
 
 
-def test_phantom_placement_failure_exit_2(workdir, capsys):
-    bad = PhantomConfig(shape=(10, 10, 10), n_instances=80, radius_range=(3.0, 3.0))
+@pytest.mark.parametrize(
+    "shape,n_instances,expected",
+    [
+        ((10, 10, 10), 80, "placement-failure"),
+        ((8, 8, 8), 1, "placement-failure: shape (8, 8, 8) too small for radius 3.0"),
+    ],
+)
+def test_phantom_placement_failure_exit_2(workdir, capsys, shape, n_instances, expected):
+    bad = PhantomConfig(shape=shape, n_instances=n_instances, radius_range=(3.0, 3.0))
     write_report(workdir / "bad.yaml", bad.to_mapping())
     assert main(["phantom", str(workdir / "bad.yaml"), str(workdir / "x_")]) == 2
-    assert "placement-failure" in capsys.readouterr().err
+    assert expected in _one_line_error(capsys)
+    assert not list(workdir.glob("x_*"))
 
 
 @pytest.mark.parametrize(
@@ -564,6 +572,14 @@ def _first_voxel(value):
     return write
 
 
+def _zero_count(path):
+    """An f32 volume file whose header declares zero z slices."""
+    write_volume(path, Volume(np.zeros((2, 3, 4), np.float32)))
+    raw = bytearray(path.read_bytes())
+    raw[16:20] = struct.pack("<I", 0)
+    path.write_bytes(bytes(raw))
+
+
 @pytest.mark.parametrize(
     "write,argv,expected",
     [
@@ -604,12 +620,19 @@ def _first_voxel(value):
          "{gt} shape (20, 36, 36) vs {input} shape (20, 36, 37)"),
         (_shape_mismatch_sweep, ["sweep", "{input}", "{out}"],
          "{gt} shape (20, 36, 36) vs {pred} shape (20, 36, 37)"),
+        (_zero_count, ["segment", "{input}", "{out}", "--variant", "sdt"],
+         "{input}: non-positive count in header"),
+        (lambda p: p.write_text("z,y,x,score\n1,2,3,0.5\nnan,2,3,0.5\n"),
+         ["evaluate", "{gt}", "{out}", "--dets", "{input}"], "{input}: line 3: non-finite value"),
+        (lambda p: p.write_text("shape: [10, 20, 20]\nn_instances: 1\nradius_range: [3, 2]\n"),
+         ["phantom", "{input}", "{out}"], "radius_range must have min <= max, got [3.0, 2.0]"),
     ],
     ids=["phantom-radius-inf", "segment-cpv-threshold-inf", "sweep-threshold-text",
          "sweep-scalar-source", "encode-sigma-nan", "evaluate-voxel-size-inf",
          "evaluate-seg-negative-label", "segment-nan-payload", "detect-inf-payload",
          "phantom-noise-overflow", "phantom-key-line-break", "evaluate-dets-non-ascii",
-         "evaluate-seg-shape-mismatch", "sweep-shape-mismatch"],
+         "evaluate-seg-shape-mismatch", "sweep-shape-mismatch", "segment-zero-count",
+         "evaluate-dets-nan", "phantom-radius-min-above-max"],
 )
 def test_refused_value_is_one_line_error(workdir, capsys, request, write, argv, expected):
     case = request.node.callspec.id

@@ -146,6 +146,9 @@ class TestContainers:
         c = LabelVolume(np.full((2, 2, 2), 2, dtype=np.int32))
         assert a == b and a != c
         assert a != LabelVolume(np.ones((2, 2, 2), dtype=np.int32), VoxelSize(2.0, 1.0, 1.0))
+        # another type is never equal: both sides return NotImplemented
+        assert (a == "x") is False and (Volume(np.ones((2, 2, 2))) == 3) is False
+        assert a.__eq__("x") is Volume(np.ones((2, 2, 2))).__eq__(3) is NotImplemented
 
 
 class TestIds:

@@ -119,14 +119,25 @@ def test_payload_one_byte_off_names_both_sizes(tmp_path, dtype, delta):
         read_volume(path)
 
 
-def test_huge_header_counts_refused_without_allocating(tmp_path):
+@pytest.mark.parametrize(
+    "counts,error,message",
+    [
+        ((2**32 - 1,) * 4, TruncatedPayloadError,
+         f"payload has 32 bytes, header declares {(2**32 - 1) ** 4 * 4}"),
+        ((0, 2, 2, 2), FormatError, "non-positive count in header"),
+        ((1, 2, 0, 2), FormatError, "non-positive count in header"),
+    ],
+    ids=["huge", "zero-channels", "zero-y"],
+)
+def test_header_counts_refused_without_allocating(tmp_path, counts, error, message):
     path = tmp_path / "v.v3dr"
     write_volume(path, Volume(np.zeros((1, 2, 2, 2), dtype=np.float32)))
     raw = bytearray(path.read_bytes())
-    raw[12:28] = struct.pack("<4I", *(2**32 - 1,) * 4)
+    raw[12:28] = struct.pack("<4I", *counts)
     path.write_bytes(bytes(raw))
-    with pytest.raises(TruncatedPayloadError, match="payload has 32 bytes"):
+    with pytest.raises(error) as info:
         read_volume(path)
+    assert str(info.value) == f"{path}: {message}"
 
 
 def test_truncated_header(tmp_path):
@@ -264,11 +275,22 @@ class TestDetections:
         assert str(info.value) == message
         assert not path.exists()
 
-    def test_malformed_row_names_line(self, tmp_path):
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            ("1,2,3,0.5\n1,2,oops,0.5\n", "line 3: non-numeric field"),
+            ("nan,2,3,0.5\n", "line 2: non-finite value"),
+            ("1,2,3,inf\n", "line 2: non-finite value"),
+            ("1,-Infinity,3,0.5\n", "line 2: non-finite value"),
+        ],
+        ids=["text", "nan", "inf", "minus-infinity"],
+    )
+    def test_malformed_row_names_line(self, tmp_path, rows, message):
         path = tmp_path / "d.csv"
-        path.write_text("z,y,x,score\n1,2,3,0.5\n1,2,oops,0.5\n")
-        with pytest.raises(MalformedRowError, match="line 3"):
+        path.write_text("z,y,x,score\n" + rows)
+        with pytest.raises(MalformedRowError) as info:
             read_detections(path)
+        assert str(info.value) == f"{path}: {message}"
 
     # only "\n" ends a row: "\x1c" is a line break to str.splitlines, not to the writer
     @pytest.mark.parametrize("row", ["1,2,3", "1,2,3,4\x1c5,6,7,8"], ids=["short", "x1c"])

@@ -148,6 +148,7 @@ class TestSegmentationAp:
         assert a == b
 
     def test_greedy_equals_exhaustive_on_random_layouts(self, rng):
+        """Also: each threshold's ``segmentation_ap`` is that row of ``evaluate``'s table."""
         for _ in range(30):
             gt = random_blob_labels(rng, (7, 7, 7), int(rng.integers(1, 5)))
             pred = np.roll(gt, tuple(rng.integers(-1, 2, size=3)), axis=(0, 1, 2))
@@ -157,6 +158,9 @@ class TestSegmentationAp:
                 best = optimal_match_count(iou_pairs_oracle(gt, pred), gtv.ids(), t)
                 assert tp == best
                 assert fp == len(prv.ids()) - best and fn == len(gtv.ids()) - best
+            report = evaluate(gtv, seg=prv)
+            for t in IOU_THRESHOLDS:
+                assert segmentation_ap(gtv, prv, t) == (report.ap_per_iou[t], *report.seg_counts[t])
 
     def test_empty_gt_and_pred_is_one(self):
         empty = labels_from(np.zeros((2, 2, 2)))
@@ -495,9 +499,22 @@ class TestEvaluateAndAggregate:
             manual = sum(r.ap_per_iou[t] for r in reports) / 3
             assert agg.ap_per_iou[t] == pytest.approx(manual, abs=1e-15)
 
-    def test_aggregate_empty_list_raises(self):
-        with pytest.raises(ValueError):
-            aggregate_reports([])
+    @pytest.mark.parametrize(
+        "inputs,expected",
+        [
+            ((), "cannot aggregate an empty report list"),
+            (("seg", "dets"), "reports carry different fields; cannot aggregate"),
+            (("seg", "both"), "reports carry different fields; cannot aggregate"),
+        ],
+        ids=["empty", "seg-and-detection-only", "seg-and-both"],
+    )
+    def test_aggregate_refusal_names_the_fault(self, inputs, expected):
+        lab = labels_from(np.ones((2, 2, 2)))
+        given = {"seg": {"seg": lab}, "dets": {"detections": []},
+                 "both": {"seg": lab, "detections": []}}
+        with pytest.raises(ValueError) as info:
+            aggregate_reports([evaluate(lab, **given[k]) for k in inputs])
+        assert str(info.value) == expected
 
     def test_report_mapping_field_order(self, rng):
         lab = labels_from(random_blob_labels(rng, (6, 6, 6), 2))

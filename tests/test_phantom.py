@@ -53,8 +53,12 @@ def pairwise_min_surface_distance(lab):
 
 
 class TestGenerate:
-    def test_zero_instances(self):
-        cfg = small_cfg(n_instances=0, noise_sigma=0.1)
+    # (8, 8, 8) is too small for one instance of radius 3, but zero instances need no room
+    @pytest.mark.parametrize(
+        "shape,radius_range", [((24, 40, 40), (2.5, 4.0)), ((8, 8, 8), (3, 3))]
+    )
+    def test_zero_instances(self, shape, radius_range):
+        cfg = small_cfg(shape=shape, radius_range=radius_range, n_instances=0, noise_sigma=0.1)
         labels, raw = generate_phantom(cfg)
         assert labels.ids().size == 0
         assert raw.data.std() > 0  # pure noise image
@@ -171,11 +175,18 @@ class TestGenerate:
         assert expected is not None
         np.testing.assert_array_equal(generate_phantom(cfg)[0].labels, expected)
 
-    def test_placement_failure(self):
+    @pytest.mark.parametrize(
+        "shape,n_instances,expected",
+        [
+            ((12, 12, 12), 50, "placement-failure"),
+            ((8, 8, 8), 1, "placement-failure: shape (8, 8, 8) too small for radius 3.0"),
+        ],
+    )
+    def test_placement_failure(self, shape, n_instances, expected):
         cfg = PhantomConfig(
-            shape=(12, 12, 12), n_instances=50, radius_range=(3.0, 3.0), rng_seed=0
+            shape=shape, n_instances=n_instances, radius_range=(3.0, 3.0), rng_seed=0
         )
-        with pytest.raises(PlacementError, match="placement-failure"):
+        with pytest.raises(PlacementError, match=re.escape(expected)):
             generate_phantom(cfg)
 
     def test_huge_instance_count_gives_up_placing(self):
@@ -202,6 +213,7 @@ class TestGenerate:
             ("allow_touching", "no", "allow_touching must be True or False, got 'no'"),
             ("shape", (8, True, 8), "shape[1] must be an integer >= 1, got True"),
             ("radius_range", (2, True), "radius_range[1] must be a finite number >= 1, got True"),
+            ("radius_range", (3, 2), "radius_range must have min <= max, got [3.0, 2.0]"),
         ],
     )
     def test_bool_and_non_bool_values_rejected(self, key, value, expected):

@@ -645,3 +645,26 @@ def test_only_the_caller_draws():
 def test_thread_rule_catches_a_planted_import(tmp_path, line):
     copy, where = plant(tmp_path, "phantom.py", ["def _planted():", f"    {line}"])
     assert hits(copy, THREADS) == [where]
+
+
+def reports_built_outside_owner(src):
+    """Calls of ``EvalReport`` in the package under ``src`` outside ``metrics._report``."""
+    return hits(src, calls("EvalReport"), owners=[("metrics.py", "_report")])
+
+
+def test_eval_reports_have_one_builder():
+    """Only ``metrics._report`` builds an ``EvalReport``.
+
+    ``evaluate`` and ``aggregate_reports`` both hand it a table of
+    ``(ap, tp, fp, fn)`` rows per IoU threshold and a detection row, so the
+    avAP mean and the split of each row into AP and counts are written once.
+    """
+    found = reports_built_outside_owner(SRC)
+    assert not found, f"EvalReport built outside metrics._report: {', '.join(found)}"
+
+
+def test_report_rule_catches_a_planted_build(tmp_path):
+    planted = ["def _planted(ap):",
+               "    return EvalReport(detection_ap=ap, detection_counts=(1, 0, 0))"]
+    copy, where = plant(tmp_path, "metrics.py", planted)
+    assert reports_built_outside_owner(copy) == [where]
